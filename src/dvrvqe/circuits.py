@@ -27,6 +27,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in ("ry", "cnot", "h", "x"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.kind == "cnot" and self.other == self.qubit:
+            raise ValueError(f"cnot control and target must differ, got {self.qubit}")
 
 
 def ry(qubit: int, slot: int) -> Gate:
@@ -34,8 +36,6 @@ def ry(qubit: int, slot: int) -> Gate:
 
 
 def cnot(ctrl: int, tgt: int) -> Gate:
-    if ctrl == tgt:
-        raise ValueError(f"cnot control and target must differ, got {ctrl}")
     return Gate("cnot", ctrl, tgt)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import linear_ansatz
-from .circuits import format_circuit, load_circuit
+from .circuits import Circuit, format_circuit, load_circuit
 from .config import ConfigError, RunConfig, load_config
 from .constants import HARTREE_TO_INV_CM
 from .hamiltonian import assemble, classical_spectrum, truncate
@@ -37,7 +37,7 @@ from .measurement import (
 from .pauli import decompose, format_pauli
 from .search import SearchConfig, greedy_search
 from .simulator import run as run_circuit
-from .vqe import ObjectiveConfig, OptimizerConfig, excited_states, minimize
+from .vqe import ObjectiveConfig, OptimizerConfig, energy_of, excited_states, minimize
 
 
 class _Workspace:
@@ -100,6 +100,19 @@ def _truncation_spec(config: RunConfig) -> TruncationSpec:
     return TruncationSpec.from_epsilon(epsilon, config.grid.n_qubits, streamlined=streamlined)
 
 
+def _circuit_file(config: RunConfig, path) -> Circuit:
+    """A circuit file named in [task], checked against the grid's qubit count."""
+    try:
+        circuit = load_circuit(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[task] cannot read circuit file {path}: {exc}") from exc
+    if circuit.n_qubits != config.grid.n_qubits:
+        raise ConfigError(
+            f"[task] circuit file {path} has {circuit.n_qubits} qubits, the grid {config.grid.n_qubits}"
+        )
+    return circuit
+
+
 def _ansatz_for(config: RunConfig, hamiltonian):
     """Resolve the [task] entangler choice into a circuit to optimize."""
     choice = config.opt("entangler", "linear")
@@ -111,10 +124,7 @@ def _ansatz_for(config: RunConfig, hamiltonian):
         search_config = _search_config(config)
         result = greedy_search(hamiltonian, search_config)
         return result.final_ansatz.circuit()
-    circuit_path = Path(choice)
-    if not circuit_path.is_file():
-        raise ConfigError(f"[task] entangler circuit file not found: {circuit_path}")
-    return load_circuit(circuit_path)
+    return _circuit_file(config, choice)
 
 
 def _optimizer_config(config: RunConfig) -> OptimizerConfig:
@@ -261,7 +271,7 @@ def _task_measure(config: RunConfig, ws: _Workspace) -> None:
     circuit_path = config.opt("circuit")
     if circuit_path is None:
         raise ConfigError("[task] measure needs a 'circuit' file for the state")
-    circuit = load_circuit(circuit_path)
+    circuit = _circuit_file(config, circuit_path)
     params_path = config.opt("params")
     if circuit.n_slots and params_path is None:
         raise ConfigError("[task] measure needs a 'params' file for the circuit's slots")
@@ -274,7 +284,7 @@ def _task_measure(config: RunConfig, ws: _Workspace) -> None:
     shots = config.opt("shots", spec.default_shots())
     exact = evaluate_exact(plan, state)
     sampled = evaluate_sampled(plan, state, shots, config.seed)
-    energy = float(np.vdot(state, h.full @ state).real)
+    energy = energy_of(state, h.full)
     comp = plan_complexity(full_plan(h, spec)) if plan_path else plan_complexity(plan)
 
     lines = ["quantity,value"]

@@ -9,13 +9,5 @@ HARTREE_TO_INV_CM = 219474.6313632
 AMU_TO_ELECTRON_MASS = 1822.888486209
 
 
-def hartree_to_cm1(energy):
-    return energy * HARTREE_TO_INV_CM
-
-
-def cm1_to_hartree(energy):
-    return energy / HARTREE_TO_INV_CM
-
-
 def amu_to_me(mass):
     return mass * AMU_TO_ELECTRON_MASS

@@ -185,10 +185,3 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
 
     return SearchResult(snapshots, trace, ansatz, incumbent)
 
-
-def write_search_trace_csv(path, trace: SearchTrace) -> None:
-    """CSV export: step,block,ctrl,tgt,energy_hartree,error_cm1."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,block,ctrl,tgt,energy_hartree,error_cm1\n")
-        for s in trace.steps:
-            fh.write(f"{s.step},{s.block},{s.ctrl},{s.tgt},{s.energy:.17g},{s.error_cm1:.17g}\n")

@@ -1,11 +1,16 @@
 """Exact statevector simulation of the {RY, CNOT, H, X} gate set.
 
-States are 2^n complex amplitude vectors; basis index bit conventions
-follow circuits.py (qubit 0 = most significant bit). Gate application is
-done on a (2,)*n view of the state so axis q is qubit q.
+Qubit 0 is the most significant index bit (circuits.py). Each circuit is
+compiled once into ops on the flat state: RY and H act as 2x2 matrices on
+the (2^q, 2, 2^(n-q-1)) view, CNOT and X as index permutations. Every gate
+is real: ``run`` returns float64 amplitudes, ``adjoint_gradient`` takes
+float64 states, and ``apply_circuit`` and ``sample_counts`` keep complex
+input complex and turn any other input into float64.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -13,71 +18,89 @@ from .circuits import Circuit
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
-_X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_J_MATRIX = np.array([[0.0, -1.0], [1.0, 0.0]])  # dRY(theta)/dtheta = RY(theta) J / 2
 
 
-def _ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])
+@lru_cache(maxsize=256)
+def _compile(circuit: Circuit) -> tuple[tuple, ...]:
+    """Ops (kind, view shape or permutation, slot) with kind 'ry', 'h' or 'perm'.
+
+    A permutation maps new[i] = old[perm[i]] and is its own inverse.
+    """
+    n = circuit.n_qubits
+    index = np.arange(2 ** n)
+    ops = []
+    for g in circuit.gates:
+        bit = 1 << (n - 1 - g.qubit)
+        if g.kind == "cnot":
+            ops.append(("perm", np.where(index & bit, index ^ (1 << (n - 1 - g.other)), index), -1))
+        elif g.kind == "x":
+            ops.append(("perm", index ^ bit, -1))
+        else:
+            ops.append((g.kind, (2 ** g.qubit, 2, bit), g.other))
+    return tuple(ops)
 
 
-def _apply_single(tensor: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    out = np.tensordot(matrix, tensor, axes=([1], [qubit]))
-    return np.moveaxis(out, 0, qubit)
-
-
-def _apply_cnot(tensor: np.ndarray, ctrl: int, tgt: int) -> np.ndarray:
-    n = tensor.ndim
-    sel1 = [slice(None)] * n
-    sel1[ctrl] = 1
-    block = tensor[tuple(sel1)]
-    tensor = tensor.copy()
-    tensor[tuple(sel1)] = np.flip(block, axis=tgt if tgt < ctrl else tgt - 1)
-    return tensor
-
-
-def run(circuit: Circuit, params=None) -> np.ndarray:
-    """Apply the circuit to |0...0> and return the final amplitudes."""
+def _rotations(circuit: Circuit, params) -> np.ndarray:
+    """RY matrices of every slot, shape (n_slots, 2, 2)."""
     params = np.asarray(params if params is not None else [], dtype=float)
     if params.shape != (circuit.n_slots,):
         raise ValueError(
             f"parameter vector length {params.shape} does not match slot count {circuit.n_slots}"
         )
-    state = np.zeros(2 ** circuit.n_qubits, dtype=complex)
+    c, s = np.cos(0.5 * params), np.sin(0.5 * params)
+    return np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+
+
+def run(circuit: Circuit, params=None) -> np.ndarray:
+    """Apply the circuit to |0...0> and return the final float64 amplitudes."""
+    state = np.zeros(2 ** circuit.n_qubits)
     state[0] = 1.0
     return apply_circuit(circuit, state, params)
 
 
 def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarray:
     """Apply the circuit's gates left-to-right to an existing state."""
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
+    state = state.astype(np.result_type(state, float), copy=False)
     if state.shape != (2 ** circuit.n_qubits,):
         raise ValueError(
             f"state dimension {state.shape} does not match {circuit.n_qubits} qubits"
         )
-    tensor = state.reshape((2,) * circuit.n_qubits)
-    for g in circuit.gates:
-        if g.kind == "ry":
-            tensor = _apply_single(tensor, _ry_matrix(params[g.other]), g.qubit)
-        elif g.kind == "h":
-            tensor = _apply_single(tensor, _H_MATRIX, g.qubit)
-        elif g.kind == "x":
-            tensor = _apply_single(tensor, _X_MATRIX, g.qubit)
+    rotations = _rotations(circuit, params)
+    for kind, arg, slot in _compile(circuit):
+        if kind == "perm":
+            state = state[arg]
         else:
-            tensor = _apply_cnot(tensor, g.qubit, g.other)
-    return tensor.reshape(-1)
+            matrix = rotations[slot] if kind == "ry" else _H_MATRIX
+            state = (matrix @ state.reshape(arg)).reshape(-1)
+    return state
 
 
-def expectation_dense(state: np.ndarray, matrix: np.ndarray) -> float:
-    """<psi|H|psi> for a symmetric dense matrix."""
-    state = np.asarray(state)
-    matrix = np.asarray(matrix)
-    if matrix.shape != (state.size, state.size):
-        raise ValueError(f"dimension mismatch: state {state.size}, matrix {matrix.shape}")
-    value = np.vdot(state, matrix @ state)
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise ValueError(f"expectation has imaginary residue {value.imag}")
-    return float(value.real)
+def adjoint_gradient(circuit: Circuit, params, state: np.ndarray, costate: np.ndarray) -> np.ndarray:
+    """Gradient of <psi|M|psi> over the slots, for psi = run(circuit, params).
+
+    ``state`` is psi and ``costate`` is lambda = M psi for a real symmetric
+    M. One backward pass un-applies each gate to both (Jones & Gacon 2020,
+    arXiv:2009.02823). Since dRY/dtheta = RY J / 2, an RY gate adds
+    lambda^T J psi, both taken just after the gate, to its slot; a slot
+    shared by several gates gets the sum of their terms.
+    """
+    rotations = _rotations(circuit, params)
+    grad = np.zeros(circuit.n_slots)
+    pair = np.stack([state, costate])
+    for kind, arg, slot in reversed(_compile(circuit)):
+        if kind == "perm":
+            pair = pair[:, arg]
+            continue
+        view = pair.reshape(2, *arg)
+        if kind == "ry":
+            grad[slot] += np.vdot(view[1], _J_MATRIX @ view[0])
+            matrix = rotations[slot]
+        else:
+            matrix = _H_MATRIX
+        pair = (matrix.T @ view).reshape(2, -1)
+    return grad
 
 
 def overlap_sq(s1: np.ndarray, s2: np.ndarray) -> float:
@@ -100,6 +123,8 @@ def sample_counts(state: np.ndarray, analysis_circuit: Circuit | None, shots: in
     if analysis_circuit is not None:
         state = apply_circuit(analysis_circuit, state)
     probs = np.abs(np.asarray(state)) ** 2
-    probs = probs / probs.sum()
+    total = probs.sum()
+    if total == 0:
+        raise ValueError("cannot sample a zero-norm state")
     rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs)
+    return rng.multinomial(shots, probs / total)

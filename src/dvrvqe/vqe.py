@@ -5,40 +5,42 @@ beta_i * |<psi_i|psi(phi)>|^2 against the previously found states; the
 beta weights come from the Gershgorin upper bound of H so that
 beta_i >= E_{i+1} - E_i always holds.
 
-Gradients use the parameter-shift rule, exact for RY generators; the
-deflation overlaps share the RY trigonometric structure so the same
-+-pi/2 shifts differentiate the full objective.
+The objective is <psi|M|psi> with M = H + sum_i beta_i |psi_i><psi_i|.
+Its gradient is the adjoint gradient of simulator.adjoint_gradient: one
+forward simulation gives psi and M psi, one backward pass gives every
+slot's derivative, exactly, for any number of gates per slot. L-BFGS-B
+takes the value and the gradient from that single evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
-from .constants import HARTREE_TO_INV_CM
-from .pauli import PauliSum, expectation as pauli_expectation
-from .simulator import overlap_sq, run
+from .pauli import PauliSum, reconstruct
+from .simulator import adjoint_gradient, overlap_sq, run
 
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    hamiltonian: object                     # dense symmetric ndarray or PauliSum
+    hamiltonian: object                     # dense real symmetric ndarray; a PauliSum is expanded once
     deflation: tuple[tuple[np.ndarray, float], ...] = ()
-    unit: str = "hartree"
 
     def __post_init__(self):
         for _, beta in self.deflation:
             if beta <= 0:
                 raise ValueError(f"deflation weights must be positive, got {beta}")
+        if isinstance(self.hamiltonian, PauliSum):
+            object.__setattr__(self, "hamiltonian", reconstruct(self.hamiltonian))
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "lbfgs"                   # 'lbfgs' (parameter-shift gradients) or 'simplex'
+    method: str = "lbfgs"                   # 'lbfgs' (L-BFGS-B, adjoint gradients) or 'simplex' (Nelder-Mead)
     gradient_tol: float = 1e-8
     objective_tol: float = 1e-12
     max_iter: int = 2000
@@ -64,41 +66,41 @@ class VqeResult:
     converged: bool
     overlaps: tuple[float, ...] = ()
 
-    def energy_cm1(self) -> float:
-        return self.energy * HARTREE_TO_INV_CM
-
 
 def _as_circuit(ansatz) -> Circuit:
     return ansatz.circuit() if isinstance(ansatz, AnsatzSpec) else ansatz
 
 
-def energy_of(state: np.ndarray, hamiltonian) -> float:
-    if isinstance(hamiltonian, PauliSum):
-        return pauli_expectation(hamiltonian, state)
+def energy_of(state: np.ndarray, hamiltonian: np.ndarray) -> float:
+    """<psi|H|psi> for a dense symmetric H."""
     return float(np.vdot(state, hamiltonian @ state).real)
+
+
+def _energy_and_objective(state: np.ndarray, config: ObjectiveConfig) -> tuple[float, float]:
+    energy = energy_of(state, config.hamiltonian)
+    return energy, energy + sum(beta * overlap_sq(ref, state) for ref, beta in config.deflation)
 
 
 def objective(params, circuit: Circuit, config: ObjectiveConfig) -> float:
     """<H> plus the weighted squared overlaps with the deflation references."""
+    return _energy_and_objective(run(circuit, params), config)[1]
+
+
+def objective_and_gradient(params, circuit: Circuit, config: ObjectiveConfig) -> tuple[float, np.ndarray]:
+    """The objective and its gradient from one forward and one backward pass.
+
+    A real psi sees only the real part of M, so lambda = Re(M) psi.
+    """
     state = run(circuit, params)
-    value = energy_of(state, config.hamiltonian)
+    costate = config.hamiltonian @ state
     for ref, beta in config.deflation:
-        value += beta * overlap_sq(ref, state)
-    return value
+        costate = costate + beta * (np.vdot(ref, state) * ref).real
+    return _energy_and_objective(state, config)[1], adjoint_gradient(circuit, params, state, costate)
 
 
 def gradient(params, circuit: Circuit, config: ObjectiveConfig) -> np.ndarray:
-    """Parameter-shift gradient: [f(theta + pi/2) - f(theta - pi/2)] / 2 per slot."""
-    params = np.asarray(params, dtype=float)
-    grad = np.empty(params.size)
-    for j in range(params.size):
-        shifted = params.copy()
-        shifted[j] = params[j] + np.pi / 2.0
-        f_plus = objective(shifted, circuit, config)
-        shifted[j] = params[j] - np.pi / 2.0
-        f_minus = objective(shifted, circuit, config)
-        grad[j] = 0.5 * (f_plus - f_minus)
-    return grad
+    """Adjoint gradient of the objective; see objective_and_gradient."""
+    return objective_and_gradient(params, circuit, config)[1]
 
 
 def gershgorin_upper(matrix: np.ndarray) -> float:
@@ -111,30 +113,20 @@ def _single_run(circuit, config, opt, x0):
     trace = []
 
     def record(xk):
-        obj = objective(xk, circuit, config)
-        energy = energy_of(run(circuit, xk), config.hamiltonian)
+        energy, obj = _energy_and_objective(run(circuit, xk), config)
         trace.append((len(trace), obj, energy))
 
     record(x0)
     if opt.method == "lbfgs":
-        res = scipy.optimize.minimize(
-            objective,
-            x0,
-            args=(circuit, config),
-            jac=gradient,
-            method="L-BFGS-B",
-            callback=record,
-            options={"maxiter": opt.max_iter, "gtol": opt.gradient_tol, "ftol": opt.objective_tol},
-        )
+        fun, jac, method = objective_and_gradient, True, "L-BFGS-B"
+        options = {"maxiter": opt.max_iter, "gtol": opt.gradient_tol, "ftol": opt.objective_tol}
     else:
-        res = scipy.optimize.minimize(
-            objective,
-            x0,
-            args=(circuit, config),
-            method="Nelder-Mead",
-            callback=record,
-            options={"maxiter": opt.max_iter, "fatol": opt.objective_tol, "xatol": 1e-10},
-        )
+        fun, jac, method = objective, None, "Nelder-Mead"
+        options = {"maxiter": opt.max_iter, "fatol": opt.objective_tol, "xatol": 1e-10}
+    res = scipy.optimize.minimize(
+        fun, x0, args=(circuit, config), jac=jac, method=method,
+        callback=record, options=options,
+    )
     state = run(circuit, res.x)
     energy = energy_of(state, config.hamiltonian)
     overlaps = tuple(overlap_sq(ref, state) for ref, _ in config.deflation)
@@ -184,22 +176,9 @@ def excited_states(ansatz, hamiltonian, v_max: int, opt: OptimizerConfig, beta_m
     deflation: list[tuple[np.ndarray, float]] = []
     for v in range(v_max + 1):
         config = ObjectiveConfig(hamiltonian, tuple(deflation))
-        opt_v = OptimizerConfig(
-            opt.method, opt.gradient_tol, opt.objective_tol, opt.max_iter,
-            opt.restarts, (*opt.seed_tuple(), v), opt.init_scale,
-        )
-        result = minimize(circuit, config, opt_v)
+        result = minimize(circuit, config, replace(opt, seed=(*opt.seed_tuple(), v)))
         results.append(result)
         beta = beta_margin * max(upper - result.energy, 1e-6)
         deflation.append((run(circuit, result.params), beta))
     return results
 
-
-def write_trace_csv(path, result: VqeResult) -> None:
-    """Per-iteration trace: iter,objective,energy_hartree,energy_cm1."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iter,objective,energy_hartree,energy_cm1\n")
-        for iteration, obj, energy in result.trace:
-            fh.write(
-                f"{iteration},{obj:.17g},{energy:.17g},{energy * HARTREE_TO_INV_CM:.17g}\n"
-            )

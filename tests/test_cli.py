@@ -196,6 +196,13 @@ class TestVqeTask:
         text = MORSE_BASE.format(task="vqe", extra=extra, outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 0
 
+    def test_malformed_entangler_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "ansatz.circuit").write_text("qubits 4 slots 0\nx 0\ncnot 1 1\n")
+        extra = "entangler = ansatz.circuit\nrestarts = 1\nmax_iter = 10\n"
+        text = MORSE_BASE.format(task="vqe", extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "cnot control and target must differ" in capsys.readouterr().err
+
 
 class TestExcitedTask:
     def test_three_levels(self, tmp_path):
@@ -252,6 +259,17 @@ class TestPlanTasks:
         sigma = float(report["std_error"])
         assert abs(sampled - exact) < 5 * max(sigma, 1e-12)
         assert report["bases_within_bound"] == "1"
+
+    @pytest.mark.parametrize("circuit_text, message", [
+        ("qubits 4 slots 0\nh 0\nbogus 1\n", "unknown gate"),
+        ("qubits 3 slots 0\nh 0\n", "has 3 qubits"),
+    ])
+    def test_malformed_state_circuit_exit_2(self, tmp_path, capsys, circuit_text, message):
+        (tmp_path / "state.circuit").write_text(circuit_text)
+        extra = "s = 4\nr = 2\nshots = 10\ncircuit = state.circuit\n"
+        text = MORSE_BASE.format(task="measure", extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert message in capsys.readouterr().err
 
     def test_epsilon_driven_plan(self, tmp_path):
         extra = "epsilon = 0.3\n"

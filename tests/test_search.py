@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from dvrvqe import classical_spectrum
 from dvrvqe.ansatz import empty_ansatz
-from dvrvqe.constants import HARTREE_TO_INV_CM
 from dvrvqe.search import (
     SearchConfig,
     candidate_evaluation,
     greedy_search,
-    write_search_trace_csv,
 )
 from dvrvqe.vqe import ObjectiveConfig, OptimizerConfig, minimize
 
@@ -123,16 +120,3 @@ def test_thresholds_validation():
 def test_non_power_of_two_rejected():
     with pytest.raises(ValueError):
         greedy_search(np.eye(6), SearchConfig(n_blocks=1))
-
-
-def test_trace_csv(tmp_path, bell_hamiltonian):
-    result = greedy_search(bell_hamiltonian, SearchConfig(n_blocks=2, thresholds=(1.0,), seed=5))
-    path = tmp_path / "search_trace.csv"
-    write_search_trace_csv(path, result.trace)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,block,ctrl,tgt,energy_hartree,error_cm1"
-    reference = classical_spectrum(bell_hamiltonian, 1)[0]
-    last = lines[-1].split(",")
-    assert float(last[5]) == pytest.approx(
-        (float(last[4]) - reference) * HARTREE_TO_INV_CM, rel=1e-10
-    )

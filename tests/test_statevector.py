@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dvrvqe.circuits import (
     Circuit,
+    Gate,
     cnot,
     format_circuit,
     hadamard,
@@ -10,13 +13,8 @@ from dvrvqe.circuits import (
     pauli_x,
     ry,
 )
-from dvrvqe.simulator import (
-    apply_circuit,
-    expectation_dense,
-    overlap_sq,
-    run,
-    sample_counts,
-)
+from dvrvqe.simulator import apply_circuit, overlap_sq, run, sample_counts
+from dvrvqe.vqe import energy_of
 
 from conftest import random_state
 
@@ -29,6 +27,12 @@ class TestCircuitContainer:
             Circuit(2, (ry(0, 0),), 0)  # slot out of range
         with pytest.raises(ValueError):
             cnot(1, 1)
+
+    def test_rejects_cnot_on_one_qubit(self):
+        with pytest.raises(ValueError, match="control and target must differ"):
+            Circuit(2, (Gate("cnot", 1, 1),), 0)
+        with pytest.raises(ValueError, match="control and target must differ"):
+            parse_circuit("qubits 2 slots 0\nx 0\ncnot 1 1\n")
 
     def test_inverse_reverses_gates(self):
         circuit = Circuit(2, (hadamard(0), cnot(0, 1), pauli_x(1)), 0)
@@ -98,6 +102,15 @@ class TestRun:
             out = apply_circuit(Circuit(3, gates, 0), psi)
             assert np.allclose(out, psi, atol=1e-12)
 
+    def test_dtypes(self):
+        circuit = Circuit(2, (hadamard(0), ry(1, 0), cnot(0, 1), pauli_x(1)), 1)
+        assert run(circuit, [0.4]).dtype == np.float64
+        psi = random_state(np.random.default_rng(6), 4)
+        out = apply_circuit(circuit, psi, [0.4])
+        assert out.dtype == np.complex128
+        assert np.allclose(out.real, apply_circuit(circuit, psi.real, [0.4]), atol=1e-15)
+        assert np.allclose(out.imag, apply_circuit(circuit, psi.imag, [0.4]), atol=1e-15)
+
     def test_ry_addition(self):
         rng = np.random.default_rng(2)
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
@@ -113,15 +126,15 @@ class TestExpectationDense:
         matrix = matrix + matrix.T
         state = np.zeros(4)
         state[0] = 1.0
-        assert expectation_dense(state, matrix) == pytest.approx(matrix[0, 0])
+        assert energy_of(state, matrix) == pytest.approx(matrix[0, 0])
 
     def test_eigenvector(self):
         state = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert expectation_dense(state, np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0)
+        assert energy_of(state, np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0)
 
     def test_mismatch(self):
         with pytest.raises(ValueError):
-            expectation_dense(np.zeros(2), np.zeros((4, 4)))
+            energy_of(np.zeros(2), np.zeros((4, 4)))
 
 
 class TestOverlap:
@@ -170,6 +183,12 @@ class TestSampling:
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             sample_counts(np.array([1.0, 0.0]), None, 0, 1)
+
+    def test_zero_norm_state_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero-norm"):
+                sample_counts(np.zeros(4), Circuit(2, (hadamard(0),), 0), 10, 1)
 
 
 class TestCircuitText:

@@ -3,7 +3,7 @@ import pytest
 
 from dvrvqe import classical_spectrum
 from dvrvqe.ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
-from dvrvqe.circuits import Circuit, ry
+from dvrvqe.circuits import Circuit, parse_circuit, ry
 from dvrvqe.constants import HARTREE_TO_INV_CM
 from dvrvqe.pauli import decompose
 from dvrvqe.vqe import (
@@ -14,7 +14,6 @@ from dvrvqe.vqe import (
     gradient,
     minimize,
     objective,
-    write_trace_csv,
 )
 
 Z1 = np.diag([1.0, -1.0])
@@ -106,6 +105,21 @@ class TestGradient:
                 f_minus = objective(shifted, circuit, config)
                 numeric[j] = (f_plus - f_minus) / (2 * step)
             assert np.max(np.abs(analytic - numeric)) < 1e-6
+
+    def test_shared_slot_sums_every_gate(self):
+        # RY(t) RY(t) = RY(2t), so <Z> = cos 2t and the derivative is -2 sin 2t.
+        circuit = parse_circuit("qubits 1 slots 1\nry 0 0\nry 0 0\n")
+        grad = gradient(np.array([0.3]), circuit, ObjectiveConfig(Z1))
+        assert grad[0] == pytest.approx(-2 * np.sin(0.6), abs=1e-12)
+
+    def test_pauli_sum_hamiltonian(self):
+        rng = np.random.default_rng(16)
+        matrix = random_symmetric(rng, 8)
+        circuit = linear_ansatz(3, 1).circuit()
+        params = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+        dense = gradient(params, circuit, ObjectiveConfig(matrix))
+        pauli = gradient(params, circuit, ObjectiveConfig(decompose(matrix, tol=0.0)))
+        assert np.allclose(pauli, dense, atol=1e-12)
 
     def test_small_at_optimum(self):
         config = ObjectiveConfig(Z1)
@@ -231,13 +245,3 @@ def test_gershgorin_upper_bounds_spectrum():
     for _ in range(20):
         matrix = random_symmetric(rng, 8)
         assert gershgorin_upper(matrix) >= classical_spectrum(matrix)[-1] - 1e-12
-
-
-def test_trace_csv(tmp_path):
-    result = minimize(RY1, ObjectiveConfig(Z1), OptimizerConfig(max_iter=100, restarts=1, seed=1))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, result)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iter,objective,energy_hartree,energy_cm1"
-    first = lines[1].split(",")
-    assert float(first[3]) == pytest.approx(float(first[2]) * HARTREE_TO_INV_CM, rel=1e-12)
