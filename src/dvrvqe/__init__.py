@@ -15,6 +15,7 @@ from .hamiltonian import (
     DvrHamiltonian,
     assemble,
     classical_spectrum,
+    lowest_levels,
     retained_antidiagonals,
     truncate,
     truncation_error_bound,
@@ -65,6 +66,7 @@ __all__ = [
     "DvrHamiltonian",
     "assemble",
     "classical_spectrum",
+    "lowest_levels",
     "retained_antidiagonals",
     "truncate",
     "truncation_error_bound",

@@ -23,7 +23,7 @@ from .ansatz import linear_ansatz
 from .circuits import Circuit, format_circuit, load_circuit
 from .config import ConfigError, RunConfig, load_config
 from .constants import HARTREE_TO_INV_CM
-from .hamiltonian import assemble, classical_spectrum, truncate
+from .hamiltonian import assemble, lowest_levels, truncate
 from .measurement import (
     TruncationSpec,
     evaluate_exact,
@@ -150,7 +150,7 @@ def _search_config(config: RunConfig) -> SearchConfig:
 def _task_diag(config: RunConfig, ws: _Workspace) -> None:
     h = assemble(config.grid, config.potential)
     count = config.opt("levels", min(h.n_points, 8))
-    ws.write_text("spectrum.csv", _spectrum_csv(classical_spectrum(h.full, count)))
+    ws.write_text("spectrum.csv", _spectrum_csv(lowest_levels(h, count)))
 
 
 def _task_decompose(config: RunConfig, ws: _Workspace) -> None:
@@ -161,7 +161,7 @@ def _task_decompose(config: RunConfig, ws: _Workspace) -> None:
 
 def _task_vqe(config: RunConfig, ws: _Workspace) -> None:
     h = assemble(config.grid, config.potential)
-    reference = classical_spectrum(h.full, 1)[0]
+    reference = lowest_levels(h, 1)[0]
     circuit = _ansatz_for(config, h.full)
     result = minimize(circuit, ObjectiveConfig(h.full), _optimizer_config(config))
     ws.write_text("spectrum.csv", _spectrum_csv([reference]))
@@ -185,7 +185,7 @@ def _task_vqe(config: RunConfig, ws: _Workspace) -> None:
 def _task_excited(config: RunConfig, ws: _Workspace) -> None:
     h = assemble(config.grid, config.potential)
     v_max = config.opt("v_max", 2)
-    reference = classical_spectrum(h.full, v_max + 1)
+    reference = lowest_levels(h, v_max + 1)
     circuit = _ansatz_for(config, h.full)
     results = excited_states(circuit, h.full, v_max, _optimizer_config(config))
     ws.write_text("spectrum.csv", _spectrum_csv(reference))
@@ -277,8 +277,14 @@ def _task_measure(config: RunConfig, ws: _Workspace) -> None:
         raise ConfigError("[task] measure needs a 'params' file for the circuit's slots")
     params = None
     if params_path is not None:
-        values = [float(line) for line in Path(params_path).read_text().split()]
-        params = np.array(values)
+        try:
+            params = np.array([float(value) for value in Path(params_path).read_text().split()])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"[task] cannot read params file {params_path}: {exc}") from exc
+        if params.size != circuit.n_slots:
+            raise ConfigError(
+                f"[task] params file {params_path} has {params.size} values, the circuit {circuit.n_slots} slots"
+            )
     state = run_circuit(circuit, params)
 
     shots = config.opt("shots", spec.default_shots())

@@ -151,6 +151,9 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         value = _get(parser, "task", key, cast)
         if value is not None:
             options[key] = value
+    levels = options.get("levels")
+    if levels is not None and not 1 <= levels <= grid.n_points:
+        raise ConfigError(f"[task] key 'levels' must be in [1, {grid.n_points}], got {levels}")
     thresholds = _get(parser, "task", "thresholds", str)
     if thresholds is not None:
         try:

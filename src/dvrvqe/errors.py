@@ -10,4 +10,4 @@ class ResourceLimitError(RuntimeError):
 
 
 class InvariantViolationError(RuntimeError):
-    """An internal consistency check (e.g. band-profile reconstruction) failed."""
+    """An internal consistency check failed (e.g. H - min V is not positive definite)."""

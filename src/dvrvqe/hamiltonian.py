@@ -6,15 +6,25 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator, eigsh
 
+from .errors import InvariantViolationError
 from .grids import BandProfile, GridSpec, band_profile, tail_sums
 from .potentials import potential_on_grid
+
+# lowest_levels uses shift-invert Lanczos from 1024 points, while the grid
+# has at least 64 points per level asked for, and dense eigvalsh
+# otherwise. Measured on one core with OpenBLAS, Morse H, 8 levels, dense
+# against shift-invert: 17 ms against 19 ms at 512 points, 0.14 s against
+# 0.07 s at 1024, 7.8 s against 2.0 s at 4096. At 2048 points shift-invert
+# still wins at 32 levels (0.55 s against 0.9 s) and loses at 128 (1.3 s).
+SHIFT_INVERT_MIN_POINTS = 1024
+SHIFT_INVERT_POINTS_PER_LEVEL = 64
 
 
 @dataclass(frozen=True)
 class DvrHamiltonian:
     grid: GridSpec
-    kinetic: np.ndarray
     potential_diag: np.ndarray
     full: np.ndarray
     profile: BandProfile  # kinetic part only; the potential folds into d
@@ -27,19 +37,24 @@ class DvrHamiltonian:
     def n_points(self) -> int:
         return self.grid.n_points
 
+    @property
+    def kinetic(self) -> np.ndarray:
+        """Dense kinetic matrix, rebuilt from the band profile on each access."""
+        return self.profile.to_matrix()
+
 
 def assemble(grid: GridSpec, potential=None) -> DvrHamiltonian:
     """Build H = T + diag(V) on the grid. ``potential=None`` means V = 0."""
     profile = band_profile(grid)
-    kinetic = profile.to_matrix()
     if potential is None:
         v = np.zeros(grid.n_points)
     else:
         v = potential_on_grid(potential, grid)
-    full = kinetic + np.diag(v)
-    for arr in (kinetic, v, full):
+    full = profile.to_matrix()
+    np.fill_diagonal(full, profile.d + v)
+    for arr in (v, full):
         arr.setflags(write=False)
-    return DvrHamiltonian(grid, kinetic, v, full, profile)
+    return DvrHamiltonian(grid, v, full, profile)
 
 
 def retained_antidiagonals(n_qubits: int, r: int, streamlined: bool = False) -> np.ndarray:
@@ -100,8 +115,37 @@ def classical_spectrum(matrix: np.ndarray, count: int | None = None) -> np.ndarr
     return vals
 
 
-def save_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Full dense CSV export, one row per line, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(matrix):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+def lowest_levels(h: DvrHamiltonian, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of H, ascending.
+
+    Grids below SHIFT_INVERT_MIN_POINTS, or with fewer than
+    SHIFT_INVERT_POINTS_PER_LEVEL points per level, use dense
+    ``classical_spectrum``. Otherwise H - sigma*I with sigma = min V
+    is Cholesky-factored and Lanczos (ARPACK) finds the largest eigenvalues
+    of its inverse. The kinetic matrix is positive definite for every grid
+    variant, so sigma lies below the spectrum; a failed factorization
+    means it does not, and raises InvariantViolationError.
+    """
+    n_pts = h.n_points
+    if not 1 <= count <= n_pts:
+        raise ValueError(f"count must be in [1, {n_pts}], got {count}")
+    if n_pts < SHIFT_INVERT_MIN_POINTS or count * SHIFT_INVERT_POINTS_PER_LEVEL > n_pts:
+        return classical_spectrum(h.full, count)
+
+    sigma = float(np.min(h.potential_diag))
+    # H is symmetric, so copying its transpose gives H in Fortran order,
+    # which LAPACK factors and solves with in place instead of copying.
+    shifted = np.array(h.full.T)
+    shifted.flat[:: n_pts + 1] -= sigma
+    try:
+        factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolationError(f"H - min(V) is not positive definite: {exc}") from exc
+    inverse = LinearOperator(
+        (n_pts, n_pts), matvec=lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False), dtype=float
+    )
+    # A fixed random start vector keeps the result reproducible and, unlike
+    # a constant one, overlaps both parities of a symmetric potential.
+    start = np.random.default_rng(0).standard_normal(n_pts)
+    mu = eigsh(inverse, k=count, which="LA", tol=0, v0=start, return_eigenvectors=False)
+    return np.sort(sigma + 1.0 / mu)

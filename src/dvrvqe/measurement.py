@@ -183,27 +183,6 @@ def q_vector_operational(k: int, n: int) -> np.ndarray:
     return band_plan(k, n)[1]
 
 
-def q_vector_bitwise(k: int, n: int, i: int) -> int:
-    """Shortcut estimate of the band diagonal q^{k[n]}(i) from i's bits alone.
-
-    Walks the bits of i above the low l = ceil(log2(k+1)) ones (counting
-    from 1 at the least significant bit) and increments per set bit whose
-    low-bit context allows a band partner. Disagrees with the operational
-    diagonal at some inputs (e.g. k=2, n=3, i=7 gives 2 while the
-    assembled plan gives 1); kept for comparison only - plans always use
-    the operational q.
-    """
-    l = band_width_l(k)
-    last_l_bits = i % 2 ** l
-    anti_last_l_bits = 2 ** l - last_l_bits
-    output = 1
-    for j in range(l + 1, n + 1):
-        if (i >> (j - 1)) & 1:
-            if last_l_bits < k or anti_last_l_bits < l:
-                output += 1
-    return output
-
-
 def antidiag_plan(g: np.ndarray, r: int, n: int, streamlined: bool = False) -> list[MeasBasis]:
     """Product-measurement bases covering the retained anti-diagonals.
 
@@ -312,8 +291,8 @@ def antidiag_operator(k: int, n: int) -> np.ndarray:
 
 
 def evaluate_exact(plan: MeasurementPlan, state: np.ndarray) -> float:
-    """tau from exact outcome probabilities."""
-    state = np.asarray(state, dtype=complex)
+    """tau from exact outcome probabilities; a real state stays real."""
+    state = np.asarray(state)
     n_pts = 2 ** plan.n_qubits
     if state.shape != (n_pts,):
         raise ValueError(f"state dimension {state.shape} does not match {plan.n_qubits} qubits")
@@ -348,7 +327,7 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
     n_pts = 2 ** plan.n_qubits
 
     diag_basis = MeasBasis(Circuit(plan.n_qubits, (), 0), dict(enumerate(plan.diag)), 1.0, "diag")

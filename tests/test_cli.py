@@ -159,6 +159,15 @@ class TestDiagTask:
         assert manifest[0].split()[0] == digest
 
 
+    @pytest.mark.parametrize("levels", [-2, 0, 9])
+    def test_levels_out_of_range_exit_2(self, tmp_path, capsys, levels):
+        text = HARMONIC_CONFIG.format(outdir=tmp_path / "out").replace("n_qubits = 6", "n_qubits = 3")
+        text = text.replace("levels = 6", f"levels = {levels}")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "'levels' must be in [1, 8]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
 class TestDecomposeTask:
     def test_pauli_artifact(self, tmp_path):
         text = MORSE_BASE.format(task="decompose", extra="", outdir=tmp_path / "out")
@@ -267,6 +276,18 @@ class TestPlanTasks:
     def test_malformed_state_circuit_exit_2(self, tmp_path, capsys, circuit_text, message):
         (tmp_path / "state.circuit").write_text(circuit_text)
         extra = "s = 4\nr = 2\nshots = 10\ncircuit = state.circuit\n"
+        text = MORSE_BASE.format(task="measure", extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params_text, message", [
+        ("0.1\n0.2\n", "has 2 values, the circuit 8 slots"),
+        ("0.1\n" * 7 + "abc\n", "cannot read params file"),
+    ], ids=["too-few-values", "non-numeric"])
+    def test_bad_params_file_exit_2(self, tmp_path, capsys, params_text, message):
+        save_circuit(tmp_path / "state.circuit", linear_ansatz(4, 1).circuit())
+        (tmp_path / "params.txt").write_text(params_text)
+        extra = "s = 4\nr = 2\nshots = 10\ncircuit = state.circuit\nparams = params.txt\n"
         text = MORSE_BASE.format(task="measure", extra=extra, outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         assert message in capsys.readouterr().err

@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrvqe import (
     HarmonicPotential,
+    MorsePotential,
+    TabulatedPotential,
     assemble,
     build_grid,
     classical_spectrum,
@@ -10,8 +16,14 @@ from dvrvqe import (
     truncation_error_bound,
 )
 from dvrvqe.constants import HARTREE_TO_INV_CM
+from dvrvqe.errors import InvariantViolationError
 from dvrvqe.grids import tail_sums
-from dvrvqe.hamiltonian import retained_antidiagonals, save_matrix_csv
+from dvrvqe.hamiltonian import (
+    SHIFT_INVERT_MIN_POINTS,
+    SHIFT_INVERT_POINTS_PER_LEVEL,
+    lowest_levels,
+    retained_antidiagonals,
+)
 
 from conftest import MASS, MORSE, random_state
 
@@ -21,6 +33,12 @@ def test_zero_potential_gives_pure_kinetic():
     h = assemble(grid)
     assert np.array_equal(h.full, h.kinetic)
     assert np.all(h.potential_diag == 0.0)
+
+
+def test_full_is_kinetic_plus_potential(morse16_radial):
+    h = morse16_radial
+    assert np.array_equal(h.full, h.kinetic + np.diag(h.potential_diag))
+    assert not h.full.flags.writeable
 
 
 def test_symmetry_and_dimension(morse16_radial):
@@ -142,10 +160,50 @@ def test_eigenvalue_deviation_monotone_in_s():
         assert all(b <= a + 1e-12 for a, b in zip(deviations, deviations[1:]))
 
 
-def test_matrix_csv_roundtrip(tmp_path, morse16_radial):
-    path = tmp_path / "h.csv"
-    save_matrix_csv(path, morse16_radial.full)
-    loaded = np.array([
-        [float(x) for x in line.split(",")] for line in path.read_text().splitlines()
-    ])
-    assert np.array_equal(loaded, morse16_radial.full)
+class TestLowestLevels:
+    # The smallest grid and the largest count that take the shift-invert path.
+    N_QUBITS = SHIFT_INVERT_MIN_POINTS.bit_length() - 1
+    MAX_COUNT = SHIFT_INVERT_MIN_POINTS // SHIFT_INVERT_POINTS_PER_LEVEL
+
+    @staticmethod
+    def grid(variant, n):
+        params = {"a": 1.2, "b": 5.5, "x_min": 1.2, "dx": 4.3 / 2**n}
+        return build_grid(variant, params, n, MASS)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        variant=st.sampled_from(["infinite", "half-infinite", "finite"]),
+        kind=st.sampled_from(["morse", "harmonic", "tabulated"]),
+        count=st.integers(1, MAX_COUNT),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shift_invert_matches_dense(self, variant, kind, count, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "morse":
+            potential = MorsePotential(rng.uniform(0.01, 0.2), rng.uniform(0.5, 2.0), rng.uniform(2.0, 3.5))
+        elif kind == "harmonic":
+            potential = HarmonicPotential(rng.uniform(0.01, 1.0), rng.uniform(2.0, 4.0))
+        else:
+            x = np.linspace(0.0, 6.0, int(rng.integers(2, 40)))
+            potential = TabulatedPotential(x, rng.uniform(-0.1, 0.1, x.size))
+        h = assemble(self.grid(variant, self.N_QUBITS), potential)
+        levels = lowest_levels(h, count)
+        dense = classical_spectrum(h.full, count)
+        assert levels.shape == (count,)
+        assert np.max(np.abs(levels - dense)) <= 1e-12 * np.max(np.abs(h.full))
+
+    def test_dense_path_is_classical_spectrum(self, morse16_radial):
+        assert np.array_equal(lowest_levels(morse16_radial, 16), classical_spectrum(morse16_radial.full))
+        h = assemble(self.grid("finite", self.N_QUBITS), MORSE)
+        assert np.array_equal(lowest_levels(h, self.MAX_COUNT + 1), classical_spectrum(h.full, self.MAX_COUNT + 1))
+
+    def test_shift_above_the_spectrum_raises(self):
+        h = assemble(self.grid("finite", self.N_QUBITS), MORSE)
+        lifted = dataclasses.replace(h, potential_diag=h.potential_diag + 1.0)
+        with pytest.raises(InvariantViolationError, match="not positive definite"):
+            lowest_levels(lifted, 1)
+
+    @pytest.mark.parametrize("count", [0, -2, 17])
+    def test_count_out_of_range(self, morse16_radial, count):
+        with pytest.raises(ValueError, match="count"):
+            lowest_levels(morse16_radial, count)

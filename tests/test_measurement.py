@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dvrvqe import build_grid, assemble, truncate, truncation_error_bound
+from dvrvqe import build_grid, assemble, measurement, truncate, truncation_error_bound
 from dvrvqe.hamiltonian import retained_antidiagonals
 from dvrvqe.measurement import (
     MeasurementPlan,
@@ -21,7 +21,6 @@ from dvrvqe.measurement import (
     plan_complexity,
     plan_to_matrix,
     plus_prep_circuit,
-    q_vector_bitwise,
     q_vector_operational,
 )
 from dvrvqe.simulator import apply_circuit, run
@@ -139,20 +138,6 @@ class TestQVectors:
                 q = q_vector_operational(k, n)
                 expected = [(1 if i >= k else 0) + (1 if i + k < 2**n else 0) for i in range(2**n)]
                 assert np.array_equal(q, expected)
-
-    def test_bitwise_k1_n1_never_loops(self):
-        assert [q_vector_bitwise(1, 1, i) for i in range(2)] == [1, 1]
-
-    def test_bitwise_documented_discrepancy(self):
-        # The bitwise shortcut gives 2 here; the assembled plan's diagonal gives 1.
-        assert q_vector_bitwise(2, 3, 7) == 2
-        assert q_vector_operational(2, 3)[7] == 1
-
-    def test_bitwise_vs_operational_k1_n2(self):
-        # Bitwise shortcut: [1, 1, 2, 1]; operational diagonal: [1, 2, 2, 1].
-        transcribed = [q_vector_bitwise(1, 2, i) for i in range(4)]
-        assert transcribed == [1, 1, 2, 1]
-        assert not np.array_equal(transcribed, q_vector_operational(1, 2))
 
 
 class TestAntidiagPlan:
@@ -328,6 +313,26 @@ class TestEvaluateExact:
         plan = full_plan(morse16_radial, TruncationSpec(2, 1))
         with pytest.raises(ValueError):
             evaluate_exact(plan, np.zeros(8))
+
+    def test_real_state_stays_real(self, morse32, monkeypatch):
+        plan = full_plan(morse32, TruncationSpec(8, 5))
+        psi = random_state(np.random.default_rng(19), 32, complex_valued=False)
+        dtypes = []
+
+        def recording(circuit, state, params=None):
+            out = apply_circuit(circuit, state, params)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(measurement, "apply_circuit", recording)
+        tau_real = evaluate_exact(plan, psi)
+        assert set(dtypes) == {np.dtype(float)}
+        tau_complex = evaluate_exact(plan, psi.astype(complex))
+        assert np.dtype(complex) in dtypes
+        assert abs(tau_real - tau_complex) <= 1e-15
+        sampled_real = evaluate_sampled(plan, psi, 100, seed=4)
+        sampled_complex = evaluate_sampled(plan, psi.astype(complex), 100, seed=4)
+        assert abs(sampled_real.estimate - sampled_complex.estimate) <= 1e-15
 
 
 class TestEvaluateSampled:

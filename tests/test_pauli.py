@@ -1,7 +1,7 @@
-from itertools import product
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrvqe.pauli import (
     PauliSum,
@@ -24,16 +24,21 @@ PAULI_1Q = {
 
 
 def dense_decompose(matrix):
-    """Literal tensor-product trace oracle, O(4^n * 4^n)."""
+    """Literal tensor-product trace oracle: Tr[(P_0 x ... x P_{n-1}) H] / 2^n per word."""
     n = matrix.shape[0].bit_length() - 1
+
+    def words(prefix, word_matrix):
+        if len(prefix) == n:
+            yield prefix, word_matrix
+            return
+        for letter in "IXYZ":
+            yield from words(prefix + letter, np.kron(word_matrix, PAULI_1Q[letter]))
+
     coeffs = {}
-    for letters in product("IXYZ", repeat=n):
-        word_matrix = np.array([[1.0]])
-        for letter in letters:
-            word_matrix = np.kron(word_matrix, PAULI_1Q[letter])
-        coeff = np.trace(word_matrix @ matrix) / 2**n
+    for word, word_matrix in words("", np.array([[1.0]])):
+        coeff = np.sum(word_matrix.T * matrix) / 2**n  # Tr[P H] without the matrix product
         if abs(coeff) > 1e-12:
-            coeffs["".join(letters)] = coeff
+            coeffs[word] = coeff
     return coeffs
 
 
@@ -72,6 +77,19 @@ def test_matches_dense_oracle(n):
     for word, coeff in oracle.items():
         assert abs(coeff.imag) < 1e-12
         assert ours[word] == pytest.approx(coeff.real, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_matches_dense_oracle_property(n, seed, scale):
+    matrix = scale * random_symmetric(np.random.default_rng(seed), n)
+    ours = decompose(matrix, tol=0.0).terms
+    oracle = dense_decompose(matrix)
+    assert all(word.count("Y") % 2 == 0 for word in ours)
+    for word in set(ours) | set(oracle):
+        coeff = oracle.get(word, 0.0)
+        assert abs(coeff.imag) <= 1e-12 * scale
+        assert abs(ours.get(word, 0.0) - coeff.real) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", range(1, 7))
