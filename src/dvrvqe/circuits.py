@@ -55,6 +55,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if self.n_qubits < 1:
+            raise ValueError(f"a circuit needs at least one qubit, got {self.n_qubits}")
         for g in self.gates:
             if not 0 <= g.qubit < self.n_qubits:
                 raise ValueError(f"gate {g} addresses qubit outside 0..{self.n_qubits - 1}")

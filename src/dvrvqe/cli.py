@@ -25,6 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .constants import HARTREE_TO_INV_CM
 from .hamiltonian import assemble, lowest_levels, truncate
 from .measurement import (
+    MeasurementPlan,
     TruncationSpec,
     evaluate_exact,
     evaluate_sampled,
@@ -111,6 +112,19 @@ def _circuit_file(config: RunConfig, path) -> Circuit:
             f"[task] circuit file {path} has {circuit.n_qubits} qubits, the grid {config.grid.n_qubits}"
         )
     return circuit
+
+
+def _plan_file(config: RunConfig, path) -> MeasurementPlan:
+    """A plan file named in [task], checked against the grid's qubit count."""
+    try:
+        plan = load_plan(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[task] cannot read plan file {path}: {exc}") from exc
+    if plan.n_qubits != config.grid.n_qubits:
+        raise ConfigError(
+            f"[task] plan file {path} has {plan.n_qubits} qubits, the grid {config.grid.n_qubits}"
+        )
+    return plan
 
 
 def _ansatz_for(config: RunConfig, hamiltonian):
@@ -245,17 +259,12 @@ def _task_plan(config: RunConfig, ws: _Workspace) -> None:
 
 
 def _task_verify_plan(config: RunConfig, ws: _Workspace) -> None:
-    plan_path = config.opt("plan", config.outdir / "plan.txt")
-    if not Path(plan_path).is_file():
-        raise ConfigError(f"[task] plan file not found: {plan_path}")
-    imported = load_plan(plan_path)
+    imported = _plan_file(config, config.opt("plan", config.outdir / "plan.txt"))
     h = assemble(config.grid, config.potential)
     spec = _truncation_spec(config)
-    rebuilt = full_plan(h, spec)
-    dev_plan = float(np.max(np.abs(plan_to_matrix(imported) - plan_to_matrix(rebuilt))))
-    dev_truncation = float(np.max(np.abs(
-        plan_to_matrix(imported) - truncate(h, spec.s, spec.r, spec.streamlined)
-    )))
+    matrix = plan_to_matrix(imported)
+    dev_plan = float(np.max(np.abs(matrix - plan_to_matrix(full_plan(h, spec)))))
+    dev_truncation = float(np.max(np.abs(matrix - truncate(h, spec.s, spec.r, spec.streamlined))))
     ws.write_text("result.csv", _result_csv([{
         "max_abs_deviation_vs_rebuild": dev_plan,
         "max_abs_deviation_vs_truncation": dev_truncation,
@@ -265,8 +274,9 @@ def _task_verify_plan(config: RunConfig, ws: _Workspace) -> None:
 def _task_measure(config: RunConfig, ws: _Workspace) -> None:
     h = assemble(config.grid, config.potential)
     spec = _truncation_spec(config)
+    rebuilt = full_plan(h, spec)
     plan_path = config.opt("plan")
-    plan = load_plan(plan_path) if plan_path else full_plan(h, spec)
+    plan = _plan_file(config, plan_path) if plan_path else rebuilt
 
     circuit_path = config.opt("circuit")
     if circuit_path is None:
@@ -291,7 +301,7 @@ def _task_measure(config: RunConfig, ws: _Workspace) -> None:
     exact = evaluate_exact(plan, state)
     sampled = evaluate_sampled(plan, state, shots, config.seed)
     energy = energy_of(state, h.full)
-    comp = plan_complexity(full_plan(h, spec)) if plan_path else plan_complexity(plan)
+    bound = rebuilt.bound_num_bases
 
     lines = ["quantity,value"]
     lines.append(f"tau_exact,{_fmt(exact)}")
@@ -299,14 +309,14 @@ def _task_measure(config: RunConfig, ws: _Workspace) -> None:
     lines.append(f"std_error,{_fmt(sampled.std_error)}")
     lines.append(f"energy_dense,{_fmt(energy)}")
     lines.append(f"shots_per_basis,{shots}")
-    lines.append(f"num_bases,{comp.num_bases}")
-    lines.append(f"bound_num_bases,{comp.bound_num_bases}")
-    lines.append(f"bases_within_bound,{int(comp.num_bases <= comp.bound_num_bases)}")
+    lines.append(f"num_bases,{plan.num_bases}")
+    lines.append(f"bound_num_bases,{bound}")
+    lines.append(f"bases_within_bound,{int(plan.num_bases <= bound)}")
     ws.write_text("result.csv", "\n".join(lines) + "\n")
 
     per_basis = ["basis,shots,estimate,std_error"]
     for row in sampled.per_basis:
-        per_basis.append(f"{row.label},{row.shots},{_fmt(row.estimate)},{_fmt(row.std_error)}")
+        per_basis.append(f"{row.index},{row.shots},{_fmt(row.estimate)},{_fmt(row.std_error)}")
     ws.write_text("measure_bases.csv", "\n".join(per_basis) + "\n")
 
 

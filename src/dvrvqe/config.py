@@ -154,6 +154,9 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
     levels = options.get("levels")
     if levels is not None and not 1 <= levels <= grid.n_points:
         raise ConfigError(f"[task] key 'levels' must be in [1, {grid.n_points}], got {levels}")
+    v_max = options.get("v_max")
+    if v_max is not None and not 0 <= v_max <= grid.n_points - 1:
+        raise ConfigError(f"[task] key 'v_max' must be in [0, {grid.n_points - 1}], got {v_max}")
     thresholds = _get(parser, "task", "thresholds", str)
     if thresholds is not None:
         try:

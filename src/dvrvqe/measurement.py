@@ -1,23 +1,32 @@
 """Measurement plans for truncated DVR Hamiltonians.
 
-A plan reconstructs the truncated operator as a weighted sum of
-measurement outcomes:
+A plan is a list of bases, each an analysis circuit V^dag (appended to
+the state before a Z-basis measurement) with a dense weight per outcome.
+It reconstructs the truncated operator as
 
-    diag(D)  +  sum_bases coeff * sum_outcomes w(o) * (V|o><o|V^dag)
+    sum_bases sum_outcomes w(o) * (V|o><o|V^dag),
 
-with the analysis circuit (V^dag, what gets appended to the state before a
-Z-basis measurement) stored per basis.
+so tau = sum_bases sum_o w(o) P(o). The classically weighted diagonal is
+the basis with the empty circuit. full_plan keeps one basis per distinct
+circuit and folds each band's coefficient f(k) into the weights.
 
 Band terms: for each retained band k, matrix-element pairs (i, i+k) are
 grouped by their XOR mask; one GHZ-style basis per mask measures every
 pair with that mask at once. Outcome w (pivot bit 0) corresponds to the
-"+" superposition of {w, w ^ mask} and carries weight 2.
+"+" superposition of {w, w ^ mask} and carries weight 2 f(k).
 
 Anti-diagonal terms: every anti-diagonal element pair (i, j) with i+j = kappa
 also has an XOR mask; a product measurement with X exactly on the mask
 qubits (Z elsewhere) covers, per Z-outcome pattern, one anti-diagonal
 restricted to that mask. Bases are enumerated by mask value 0..r-1, the
 value-0 basis being the plain-Z one.
+
+Text format (format_plan / parse_plan), one block per basis in plan
+order, the diagonal first::
+
+    basis <idx>
+    <circuit text: 'qubits <n> slots 0', then one gate per line>
+    w <outcome> <weight>        (one line per nonzero weight)
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cnot, hadamard, pauli_x
+from .circuits import Circuit, Gate, cnot, format_circuit, hadamard, parse_circuit, pauli_x
 from .hamiltonian import DvrHamiltonian, retained_antidiagonals
 from .simulator import apply_circuit, sample_counts
 
@@ -76,35 +85,29 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class MeasBasis:
-    """One analysis circuit with its outcome weights.
+    """One analysis circuit with a dense weight per Z-basis outcome.
 
-    The measured contribution is coeff * sum_o weights[o] * P(outcome o)
-    after appending ``circuit`` to the state.
+    The measured contribution is sum_o weights[o] * P(outcome o) after
+    appending ``circuit`` to the state; ``weights`` has length 2^n.
     """
 
     circuit: Circuit
-    weights: dict[int, float]
-    coeff: float = 1.0
-    label: str = ""
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
 class MeasurementPlan:
-    n_qubits: int
-    diag: np.ndarray
-    band_bases: tuple[MeasBasis, ...]
-    anti_bases: tuple[MeasBasis, ...]
-    q_vectors: dict[int, np.ndarray] | None = None
-    spec: TruncationSpec | None = None
+    """Analysis circuits with their weights; ``bound_num_bases`` is the
+    polynomial basis-count bound of the (h, spec) full_plan built it from."""
 
-    @property
-    def bases(self) -> tuple[MeasBasis, ...]:
-        return self.band_bases + self.anti_bases
+    n_qubits: int
+    bases: tuple[MeasBasis, ...]
+    bound_num_bases: int | None = None
 
     @property
     def num_bases(self) -> int:
-        """Total circuits including the plain-Z diagonal basis."""
-        return 1 + len(self.band_bases) + len(self.anti_bases)
+        """Analysis circuits measured, the plain-Z diagonal included."""
+        return len(self.bases)
 
 
 def _mask_qubits(mask: int, n: int) -> list[int]:
@@ -156,31 +159,21 @@ def band_plan(k: int, n: int) -> tuple[list[MeasBasis], np.ndarray]:
 
     Pairs (i, i+k) sharing the XOR mask i ^ (i+k) share one basis; the
     outcome whose pivot bit is 0 labels the pair's "+" state and carries
-    unit-normalized weight 2. q is accumulated operationally as the
+    unit-normalized weight 2. q(i) counts the pairs that touch i, the
     diagonal the weighted projectors produce.
     """
     n_pts = 2 ** n
     if not 1 <= k <= n_pts - 1:
         raise ValueError(f"band index k must be in [1, {n_pts - 1}], got {k}")
-    by_mask: dict[int, dict[int, float]] = {}
-    q_vec = np.zeros(n_pts)
-    for i in range(n_pts - k):
-        j = i + k
-        mask = i ^ j
-        pivot_bit = 1 << (n - 1 - _mask_qubits(mask, n)[0])
-        w = i if not i & pivot_bit else j
-        by_mask.setdefault(mask, {})[w] = 2.0
-        q_vec[i] += 1.0
-        q_vec[j] += 1.0
-    bases = [
-        MeasBasis(_mask_analysis_circuit(mask, n), weights, 1.0, f"band k={k} mask={mask:0{n}b}")
-        for mask, weights in sorted(by_mask.items())
-    ]
+    i = np.arange(n_pts - k)
+    masks, which = np.unique(i ^ (i + k), return_inverse=True)
+    pivot_bits = np.array([1 << (int(mask).bit_length() - 1) for mask in masks])
+    weights = np.zeros((masks.size, n_pts))
+    weights[which, np.where(i & pivot_bits[which], i + k, i)] = 2.0
+    idx = np.arange(n_pts)
+    q_vec = (idx >= k).astype(float) + (idx < n_pts - k)
+    bases = [MeasBasis(_mask_analysis_circuit(int(mask), n), w) for mask, w in zip(masks, weights)]
     return bases, q_vec
-
-
-def q_vector_operational(k: int, n: int) -> np.ndarray:
-    return band_plan(k, n)[1]
 
 
 def antidiag_plan(g: np.ndarray, r: int, n: int, streamlined: bool = False) -> list[MeasBasis]:
@@ -191,7 +184,8 @@ def antidiag_plan(g: np.ndarray, r: int, n: int, streamlined: bool = False) -> l
     on anti-diagonal kappa = 2*val(o & ~S) + S with sign (-1)^popcount(o & S),
     and is weighted g(kappa) when kappa is retained. The high n-p qubits
     therefore only ever contribute through all-0 (and, when not
-    streamlined, all-1) outcomes.
+    streamlined, all-1) outcomes. A mask whose weights are all zero gets
+    no basis.
     """
     n_pts = 2 ** n
     if not 1 <= r <= n_pts:
@@ -201,75 +195,78 @@ def antidiag_plan(g: np.ndarray, r: int, n: int, streamlined: bool = False) -> l
         raise ValueError(f"g must have length {2 * n_pts - 1}, got {g.shape}")
     retained = retained_antidiagonals(n, r, streamlined)
 
+    o = np.arange(n_pts)
+    parity = np.zeros(n_pts, dtype=int)
+    for bit in range(n):
+        parity ^= (o >> bit) & 1
     bases = []
     for mask in range(r):
-        weights: dict[int, float] = {}
-        for o in range(n_pts):
-            kappa = 2 * (o & ~mask) + mask
-            if retained[kappa] and g[kappa] != 0.0:
-                sign = -1.0 if bin(o & mask).count("1") % 2 else 1.0
-                weights[o] = sign * g[kappa]
-        if not weights:
-            continue
-        gates = tuple(hadamard(q) for q in _mask_qubits(mask, n))
-        bases.append(
-            MeasBasis(Circuit(n, gates, 0), weights, 1.0, f"anti mask={mask:0{n}b}")
-        )
+        kappa = 2 * (o & ~mask) + mask
+        sign = 1.0 - 2.0 * parity[o & mask]
+        weights = np.where(retained[kappa], sign * g[kappa], 0.0)
+        if np.any(weights):
+            gates = tuple(hadamard(q) for q in _mask_qubits(mask, n))
+            bases.append(MeasBasis(Circuit(n, gates), weights))
     return bases
 
 
 def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
     """Plan whose weighted reconstruction equals truncate(h, s, r).
 
-    The potential folds into the diagonal d; D then compensates the
-    diagonal contamination from the band plans (f(k) * q^k(i)) and from
-    any retained even anti-diagonal (g(2i)).
+    The potential folds into the diagonal d; the empty circuit's weights
+    then compensate the diagonal contamination from the band plans
+    (f(k) * q^k(i)) and from any retained even anti-diagonal (g(2i)).
+    Bases are keyed by circuit, so every term measured by the same
+    analysis circuit (the anti-diagonal mask 0 and the diagonal, a
+    single-bit mask in several bands and the anti-diagonals) adds its
+    weights to one basis. The stored bound is 1 (the diagonal) plus
+    min(2^l - k + (n-l)k, 2^n - k) per retained band plus 2^p when g is
+    nonzero, p = ceil(log2 r).
     """
     n = h.n_qubits
     n_pts = h.n_points
     profile = h.profile
-    s_eff = min(spec.s, n_pts)
+    diag = profile.d + h.potential_diag
+    weights: dict[Circuit, np.ndarray] = {Circuit(n): diag}
 
-    d_full = profile.d + h.potential_diag
-    diag = d_full.copy()
+    def add(bases: list[MeasBasis], scale: float = 1.0) -> None:
+        for basis in bases:
+            merged = weights.setdefault(basis.circuit, np.zeros(n_pts))
+            merged += scale * basis.weights
 
-    band_bases: list[MeasBasis] = []
-    q_vectors: dict[int, np.ndarray] = {}
-    for k in range(1, s_eff):
+    bound = 1
+    for k in range(1, min(spec.s, n_pts)):
+        l = band_width_l(k)
+        bound += min(2 ** l - k + (n - l) * k, n_pts - k)
         f_k = profile.f[k]
-        if f_k == 0.0:
-            continue
-        bases, q_vec = band_plan(k, n)
-        q_vectors[k] = q_vec
-        diag -= f_k * q_vec
-        for b in bases:
-            band_bases.append(MeasBasis(b.circuit, b.weights, f_k, b.label))
+        if f_k != 0.0:
+            bases, q_vec = band_plan(k, n)
+            diag -= f_k * q_vec
+            add(bases, f_k)
 
-    retained = retained_antidiagonals(n, spec.r, spec.streamlined)
-    if np.any(np.abs(profile.g) > 0.0):
-        anti_bases = antidiag_plan(profile.g, spec.r, n, spec.streamlined)
+    if np.any(profile.g != 0.0):
+        bound += 2 ** spec.p
+        retained = retained_antidiagonals(n, spec.r, spec.streamlined)
         even = 2 * np.arange(n_pts)
         diag -= np.where(retained[even], profile.g[even], 0.0)
-    else:
-        anti_bases = []
+        add(antidiag_plan(profile.g, spec.r, n, spec.streamlined))
 
-    return MeasurementPlan(n, diag, tuple(band_bases), tuple(anti_bases), q_vectors, spec)
+    bases = tuple(MeasBasis(circuit, w) for circuit, w in weights.items())
+    return MeasurementPlan(n, bases, bound)
 
 
 def plan_to_matrix(plan: MeasurementPlan) -> np.ndarray:
-    """Dense operator diag(D) + sum coeff * w * (V|o><o|V^dag)."""
-    n_pts = 2 ** plan.n_qubits
-    out = np.diag(plan.diag).astype(complex)
+    """Dense operator sum_b A_b^T diag(w_b) A_b with A_b = V_b^dag as a matrix.
+
+    Every gate is real, so A_b is the analysis circuit applied to the
+    columns of the identity and the result is real symmetric.
+    """
+    identity = np.eye(2 ** plan.n_qubits)
+    out = np.zeros_like(identity)
     for basis in plan.bases:
-        prep = basis.circuit.inverse()
-        for o, w in basis.weights.items():
-            col = np.zeros(n_pts, dtype=complex)
-            col[o] = 1.0
-            vec = apply_circuit(prep, col)
-            out += basis.coeff * w * np.outer(vec, vec.conj())
-    if np.max(np.abs(out.imag)) > 1e-12 * max(1.0, np.max(np.abs(out.real))):
-        raise RuntimeError("plan reconstruction has an imaginary part")
-    return out.real
+        a = apply_circuit(basis.circuit, identity)
+        out += a.T @ (basis.weights[:, None] * a)
+    return out
 
 
 def band_operator(k: int, n: int, q_vec=None) -> np.ndarray:
@@ -278,7 +275,7 @@ def band_operator(k: int, n: int, q_vec=None) -> np.ndarray:
     idx = np.arange(n_pts)
     t = (np.abs(idx[:, None] - idx[None, :]) == k).astype(float)
     if q_vec is None:
-        q_vec = q_vector_operational(k, n)
+        q_vec = band_plan(k, n)[1]
     t[idx, idx] += q_vec
     return t
 
@@ -291,21 +288,20 @@ def antidiag_operator(k: int, n: int) -> np.ndarray:
 
 
 def evaluate_exact(plan: MeasurementPlan, state: np.ndarray) -> float:
-    """tau from exact outcome probabilities; a real state stays real."""
+    """tau = sum_b w_b . |V_b^dag psi|^2 from exact outcome probabilities;
+    a real state stays real."""
     state = np.asarray(state)
     n_pts = 2 ** plan.n_qubits
     if state.shape != (n_pts,):
         raise ValueError(f"state dimension {state.shape} does not match {plan.n_qubits} qubits")
-    tau = float(np.dot(plan.diag, np.abs(state) ** 2))
-    for basis in plan.bases:
-        probs = np.abs(apply_circuit(basis.circuit, state)) ** 2
-        tau += basis.coeff * sum(w * probs[o] for o, w in sorted(basis.weights.items()))
-    return tau
+    return float(sum(
+        np.dot(basis.weights, np.abs(apply_circuit(basis.circuit, state)) ** 2) for basis in plan.bases
+    ))
 
 
 @dataclass(frozen=True)
 class BasisSample:
-    label: str
+    index: int
     shots: int
     estimate: float
     std_error: float
@@ -321,28 +317,23 @@ class SampledTau:
 def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -> SampledTau:
     """Unbiased sampled estimate of evaluate_exact with its standard error.
 
-    Each basis (the diagonal Z basis is index 0) draws from an independent
-    stream keyed by (seed, basis index), so results are reproducible and
-    independent of evaluation order.
+    Each basis draws from an independent stream keyed by (seed, basis
+    index), so results are reproducible and independent of evaluation
+    order.
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
     state = np.asarray(state)
-    n_pts = 2 ** plan.n_qubits
 
-    diag_basis = MeasBasis(Circuit(plan.n_qubits, (), 0), dict(enumerate(plan.diag)), 1.0, "diag")
     rows = []
-    for index, basis in enumerate((diag_basis, *plan.bases)):
+    for index, basis in enumerate(plan.bases):
         counts = sample_counts(state, basis.circuit, shots_per_basis, [seed, index])
-        values = np.zeros(n_pts)
-        for o, w in basis.weights.items():
-            values[o] = basis.coeff * w
-        mean = float(np.dot(counts, values)) / shots_per_basis
-        second = float(np.dot(counts, values**2)) / shots_per_basis
+        mean = float(np.dot(counts, basis.weights)) / shots_per_basis
+        second = float(np.dot(counts, basis.weights**2)) / shots_per_basis
         var = max(second - mean * mean, 0.0)
         if shots_per_basis > 1:
             var *= shots_per_basis / (shots_per_basis - 1)
-        rows.append(BasisSample(basis.label, shots_per_basis, mean, math.sqrt(var / shots_per_basis)))
+        rows.append(BasisSample(index, shots_per_basis, mean, math.sqrt(var / shots_per_basis)))
 
     estimate = sum(row.estimate for row in rows)
     std_error = math.sqrt(sum(row.std_error**2 for row in rows))
@@ -350,68 +341,68 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
 
 
 def format_plan(plan: MeasurementPlan) -> str:
-    """Structured text export: a leading ``diag`` block with all 2^n weights,
-    then one block per basis (header, circuit lines, weight lines). Floats
-    are written with repr so re-import reproduces evaluate_exact bit for bit.
+    """Structured text export: per basis a ``basis <idx>`` header, the
+    analysis circuit in circuit-text form and a ``w <outcome> <weight>``
+    line per nonzero weight. Floats are written with repr so re-import
+    reproduces evaluate_exact bit for bit.
     """
-    from .circuits import format_circuit
-
-    lines = ["diag"]
-    for o, w in enumerate(plan.diag):
-        lines.append(f"w {o} {float(w)!r}")
+    lines = []
     for idx, basis in enumerate(plan.bases):
-        lines.append(f"basis {idx} coeff {float(basis.coeff)!r}")
+        lines.append(f"basis {idx}")
         lines.append(format_circuit(basis.circuit).rstrip("\n"))
-        for o, w in sorted(basis.weights.items()):
-            lines.append(f"w {o} {float(w)!r}")
+        for o in np.flatnonzero(basis.weights):
+            lines.append(f"w {o} {float(basis.weights[o])!r}")
     return "\n".join(lines) + "\n"
 
 
 def parse_plan(text: str) -> MeasurementPlan:
-    from .circuits import parse_circuit
+    """Read format_plan text; blocks keep their file order and are not merged.
 
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "diag":
-        raise ValueError("plan text must start with a 'diag' block")
-    diag_weights: dict[int, float] = {}
-    bases: list[MeasBasis] = []
-    pos = 1
-    while pos < len(lines) and lines[pos].startswith("w "):
-        _, o, w = lines[pos].split()
-        diag_weights[int(o)] = float(w)
-        pos += 1
-    if not diag_weights:
-        raise ValueError("diag block has no weights")
-    n_pts = max(diag_weights) + 1
-    diag = np.zeros(n_pts)
-    for o, w in diag_weights.items():
-        diag[o] = w
+    Raises ValueError for a plan with no blocks, a block index out of
+    sequence, a circuit with parameter slots or a qubit count other than
+    block 0's, a weight outcome outside [0, 2^n) and an outcome repeated
+    within a block.
+    """
+    blocks: list[tuple[list[str], dict[int, float]]] = []
+    for line in text.splitlines():
+        head = line.split()
+        if not head:
+            continue
+        if head[0] == "basis":
+            if head != ["basis", str(len(blocks))]:
+                raise ValueError(f"expected 'basis {len(blocks)}', got {line!r}")
+            blocks.append(([], {}))
+        elif not blocks:
+            raise ValueError(f"plan text must start with 'basis 0', got {line!r}")
+        elif head[0] == "w":
+            if len(head) != 3:
+                raise ValueError(f"bad weight line {line!r}; expected 'w <outcome> <weight>'")
+            outcome, weight = int(head[1]), float(head[2])
+            if outcome in blocks[-1][1]:
+                raise ValueError(f"basis {len(blocks) - 1} repeats outcome {outcome}")
+            blocks[-1][1][outcome] = weight
+        elif blocks[-1][1]:
+            raise ValueError(f"circuit line {line!r} after the weights of basis {len(blocks) - 1}")
+        else:
+            blocks[-1][0].append(line)
+    if not blocks:
+        raise ValueError("plan text has no basis blocks")
 
-    while pos < len(lines):
-        head = lines[pos].split()
-        if head[0] != "basis" or head[2] != "coeff":
-            raise ValueError(f"expected 'basis <idx> coeff <c>', got {lines[pos]!r}")
-        coeff = float(head[3])
-        pos += 1
-        circuit_lines = [lines[pos]]
-        pos += 1
-        while pos < len(lines) and not lines[pos].startswith(("w ", "basis ")):
-            circuit_lines.append(lines[pos])
-            pos += 1
-        circuit = parse_circuit("\n".join(circuit_lines))
-        weights: dict[int, float] = {}
-        while pos < len(lines) and lines[pos].startswith("w "):
-            _, o, w = lines[pos].split()
-            weights[int(o)] = float(w)
-            pos += 1
-        bases.append(MeasBasis(circuit, weights, coeff, f"imported {len(bases)}"))
-
-    n_qubits = n_pts.bit_length() - 1
-    if 2 ** n_qubits != n_pts:
-        raise ValueError(f"diag block has {n_pts} weights; expected a power of two")
-    # File order is preserved (all bases land in band_bases) so that
-    # evaluation reproduces the exporting plan bit for bit.
-    return MeasurementPlan(n_qubits, diag, tuple(bases), ())
+    circuits = [parse_circuit("\n".join(circuit_lines)) for circuit_lines, _ in blocks]
+    n = circuits[0].n_qubits
+    bases = []
+    for idx, (circuit, (_, outcomes)) in enumerate(zip(circuits, blocks)):
+        if circuit.n_qubits != n:
+            raise ValueError(f"basis {idx} has {circuit.n_qubits} qubits, basis 0 has {n}")
+        if circuit.n_slots:
+            raise ValueError(f"basis {idx} has {circuit.n_slots} parameter slots, an analysis circuit none")
+        weights = np.zeros(2 ** n)
+        for outcome, weight in outcomes.items():
+            if not 0 <= outcome < 2 ** n:
+                raise ValueError(f"basis {idx} outcome {outcome} outside [0, {2 ** n})")
+            weights[outcome] = weight
+        bases.append(MeasBasis(circuit, weights))
+    return MeasurementPlan(n, tuple(bases))
 
 
 def save_plan(path, plan: MeasurementPlan) -> None:
@@ -427,34 +418,15 @@ def load_plan(path) -> MeasurementPlan:
 @dataclass(frozen=True)
 class PlanComplexity:
     num_bases: int
-    num_band_bases: int
-    num_anti_bases: int
     max_circuit_depth: int
     bound_num_bases: int
-    band_bounds: dict[int, int]
-    anti_bound: int
 
 
 def plan_complexity(plan: MeasurementPlan) -> PlanComplexity:
-    """Actual basis counts against the per-band and total bounds.
-
-    Per band: min(2^l - k + (n-l)k, 2^n - k). Anti-diagonals: 2^p with
-    p = ceil(log2 r). The total adds 1 for the diagonal Z basis.
-    """
-    n = plan.n_qubits
-    spec = plan.spec
-    if spec is None:
-        raise ValueError("plan carries no truncation spec; complexity needs s and r")
-    band_bounds = {}
-    for k in range(1, min(spec.s, 2 ** n)):
-        l = band_width_l(k)
-        band_bounds[k] = min(2 ** l - k + (n - l) * k, 2 ** n - k)
-    anti_bound = 2 ** spec.p if plan.anti_bases else 0
-    bound = 1 + sum(band_bounds.values()) + anti_bound
+    """Distinct analysis circuits against the bound full_plan stored."""
+    if plan.bound_num_bases is None:
+        raise ValueError("plan carries no basis-count bound; build it with full_plan")
     depth = max((len(b.circuit.gates) for b in plan.bases), default=0)
-    actual = plan.num_bases
-    if actual > bound:
-        raise RuntimeError(f"plan uses {actual} bases, above the bound {bound}")
-    return PlanComplexity(
-        actual, len(plan.band_bases), len(plan.anti_bases), depth, bound, band_bounds, anti_bound
-    )
+    if plan.num_bases > plan.bound_num_bases:
+        raise RuntimeError(f"plan uses {plan.num_bases} bases, above the bound {plan.bound_num_bases}")
+    return PlanComplexity(plan.num_bases, depth, plan.bound_num_bases)

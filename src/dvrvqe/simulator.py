@@ -5,7 +5,8 @@ compiled once into ops on the flat state: RY and H act as 2x2 matrices on
 the (2^q, 2, 2^(n-q-1)) view, CNOT and X as index permutations. Every gate
 is real: ``run`` returns float64 amplitudes, ``adjoint_gradient`` takes
 float64 states, and ``apply_circuit`` and ``sample_counts`` keep complex
-input complex and turn any other input into float64.
+input complex and turn any other input into float64. ``apply_circuit``
+also takes a (2^n, k) batch of column states.
 """
 
 from __future__ import annotations
@@ -60,10 +61,14 @@ def run(circuit: Circuit, params=None) -> np.ndarray:
 
 
 def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarray:
-    """Apply the circuit's gates left-to-right to an existing state."""
+    """Apply the circuit's gates left-to-right to an existing state.
+
+    ``state`` is one state of shape (2^n,) or a batch of shape (2^n, k)
+    whose columns are states.
+    """
     state = np.asarray(state)
     state = state.astype(np.result_type(state, float), copy=False)
-    if state.shape != (2 ** circuit.n_qubits,):
+    if state.ndim > 2 or state.shape[:1] != (2 ** circuit.n_qubits,):
         raise ValueError(
             f"state dimension {state.shape} does not match {circuit.n_qubits} qubits"
         )
@@ -73,7 +78,7 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
             state = state[arg]
         else:
             matrix = rotations[slot] if kind == "ry" else _H_MATRIX
-            state = (matrix @ state.reshape(arg)).reshape(-1)
+            state = (matrix @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
     return state
 
 

@@ -225,6 +225,25 @@ class TestExcitedTask:
             assert abs(float(row["error_cm1"])) < 1.0
 
 
+    @pytest.mark.parametrize("v_max", [-3, 16])
+    def test_v_max_out_of_range_exit_2(self, tmp_path, capsys, v_max):
+        extra = f"blocks = 1\nentangler = linear\nv_max = {v_max}\n"
+        text = MORSE_BASE.format(task="excited", extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "'v_max' must be in [0, 15]" in capsys.readouterr().err
+
+
+def measure_report(tmp_path, plan_path, name):
+    """Run measure on the 4-qubit Morse config with ``plan_path``; return result.csv as a dict."""
+    save_circuit(tmp_path / "state.circuit", linear_ansatz(4, 1).circuit())
+    (tmp_path / "params.txt").write_text("\n".join(["0.05"] * 8) + "\n")
+    extra = f"s = 4\nr = 2\nshots = 100\nplan = {plan_path}\ncircuit = state.circuit\nparams = params.txt\n"
+    text = MORSE_BASE.format(task="measure", extra=extra, outdir=tmp_path / name)
+    assert main(["run", str(write_config(tmp_path, text, name=f"{name}.ini"))]) == 0
+    lines = (tmp_path / name / "result.csv").read_text().splitlines()[1:]
+    return dict(line.split(",") for line in lines)
+
+
 class TestPlanTasks:
     def test_plan_verify_measure_chain(self, tmp_path):
         outdir = tmp_path / "out"
@@ -291,6 +310,46 @@ class TestPlanTasks:
         text = MORSE_BASE.format(task="measure", extra=extra, outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, plan_text, message", [
+        ("verify-plan", None, "cannot read plan file"),
+        ("verify-plan", "basis 0\nqubits 4 slots 0\nw 16 1.0\n", "outcome 16 outside [0, 16)"),
+        ("measure", "basis 0\nqubits 4 slots 0\nw 0 1.0\nw 0 2.0\n", "repeats outcome 0"),
+        ("measure", "basis 0\nqubits 3 slots 0\nw 0 1.0\n", "has 3 qubits, the grid 4"),
+    ], ids=["verify-missing", "verify-outcome-range", "measure-repeated-outcome", "measure-qubit-count"])
+    def test_malformed_plan_file_exit_2(self, tmp_path, capsys, task, plan_text, message):
+        if plan_text is not None:
+            (tmp_path / "plan.txt").write_text(plan_text)
+        (tmp_path / "state.circuit").write_text("qubits 4 slots 0\nh 0\n")
+        extra = "s = 4\nr = 2\nshots = 10\nplan = plan.txt\ncircuit = state.circuit\n"
+        text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_measure_reports_loaded_plan_count(self, tmp_path):
+        plan_cfg = write_config(
+            tmp_path, MORSE_BASE.format(task="plan", extra="s = 4\nr = 2\n", outdir=tmp_path / "plan"),
+            name="plan.ini",
+        )
+        assert main(["run", str(plan_cfg)]) == 0
+        lines = (tmp_path / "plan" / "plan.txt").read_text().splitlines()
+        # split the last block into two blocks with the same circuit
+        start = max(i for i, line in enumerate(lines) if line.startswith("basis "))
+        last = int(lines[start].split()[1])
+        circuit = [line for line in lines[start + 1:] if not line.startswith("w ")]
+        weights = [line for line in lines[start + 1:] if line.startswith("w ")]
+        assert len(weights) >= 2
+        split = lines[: start + 1] + circuit + weights[:1] + [f"basis {last + 1}"] + circuit + weights[1:]
+        (tmp_path / "split.txt").write_text("\n".join(split) + "\n")
+
+        whole = measure_report(tmp_path, tmp_path / "plan" / "plan.txt", "whole")
+        parted = measure_report(tmp_path, tmp_path / "split.txt", "parted")
+        assert int(whole["num_bases"]) == last + 1
+        assert int(parted["num_bases"]) == last + 2
+        assert parted["bound_num_bases"] == whole["bound_num_bases"]
+        assert float(parted["tau_exact"]) == pytest.approx(float(whole["tau_exact"]), rel=1e-12)
+        per_basis = (tmp_path / "parted" / "measure_bases.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in per_basis[1:]] == [str(b) for b in range(last + 2)]
 
     def test_epsilon_driven_plan(self, tmp_path):
         extra = "epsilon = 0.3\n"

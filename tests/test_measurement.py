@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrvqe import build_grid, assemble, measurement, truncate, truncation_error_bound
 from dvrvqe.hamiltonian import retained_antidiagonals
@@ -21,11 +24,10 @@ from dvrvqe.measurement import (
     plan_complexity,
     plan_to_matrix,
     plus_prep_circuit,
-    q_vector_operational,
 )
 from dvrvqe.simulator import apply_circuit, run
 
-from conftest import random_state
+from conftest import MASS, MORSE, random_state
 
 
 def dense_from_bases(bases, n):
@@ -33,13 +35,20 @@ def dense_from_bases(bases, n):
     out = np.zeros((2**n, 2**n), dtype=complex)
     for basis in bases:
         prep = basis.circuit.inverse()
-        for o, w in basis.weights.items():
+        for o in np.flatnonzero(basis.weights):
             col = np.zeros(2**n, dtype=complex)
             col[o] = 1.0
             vec = apply_circuit(prep, col)
-            out += basis.coeff * w * np.outer(vec, vec.conj())
+            out += basis.weights[o] * np.outer(vec, vec.conj())
     assert np.max(np.abs(out.imag)) < 1e-14
     return out.real
+
+
+def circuit_mask(circuit):
+    """XOR mask of the qubits an analysis circuit touches (qubit 0 = MSB)."""
+    n = circuit.n_qubits
+    qubits = {g.qubit for g in circuit.gates} | {g.other for g in circuit.gates if g.kind == "cnot"}
+    return sum(1 << (n - 1 - q) for q in qubits)
 
 
 class TestPlusPrep:
@@ -77,7 +86,7 @@ class TestBandPlan:
     def test_k1_n1_single_plus_basis(self):
         bases, q = band_plan(1, 1)
         assert len(bases) == 1
-        assert list(bases[0].weights.values()) == [2.0]
+        assert np.array_equal(bases[0].weights, [2.0, 0.0])
         assert np.array_equal(q, [1.0, 1.0])
         dense = dense_from_bases(bases, 1)
         assert np.allclose(dense, [[1.0, 1.0], [1.0, 1.0]])
@@ -108,8 +117,8 @@ class TestBandPlan:
 
     def test_k1_n4_mask_enumeration(self):
         bases, _ = band_plan(1, 4)
-        masks = sorted(basis.label.split("mask=")[1] for basis in bases)
-        assert masks == ["0001", "0011", "0111", "1111"]
+        masks = sorted(circuit_mask(basis.circuit) for basis in bases)
+        assert masks == [0b0001, 0b0011, 0b0111, 0b1111]
         assert len(bases) == 4 <= 5  # (n + 1 - log2 1) * 1
 
     def test_k2_n4_count_bound(self):
@@ -121,7 +130,7 @@ class TestBandPlan:
         for k in range(1, 2**n):
             bases, _ = band_plan(k, n)
             for basis in bases:
-                mask = int(basis.label.split("mask=")[1], 2)
+                mask = circuit_mask(basis.circuit)
                 assert len(basis.circuit.gates) <= bin(mask).count("1") + 1
 
     def test_out_of_range(self):
@@ -135,7 +144,7 @@ class TestQVectors:
     def test_operational_closed_form(self):
         for n in (1, 2, 3, 4):
             for k in range(1, 2**n):
-                q = q_vector_operational(k, n)
+                q = band_plan(k, n)[1]
                 expected = [(1 if i >= k else 0) + (1 if i + k < 2**n else 0) for i in range(2**n)]
                 assert np.array_equal(q, expected)
 
@@ -147,15 +156,15 @@ class TestAntidiagPlan:
         assert len(bases) == 2
         z_basis, x_basis = bases
         assert len(z_basis.circuit.gates) == 0
-        assert z_basis.weights == {0: 0.7, 1: 1.1}
+        assert np.array_equal(z_basis.weights, [0.7, 1.1])
         assert [g.kind for g in x_basis.circuit.gates] == ["h"]
-        assert x_basis.weights == {0: -0.3, 1: 0.3}
+        assert np.array_equal(x_basis.weights, [-0.3, 0.3])
 
     def test_r1_streamlined_single_z_outcome(self):
         g = np.arange(1.0, 16.0)
         bases = antidiag_plan(g, 1, 3, streamlined=True)
         assert len(bases) == 1
-        assert bases[0].weights == {0: 1.0}
+        assert np.array_equal(bases[0].weights, np.eye(8)[0])
         dense = dense_from_bases(bases, 3)
         expected = np.zeros((8, 8))
         expected[0, 0] = 1.0
@@ -210,14 +219,16 @@ class TestFullPlan:
         h = assemble(build_grid("infinite", {"x_min": 0.0, "dx": 0.4}, 3, 1.0))
         plan = full_plan(h, TruncationSpec(1, 1))
         assert plan.num_bases == 1
-        assert len(plan.bases) == 0
-        assert np.allclose(plan.diag, np.diag(h.full))
+        assert plan.bases[0].circuit.gates == ()
+        assert np.allclose(plan.bases[0].weights, np.diag(h.full))
 
     def test_infinite_lattice_band_only(self):
         h = assemble(build_grid("infinite", {"x_min": 0.0, "dx": 1.0}, 3, 0.5))
         plan = full_plan(h, TruncationSpec(2, 1))
-        assert len(plan.anti_bases) == 0
-        assert all(basis.coeff == h.profile.f[1] for basis in plan.band_bases)
+        # the diagonal plus one basis per k=1 mask 001, 011, 111; no anti-diagonals
+        assert plan.num_bases == 4
+        for basis in plan.bases[1:]:
+            assert set(basis.weights[basis.weights != 0.0]) == {2.0 * h.profile.f[1]}
         assert np.max(np.abs(plan_to_matrix(plan) - truncate(h, 2, 1))) < 1e-12
 
     @pytest.mark.parametrize("s", [1, 2, 4, 16])
@@ -242,14 +253,15 @@ class TestFullPlan:
         plan = full_plan(morse16_radial, TruncationSpec(4, 2))
         profile = morse16_radial.profile
         d_full = profile.d + morse16_radial.potential_diag
-        kept = retained_antidiagonals(4, 2)
+        diagonal = plan.bases[0]
+        assert diagonal.circuit.gates == ()
+        # The -g(2i) compensation of the kept even anti-diagonal cancels
+        # against the anti-diagonal mask-0 (plain Z) weights merged here.
         for i in range(16):
             expected = d_full[i]
-            if kept[2 * i]:
-                expected -= profile.g[2 * i]
             for k in (1, 2, 3):
-                expected -= profile.f[k] * q_vector_operational(k, 4)[i]
-            assert plan.diag[i] == pytest.approx(expected, rel=1e-12)
+                expected -= profile.f[k] * band_plan(k, 4)[1][i]
+            assert diagonal.weights[i] == pytest.approx(expected, rel=1e-12)
 
 
 class TestTruncationSpecType:
@@ -385,9 +397,10 @@ class TestPlanComplexity:
     def test_diagonal_only_plan(self, morse16_radial):
         plan = full_plan(morse16_radial, TruncationSpec(1, 1))
         comp = plan_complexity(plan)
-        # the plain-Z diagonal basis plus the r=1 anti-diagonal corner basis
-        assert comp.num_bases == 2
-        assert comp.num_band_bases == 0
+        # the r=1 anti-diagonal corner basis is the plain-Z one: it merges
+        # into the diagonal
+        assert comp.num_bases == 1
+        assert comp.bound_num_bases == 2
 
     def test_counts_within_bounds(self, morse16_radial, morse32):
         for h, specs in ((morse16_radial, [(2, 1), (4, 2), (6, 3)]),
@@ -410,7 +423,7 @@ class TestPlanComplexity:
 
     def test_requires_spec(self, morse16_radial):
         plan = full_plan(morse16_radial, TruncationSpec(2, 1))
-        stripped = MeasurementPlan(plan.n_qubits, plan.diag, plan.band_bases, plan.anti_bases)
+        stripped = MeasurementPlan(plan.n_qubits, plan.bases)
         with pytest.raises(ValueError):
             plan_complexity(stripped)
 
@@ -429,11 +442,76 @@ class TestPlanText:
     def test_format_structure(self, morse16_radial):
         text = format_plan(full_plan(morse16_radial, TruncationSpec(2, 1)))
         lines = text.splitlines()
-        assert lines[0] == "diag"
-        assert sum(1 for ln in lines[1:17] if ln.startswith("w ")) == 16
-        assert any(ln.startswith("basis 0 coeff ") for ln in lines)
-        assert any(ln.startswith("qubits 4 slots 0") for ln in lines)
+        assert lines[:2] == ["basis 0", "qubits 4 slots 0"]
+        assert sum(1 for ln in lines[2:18] if ln.startswith("w ")) == 16
+        assert "basis 1" in lines
+        assert not any("coeff" in ln or ln == "diag" for ln in lines)
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError):
             parse_plan("w 0 1.0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no basis blocks"),
+        ("\n\n", "no basis blocks"),
+        ("basis 0\nqubits 1 slots 0\nw -1 5.0\n", "outcome -1 outside [0, 2)"),
+        ("basis 0\nqubits 1 slots 0\nw 2 5.0\n", "outcome 2 outside [0, 2)"),
+        ("basis 0\nqubits 1 slots 0\nw 0 1.0\nbasis 1\nqubits 2 slots 0\nh 0\nw 0 1.0\n",
+         "basis 1 has 2 qubits, basis 0 has 1"),
+        ("basis 0\nqubits 1 slots 0\nw 0 1.0\nw 0 2.0\n", "basis 0 repeats outcome 0"),
+        ("basis 1\nqubits 1 slots 0\nw 0 1.0\n", "expected 'basis 0'"),
+        ("basis 0\nqubits 1 slots 1\nry 0 0\nw 0 1.0\n", "parameter slots"),
+        ("basis 0\nqubits 1 slots 0\nw 0 1.0\nh 0\n", "after the weights"),
+        ("basis 0\nqubits 1 slots 0\nw 0\n", "bad weight line"),
+    ], ids=["empty", "blank", "negative-outcome", "outcome-too-large", "qubit-mismatch",
+            "repeated-outcome", "index-out-of-sequence", "slots", "gate-after-weights", "short-weight"])
+    def test_parse_rejects_bad_input(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_plan(text)
+
+    def test_parse_keeps_blocks_unmerged(self):
+        text = "basis 0\nqubits 1 slots 0\nw 0 1.0\nbasis 1\nqubits 1 slots 0\nw 1 2.0\n"
+        plan = parse_plan(text)
+        assert plan.num_bases == 2 and plan.bound_num_bases is None
+        assert [b.weights.tolist() for b in plan.bases] == [[1.0, 0.0], [0.0, 2.0]]
+        assert evaluate_exact(plan, np.array([0.6, 0.8])) == pytest.approx(0.36 + 2.0 * 0.64)
+
+
+GRID_PARAMS = {
+    "infinite": lambda n: {"x_min": 1.0, "dx": 3.5 / 2**n},
+    "half-infinite": lambda n: {"dx": 4.5 / 2**n},
+    "finite": lambda n: {"a": 1.0, "b": 4.5},
+}
+
+
+@st.composite
+def truncated_systems(draw):
+    """A Morse Hamiltonian on a random grid variant and n <= 5, with random (s, r, streamlined)."""
+    variant = draw(st.sampled_from(sorted(GRID_PARAMS)))
+    n = draw(st.integers(1, 5))
+    spec = TruncationSpec(draw(st.integers(1, 2**n)), draw(st.integers(1, 2**n)), draw(st.booleans()))
+    return assemble(build_grid(variant, GRID_PARAMS[variant](n), n, MASS), MORSE), spec
+
+
+class TestPlanProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(truncated_systems(), st.integers(0, 2**32 - 1))
+    def test_text_roundtrip(self, system, seed):
+        h, spec = system
+        plan = full_plan(h, spec)
+        text = format_plan(plan)
+        imported = parse_plan(text)
+        assert format_plan(imported) == text
+        psi = random_state(np.random.default_rng(seed), h.n_points)
+        assert evaluate_exact(imported, psi) == evaluate_exact(plan, psi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncated_systems())
+    def test_matrix_matches_truncation_and_oracle(self, system):
+        h, spec = system
+        plan = full_plan(h, spec)
+        assert len({basis.circuit for basis in plan.bases}) == plan.num_bases <= plan.bound_num_bases
+        matrix = plan_to_matrix(plan)
+        scale = np.max(np.abs(h.full))
+        assert np.max(np.abs(matrix - truncate(h, spec.s, spec.r, spec.streamlined))) <= 1e-12 * scale
+        assert np.max(np.abs(matrix - dense_from_bases(plan.bases, h.n_qubits))) <= 1e-12 * scale

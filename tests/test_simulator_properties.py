@@ -97,13 +97,17 @@ def objectives(draw, n):
 @SETTINGS
 @given(circuits(), st.integers(0, 2**32 - 1))
 def test_run_and_apply_match_dense_product(case, seed):
+    """run, apply_circuit on one state and on a (2^n, 3) batch of column states."""
     circuit, params = case
     unitary = dense_unitary(circuit, params)
     state = run(circuit, params)
     assert state.dtype == np.float64
     assert np.allclose(state, unitary[:, 0], atol=1e-12)
-    psi = random_state(np.random.default_rng(seed), 2 ** circuit.n_qubits)
+    rng = np.random.default_rng(seed)
+    psi = random_state(rng, 2 ** circuit.n_qubits)
     assert np.allclose(apply_circuit(circuit, psi, params), unitary @ psi, atol=1e-12)
+    batch = rng.standard_normal((2 ** circuit.n_qubits, 3))
+    assert np.allclose(apply_circuit(circuit, batch, params), unitary @ batch, atol=1e-12)
 
 
 @SETTINGS

@@ -27,6 +27,8 @@ class TestCircuitContainer:
             Circuit(2, (ry(0, 0),), 0)  # slot out of range
         with pytest.raises(ValueError):
             cnot(1, 1)
+        with pytest.raises(ValueError, match="at least one qubit"):
+            parse_circuit("qubits 0 slots 0\n")
 
     def test_rejects_cnot_on_one_qubit(self):
         with pytest.raises(ValueError, match="control and target must differ"):
@@ -67,6 +69,12 @@ class TestRun:
     def test_param_length_checked(self):
         with pytest.raises(ValueError):
             run(Circuit(1, (ry(0, 0),), 1), [0.1, 0.2])
+
+    def test_state_shape_checked(self):
+        circuit = Circuit(2, (hadamard(0),), 0)
+        for shape in ((8,), (8, 3), (4, 3, 2)):
+            with pytest.raises(ValueError, match="does not match 2 qubits"):
+                apply_circuit(circuit, np.ones(shape))
 
     def test_x_on_qubit0_is_msb_flip(self):
         for n in (2, 3, 4):
