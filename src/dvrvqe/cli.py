@@ -150,15 +150,18 @@ def _optimizer_config(config: RunConfig) -> OptimizerConfig:
 
 
 def _search_config(config: RunConfig) -> SearchConfig:
-    return SearchConfig(
-        n_blocks=config.opt("blocks", 3),
-        thresholds=config.opt("thresholds", (1.0, 0.01)),
-        max_entanglers=config.opt("max_entanglers", 20),
-        candidate_budget=config.opt("candidate_budget", 200),
-        full_budget=config.opt("max_iter", 2000),
-        restarts_initial=config.opt("restarts", 5),
-        seed=config.seed,
-    )
+    try:
+        return SearchConfig(
+            n_blocks=config.opt("blocks", 3),
+            thresholds=config.opt("thresholds", (1.0, 0.01)),
+            max_entanglers=config.opt("max_entanglers", 20),
+            candidate_budget=config.opt("candidate_budget", 200),
+            full_budget=config.opt("max_iter", 2000),
+            restarts_initial=config.opt("restarts", 5),
+            seed=config.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[task] {exc}") from exc
 
 
 def _task_diag(config: RunConfig, ws: _Workspace) -> None:
@@ -216,9 +219,18 @@ def _task_excited(config: RunConfig, ws: _Workspace) -> None:
     ws.write_text("result.csv", _result_csv(rows))
 
 
+def _circuit_names(thresholds) -> dict[float, str]:
+    """``c<threshold>.circuit`` per threshold, "." dropped: c1.circuit, c001.circuit."""
+    names = {t: f"c{format(t, 'g').replace('.', '')}.circuit" for t in thresholds}
+    if len(set(names.values())) != len(names):
+        raise ConfigError(f"[task] thresholds {' '.join(map(str, thresholds))} share a circuit file name")
+    return names
+
+
 def _task_search(config: RunConfig, ws: _Workspace) -> None:
-    h = assemble(config.grid, config.potential)
     search_config = _search_config(config)
+    names = _circuit_names(search_config.thresholds)
+    h = assemble(config.grid, config.potential)
     result = greedy_search(h.full, search_config)
 
     trace_lines = ["step,block,ctrl,tgt,energy_hartree,error_cm1"]
@@ -226,7 +238,6 @@ def _task_search(config: RunConfig, ws: _Workspace) -> None:
         trace_lines.append(f"{s.step},{s.block},{s.ctrl},{s.tgt},{_fmt(s.energy)},{_fmt(s.error_cm1)}")
     ws.write_text("search_trace.csv", "\n".join(trace_lines) + "\n")
 
-    names = {1.0: "c1.circuit", 0.01: "c001.circuit"}
     rows = []
     for threshold, snap in result.snapshots.items():
         row = {"threshold_cm1": float(threshold), "found": int(snap is not None)}
@@ -236,8 +247,7 @@ def _task_search(config: RunConfig, ws: _Workspace) -> None:
                 "energy_hartree": float(snap.energy),
                 "error_cm1": float((snap.energy - result.trace.reference_energy) * HARTREE_TO_INV_CM),
             })
-            if threshold in names:
-                ws.write_text(names[threshold], format_circuit(snap.ansatz.circuit()))
+            ws.write_text(names[threshold], format_circuit(snap.ansatz.circuit()))
         else:
             row.update({"entanglers": -1, "energy_hartree": float("nan"), "error_cm1": float("nan")})
         rows.append(row)

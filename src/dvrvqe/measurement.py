@@ -8,7 +8,10 @@ It reconstructs the truncated operator as
 
 so tau = sum_bases sum_o w(o) P(o). The classically weighted diagonal is
 the basis with the empty circuit. full_plan keeps one basis per distinct
-circuit and folds each band's coefficient f(k) into the weights.
+circuit and folds each band's coefficient f(k) into the weights. A plan
+compiles once, on first use, into one stacked sparse analysis operator
+and a weight matrix (MeasurementPlan.compiled); evaluate_exact,
+evaluate_sampled and plan_to_matrix all read it.
 
 Band terms: for each retained band k, matrix-element pairs (i, i+k) are
 grouped by their XOR mask; one GHZ-style basis per mask measures every
@@ -33,12 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .circuits import Circuit, Gate, cnot, format_circuit, hadamard, parse_circuit, pauli_x
 from .hamiltonian import DvrHamiltonian, retained_antidiagonals
-from .simulator import apply_circuit, sample_counts
+from .simulator import analysis_rows
 
 
 def band_width_l(k: int) -> int:
@@ -108,6 +113,28 @@ class MeasurementPlan:
     def num_bases(self) -> int:
         """Analysis circuits measured, the plain-Z diagonal included."""
         return len(self.bases)
+
+    @cached_property
+    def compiled(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """(A, W), built on first use and kept: A is the float64 CSR operator
+        of shape (B 2^n, 2^n) whose row b 2^n + o is row o of basis b's
+        analysis circuit, and W the (B, 2^n) outcome weights, B = num_bases.
+        """
+        n_pts = 2 ** self.n_qubits
+        rows = [analysis_rows(basis.circuit) for basis in self.bases]
+        widths = np.repeat([cols.shape[1] for cols, _ in rows], n_pts)
+        operator = sp.csr_matrix(
+            (
+                np.concatenate([vals.ravel() for _, vals in rows]),
+                np.concatenate([cols.ravel() for cols, _ in rows]),
+                np.concatenate([[0], np.cumsum(widths)]),
+            ),
+            shape=(self.num_bases * n_pts, n_pts),
+        )
+        operator.sum_duplicates()
+        operator.eliminate_zeros()
+        weights = np.array([basis.weights for basis in self.bases], dtype=float)
+        return operator, weights
 
 
 def _mask_qubits(mask: int, n: int) -> list[int]:
@@ -256,17 +283,12 @@ def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
 
 
 def plan_to_matrix(plan: MeasurementPlan) -> np.ndarray:
-    """Dense operator sum_b A_b^T diag(w_b) A_b with A_b = V_b^dag as a matrix.
-
-    Every gate is real, so A_b is the analysis circuit applied to the
-    columns of the identity and the result is real symmetric.
+    """Dense operator A^T diag(W) A from the compiled plan, i.e. the sum over
+    bases of V_b diag(w_b) V_b^dag. Every gate is real, so the result is
+    real symmetric.
     """
-    identity = np.eye(2 ** plan.n_qubits)
-    out = np.zeros_like(identity)
-    for basis in plan.bases:
-        a = apply_circuit(basis.circuit, identity)
-        out += a.T @ (basis.weights[:, None] * a)
-    return out
+    operator, weights = plan.compiled
+    return (operator.T @ sp.diags(weights.ravel()) @ operator).toarray()
 
 
 def band_operator(k: int, n: int, q_vec=None) -> np.ndarray:
@@ -287,16 +309,20 @@ def antidiag_operator(k: int, n: int) -> np.ndarray:
     return ((idx[:, None] + idx[None, :]) == k).astype(float)
 
 
-def evaluate_exact(plan: MeasurementPlan, state: np.ndarray) -> float:
-    """tau = sum_b w_b . |V_b^dag psi|^2 from exact outcome probabilities;
-    a real state stays real."""
+def _amplitudes(plan: MeasurementPlan, state) -> np.ndarray:
+    """Outcome amplitudes of every basis, shape (B, 2^n); a real state stays real."""
     state = np.asarray(state)
     n_pts = 2 ** plan.n_qubits
     if state.shape != (n_pts,):
         raise ValueError(f"state dimension {state.shape} does not match {plan.n_qubits} qubits")
-    return float(sum(
-        np.dot(basis.weights, np.abs(apply_circuit(basis.circuit, state)) ** 2) for basis in plan.bases
-    ))
+    return (plan.compiled[0] @ state).reshape(plan.num_bases, n_pts)
+
+
+def evaluate_exact(plan: MeasurementPlan, state: np.ndarray) -> float:
+    """tau = sum_b w_b . |V_b^dag psi|^2 from exact outcome probabilities,
+    one sparse matvec with the compiled plan."""
+    probs = np.abs(_amplitudes(plan, state)) ** 2
+    return float(np.dot(plan.compiled[1].ravel(), probs.ravel()))
 
 
 @dataclass(frozen=True)
@@ -317,27 +343,30 @@ class SampledTau:
 def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -> SampledTau:
     """Unbiased sampled estimate of evaluate_exact with its standard error.
 
-    Each basis draws from an independent stream keyed by (seed, basis
-    index), so results are reproducible and independent of evaluation
-    order.
+    Every basis gets ``shots_per_basis`` shots, all drawn in one multinomial
+    call from one PCG64 stream seeded with ``seed``, so the result is
+    reproducible for a given seed. ``per_basis`` keeps the plan's basis order.
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
-    state = np.asarray(state)
+    probs = np.abs(_amplitudes(plan, state)) ** 2
+    totals = probs.sum(axis=1, keepdims=True)
+    if not np.all(totals > 0):
+        raise ValueError("cannot sample a zero-norm state")
+    counts = np.random.default_rng(seed).multinomial(shots_per_basis, probs / totals)
 
-    rows = []
-    for index, basis in enumerate(plan.bases):
-        counts = sample_counts(state, basis.circuit, shots_per_basis, [seed, index])
-        mean = float(np.dot(counts, basis.weights)) / shots_per_basis
-        second = float(np.dot(counts, basis.weights**2)) / shots_per_basis
-        var = max(second - mean * mean, 0.0)
-        if shots_per_basis > 1:
-            var *= shots_per_basis / (shots_per_basis - 1)
-        rows.append(BasisSample(index, shots_per_basis, mean, math.sqrt(var / shots_per_basis)))
-
-    estimate = sum(row.estimate for row in rows)
-    std_error = math.sqrt(sum(row.std_error**2 for row in rows))
-    return SampledTau(estimate, std_error, tuple(rows))
+    weights = plan.compiled[1]
+    mean = np.sum(counts * weights, axis=1) / shots_per_basis
+    second = np.sum(counts * weights**2, axis=1) / shots_per_basis
+    var = np.maximum(second - mean * mean, 0.0)
+    if shots_per_basis > 1:
+        var *= shots_per_basis / (shots_per_basis - 1)
+    std_errors = np.sqrt(var / shots_per_basis)
+    rows = tuple(
+        BasisSample(index, shots_per_basis, m, se)
+        for index, (m, se) in enumerate(zip(mean.tolist(), std_errors.tolist()))
+    )
+    return SampledTau(float(np.sum(mean)), float(math.sqrt(np.sum(std_errors**2))), rows)
 
 
 def format_plan(plan: MeasurementPlan) -> str:

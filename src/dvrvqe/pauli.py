@@ -9,8 +9,9 @@ coefficients are real.
 transform (Hantzko, Binkowski & Gupta 2023; Jones 2024): the row and
 column bits of H are interleaved into one base-4 digit per qubit, and a
 4x4 map per qubit turns the entries (r, c) of that qubit into its
-I, X, iY, Z components, O(n 4^n) in all. The other functions act through
-the permutation structure of Pauli words (one nonzero entry per row).
+I, X, iY, Z components, O(n 4^n) in all. ``reconstruct`` runs the same
+transform backwards. The other functions act through the permutation
+structure of Pauli words (one nonzero entry per row).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 _LETTERS = "IXYZ"
+_LETTER_CODES = np.frombuffer(_LETTERS.encode("ascii"), dtype=np.uint8)  # sorted
+_DROP_LETTERS = str.maketrans("", "", _LETTERS)
 
 # Row P, column 2r + c: the factor P[c, r] of Tr[P H] = sum_{r,c} P[c, r] H[r, c],
 # with iY = [[0, 1], [-1, 0]] in place of Y so that the map stays real. The
@@ -33,6 +36,8 @@ _TRACE_MAP = 0.5 * np.array([
     [1.0, 0.0, 0.0, -1.0],   # Z
 ])
 _IS_Y = np.array([0, 0, 1, 0], dtype=np.int8)
+# _TRACE_MAP is 1/2 times a matrix with orthogonal rows of squared norm 2.
+_INVERSE_TRACE_MAP = 2.0 * _TRACE_MAP.T
 
 
 def _word_action(word: str) -> tuple[int, np.ndarray]:
@@ -70,6 +75,9 @@ class PauliSum:
         for word in self.terms:
             if len(word) != self.n_qubits:
                 raise ValueError(f"word {word!r} has wrong length for n={self.n_qubits}")
+        if "".join(self.terms).translate(_DROP_LETTERS):
+            word = next(word for word in self.terms if word.translate(_DROP_LETTERS))
+            raise ValueError(f"word {word!r} has letters outside {_LETTERS}")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -98,17 +106,13 @@ def decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> PauliSum:
 
     # Axes r_0..r_{n-1}, c_0..c_{n-1} (qubit 0 most significant), reordered
     # to r_0, c_0, r_1, c_1, ... so that each qubit owns one digit 2r + c.
-    order = [axis for q in range(n) for axis in (q, n + q)]
-    coeffs = matrix.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
-    for q in range(n):
-        coeffs = (_TRACE_MAP @ coeffs.reshape(4**q, 4, 4 ** (n - 1 - q))).reshape(-1)
+    coeffs = matrix.reshape((2,) * (2 * n)).transpose(_interleaved_axes(n)).reshape(-1)
+    coeffs = _per_qubit(_TRACE_MAP, coeffs, n)
 
     # Base-4 digit q of a flat index is the letter of qubit q. With
     # Y = -i (iY), a word with y letters Y has Tr[P H] = (-i)^y Tr[P' H]:
     # of sign (-1)^(y/2) for even y, and zero for odd y and symmetric H.
-    y_count = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        y_count = np.add.outer(y_count, _IS_Y).reshape(-1)
+    y_count = _y_counts(n)
     coeffs = np.where(y_count % 4 == 2, -coeffs, coeffs)
     kept = np.flatnonzero((y_count % 2 == 0) & (np.abs(coeffs) > tol))
     terms = {
@@ -119,14 +123,45 @@ def decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> PauliSum:
 
 
 def reconstruct(psum: PauliSum) -> np.ndarray:
-    """Dense matrix sum_w A_w P_w."""
-    dim = 2 ** psum.n_qubits
-    out = np.zeros((dim, dim))
-    j = np.arange(dim)
-    for word, coeff in psum.items():
-        flip, phases = _word_action(word)
-        out[j ^ flip, j] += coeff * phases.real
-    return out
+    """Real part of the dense matrix sum_w A_w P_w; words with an odd
+    number of Y letters are imaginary and add nothing.
+
+    The inverse of ``decompose``: the coefficients are scattered into the
+    4^n word array with the sign (-1)^(y/2), each qubit's digit is mapped
+    back to its entries (r, c), and the row and column bits are
+    de-interleaved, O(n 4^n) in all.
+    """
+    n = psum.n_qubits
+    coeffs = np.zeros(4**n)
+    if psum.terms:
+        codes = np.frombuffer("".join(psum.terms).encode("ascii"), dtype=np.uint8)
+        digits = np.searchsorted(_LETTER_CODES, codes).reshape(len(psum.terms), n)
+        coeffs[digits @ 4 ** np.arange(n - 1, -1, -1)] = np.fromiter(psum.terms.values(), float, len(psum.terms))
+    y_count = _y_counts(n)
+    coeffs = np.where(y_count % 2 == 1, 0.0, np.where(y_count % 4 == 2, -coeffs, coeffs))
+    coeffs = _per_qubit(_INVERSE_TRACE_MAP, coeffs, n)
+    axes = np.argsort(_interleaved_axes(n))
+    return coeffs.reshape((2,) * (2 * n)).transpose(axes).reshape(2**n, 2**n)
+
+
+def _interleaved_axes(n: int) -> list[int]:
+    """Row axes 0..n-1 and column axes n..2n-1 in the order r_0, c_0, r_1, c_1, ..."""
+    return [axis for q in range(n) for axis in (q, n + q)]
+
+
+def _per_qubit(qubit_map: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Apply a 4x4 map to each base-4 digit of the flat index in turn."""
+    for q in range(n):
+        coeffs = (qubit_map @ coeffs.reshape(4**q, 4, 4 ** (n - 1 - q))).reshape(-1)
+    return coeffs
+
+
+def _y_counts(n: int) -> np.ndarray:
+    """Number of Y letters of every word, indexed like the 4^n word array."""
+    y_count = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        y_count = np.add.outer(y_count, _IS_Y).reshape(-1)
+    return y_count
 
 
 def apply_word(word: str, state: np.ndarray) -> np.ndarray:
@@ -179,6 +214,8 @@ def load_pauli(path) -> PauliSum:
             word, coeff = parts[0], float(parts[1])
             if n is None:
                 n = len(word)
+            if word in terms:
+                raise ValueError(f"{path}:{lineno}: word {word} repeats an earlier line")
             terms[word] = coeff
     if n is None:
         raise ValueError(f"{path}: no terms found")

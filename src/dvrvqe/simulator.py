@@ -6,7 +6,8 @@ the (2^q, 2, 2^(n-q-1)) view, CNOT and X as index permutations. Every gate
 is real: ``run`` returns float64 amplitudes, ``adjoint_gradient`` takes
 float64 states, and ``apply_circuit`` and ``sample_counts`` keep complex
 input complex and turn any other input into float64. ``apply_circuit``
-also takes a (2^n, k) batch of column states.
+also takes a (2^n, k) batch of column states. ``analysis_rows`` gives the
+matrix of a parameter-free circuit as float64 row lists from the same ops.
 """
 
 from __future__ import annotations
@@ -80,6 +81,39 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
             matrix = rotations[slot] if kind == "ry" else _H_MATRIX
             state = (matrix @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
     return state
+
+
+def analysis_rows(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the matrix U with ``apply_circuit(circuit, psi) == U @ psi``.
+
+    Returns (cols, vals), both of shape (2^n, w): row i of U is the sum of
+    vals[i, k] at column cols[i, k], where a column may repeat. The rows are
+    built from the compiled ops, never from the identity: a permutation
+    reorders them, and an H on bit b makes row i the sum (row i without b)
+    +- (row i with b), times 1/sqrt(2), doubling w. Once w passes 2^n the
+    rows become dense (w = 2^n). Raises ValueError for a circuit with RY
+    slots.
+    """
+    if any(g.kind == "ry" for g in circuit.gates):
+        raise ValueError("an analysis circuit has no ry gates")
+    n_pts = 2 ** circuit.n_qubits
+    index = np.arange(n_pts)
+    cols = index[:, None]
+    vals = np.ones((n_pts, 1))
+    for kind, arg, _ in _compile(circuit):
+        if kind == "perm":
+            cols, vals = cols[arg], vals[arg]
+            continue
+        bit = arg[2]
+        low, high = index & ~bit, index | bit
+        sign = np.where(index & bit, -_SQRT_HALF, _SQRT_HALF)[:, None]
+        cols = np.hstack([cols[low], cols[high]])
+        vals = np.hstack([_SQRT_HALF * vals[low], sign * vals[high]])
+        if cols.shape[1] > n_pts:  # columns repeat: sum them into dense rows
+            dense = np.zeros((n_pts, n_pts))
+            np.add.at(dense, (index[:, None], cols), vals)
+            cols, vals = np.broadcast_to(index, dense.shape), dense
+    return cols, vals
 
 
 def adjoint_gradient(circuit: Circuit, params, state: np.ndarray, costate: np.ndarray) -> np.ndarray:

@@ -377,9 +377,7 @@ class TestDeterminism:
         assert a != b  # different restarts land on different optima bit-wise
 
 
-class TestSearchTaskSmall:
-    def test_search_artifacts_small_system(self, tmp_path):
-        config_text = """\
+SMALL_SEARCH = """\
 [system]
 variant = finite
 a = 2.75
@@ -397,13 +395,18 @@ equilibrium = 3.2
 name = search
 seed = 6
 blocks = 2
-thresholds = 1.0 0.01
+thresholds = {thresholds}
 restarts = 3
 max_iter = 800
 
 [output]
 directory = {outdir}
-""".format(outdir=tmp_path / "out")
+"""
+
+
+class TestSearchTaskSmall:
+    def test_search_artifacts_small_system(self, tmp_path):
+        config_text = SMALL_SEARCH.format(thresholds="1.0 0.01", outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, config_text))]) == 0
         out = tmp_path / "out"
         assert (out / "search_trace.csv").is_file()
@@ -411,3 +414,22 @@ directory = {outdir}
         assert (out / "c001.circuit").is_file()
         trace = (out / "search_trace.csv").read_text().splitlines()
         assert trace[0] == "step,block,ctrl,tgt,energy_hartree,error_cm1"
+
+    def test_circuit_file_for_any_threshold(self, tmp_path):
+        config_text = SMALL_SEARCH.format(thresholds="1.0 0.1", outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, config_text))]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.glob("*.circuit")) == ["c01.circuit", "c1.circuit"]
+        rows = (out / "result.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["1", "1"], ["0.10000000000000001", "1"]]
+        assert "c01.circuit" in (out / "manifest").read_text()
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ("25 2.5", "share a circuit file name"),
+        ("2.5 25", "strictly decreasing"),
+    ])
+    def test_bad_thresholds_exit_2(self, tmp_path, capsys, thresholds, message):
+        config_text = SMALL_SEARCH.format(thresholds=thresholds, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, config_text))]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest").exists()

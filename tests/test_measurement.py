@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvrvqe import build_grid, assemble, measurement, truncate, truncation_error_bound
+from dvrvqe import build_grid, assemble, truncate, truncation_error_bound
+from dvrvqe.circuits import Circuit, ry
 from dvrvqe.hamiltonian import retained_antidiagonals
 from dvrvqe.measurement import (
+    MeasBasis,
     MeasurementPlan,
     TruncationSpec,
     antidiag_operator,
@@ -27,7 +29,7 @@ from dvrvqe.measurement import (
 )
 from dvrvqe.simulator import apply_circuit, run
 
-from conftest import MASS, MORSE, random_state
+from conftest import DIATOMIC_MASS, DIATOMIC_MORSE, MASS, MORSE, random_state
 
 
 def dense_from_bases(bases, n):
@@ -42,6 +44,11 @@ def dense_from_bases(bases, n):
             out += basis.weights[o] * np.outer(vec, vec.conj())
     assert np.max(np.abs(out.imag)) < 1e-14
     return out.real
+
+
+def tau_by_bases(plan, state):
+    """Per-basis loop oracle: sum_b w_b . |V_b psi|^2, one apply_circuit per basis."""
+    return sum(float(np.dot(b.weights, np.abs(apply_circuit(b.circuit, state)) ** 2)) for b in plan.bases)
 
 
 def circuit_mask(circuit):
@@ -326,25 +333,31 @@ class TestEvaluateExact:
         with pytest.raises(ValueError):
             evaluate_exact(plan, np.zeros(8))
 
-    def test_real_state_stays_real(self, morse32, monkeypatch):
+    def test_real_state_stays_real(self, morse32):
         plan = full_plan(morse32, TruncationSpec(8, 5))
         psi = random_state(np.random.default_rng(19), 32, complex_valued=False)
-        dtypes = []
-
-        def recording(circuit, state, params=None):
-            out = apply_circuit(circuit, state, params)
-            dtypes.append(out.dtype)
-            return out
-
-        monkeypatch.setattr(measurement, "apply_circuit", recording)
+        operator, weights = plan.compiled
+        assert operator.dtype == np.dtype(float) and weights.dtype == np.dtype(float)
+        assert (operator @ psi).dtype == np.dtype(float)
         tau_real = evaluate_exact(plan, psi)
-        assert set(dtypes) == {np.dtype(float)}
         tau_complex = evaluate_exact(plan, psi.astype(complex))
-        assert np.dtype(complex) in dtypes
         assert abs(tau_real - tau_complex) <= 1e-15
         sampled_real = evaluate_sampled(plan, psi, 100, seed=4)
         sampled_complex = evaluate_sampled(plan, psi.astype(complex), 100, seed=4)
         assert abs(sampled_real.estimate - sampled_complex.estimate) <= 1e-15
+
+    def test_matches_per_basis_loop_on_readme_plan(self):
+        h = assemble(build_grid("finite", {"a": 2.55, "b": 4.55}, 7, DIATOMIC_MASS), DIATOMIC_MORSE)
+        plan = full_plan(h, TruncationSpec(16, 8))
+        rng = np.random.default_rng(29)
+        for complex_valued in (False, True):
+            psi = random_state(rng, 128, complex_valued=complex_valued)
+            assert abs(evaluate_exact(plan, psi) - tau_by_bases(plan, psi)) <= 1e-12 * np.max(np.abs(h.full))
+
+    def test_circuit_with_slots_rejected(self):
+        plan = MeasurementPlan(1, (MeasBasis(Circuit(1, (ry(0, 0),), 1), np.ones(2)),))
+        with pytest.raises(ValueError, match="no ry gates"):
+            evaluate_exact(plan, np.array([1.0, 0.0]))
 
 
 class TestEvaluateSampled:
@@ -383,6 +396,37 @@ class TestEvaluateSampled:
         estimates = [evaluate_sampled(plan, psi, 500, seed=s).estimate for s in range(200)]
         typical_sigma = evaluate_sampled(plan, psi, 500, seed=999).std_error
         assert abs(np.mean(estimates) - exact) < 3 * typical_sigma / np.sqrt(200)
+
+    @pytest.mark.parametrize("shots", [1, 7, 1000])
+    def test_matches_per_basis_statistics(self, morse16_radial, shots):
+        """One multinomial draw over the row-normalised outcome probabilities,
+        then the mean and Bessel-corrected standard error of each basis."""
+        plan = full_plan(morse16_radial, TruncationSpec(4, 2))
+        psi = random_state(np.random.default_rng(47), 16)
+        probs = np.array([np.abs(apply_circuit(b.circuit, psi)) ** 2 for b in plan.bases])
+        counts = np.random.default_rng(11).multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
+        result = evaluate_sampled(plan, psi, shots, seed=11)
+        assert [row.index for row in result.per_basis] == list(range(plan.num_bases))
+        for row, basis, c in zip(result.per_basis, plan.bases, counts):
+            mean = np.dot(c, basis.weights) / shots
+            var = max(np.dot(c, basis.weights**2) / shots - mean**2, 0.0)
+            if shots > 1:
+                var *= shots / (shots - 1)
+            assert row.shots == shots
+            assert row.estimate == pytest.approx(mean, rel=1e-12, abs=1e-15)
+            assert row.std_error == pytest.approx(np.sqrt(var / shots), rel=1e-12, abs=1e-15)
+        assert result.estimate == pytest.approx(sum(r.estimate for r in result.per_basis), rel=1e-12)
+        assert result.std_error == pytest.approx(np.sqrt(sum(r.std_error**2 for r in result.per_basis)), rel=1e-12)
+
+    def test_zero_norm_state_rejected(self, morse16_radial):
+        plan = full_plan(morse16_radial, TruncationSpec(4, 2))
+        with pytest.raises(ValueError, match="zero-norm"):
+            evaluate_sampled(plan, np.zeros(16), 100, seed=1)
+
+    def test_dimension_mismatch(self, morse16_radial):
+        plan = full_plan(morse16_radial, TruncationSpec(4, 2))
+        with pytest.raises(ValueError, match="does not match 4 qubits"):
+            evaluate_sampled(plan, np.ones(8), 100, seed=1)
 
     def test_deterministic_per_seed(self, morse16_radial):
         rng = np.random.default_rng(43)
@@ -485,10 +529,10 @@ GRID_PARAMS = {
 
 
 @st.composite
-def truncated_systems(draw):
-    """A Morse Hamiltonian on a random grid variant and n <= 5, with random (s, r, streamlined)."""
+def truncated_systems(draw, max_qubits=5):
+    """A Morse Hamiltonian on a random grid variant and n <= max_qubits, with random (s, r, streamlined)."""
     variant = draw(st.sampled_from(sorted(GRID_PARAMS)))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_qubits))
     spec = TruncationSpec(draw(st.integers(1, 2**n)), draw(st.integers(1, 2**n)), draw(st.booleans()))
     return assemble(build_grid(variant, GRID_PARAMS[variant](n), n, MASS), MORSE), spec
 
@@ -515,3 +559,23 @@ class TestPlanProperties:
         scale = np.max(np.abs(h.full))
         assert np.max(np.abs(matrix - truncate(h, spec.s, spec.r, spec.streamlined))) <= 1e-12 * scale
         assert np.max(np.abs(matrix - dense_from_bases(plan.bases, h.n_qubits))) <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncated_systems(max_qubits=6), st.integers(0, 2**32 - 1))
+    def test_compiled_operator_matches_circuits(self, system, seed):
+        h, spec = system
+        plan = full_plan(h, spec)
+        operator, weights = plan.compiled
+        n_pts = h.n_points
+        assert operator.shape == (plan.num_bases * n_pts, n_pts)
+        identity = np.eye(n_pts)
+        for b, basis in enumerate(plan.bases):
+            rows = operator[b * n_pts:(b + 1) * n_pts].toarray()
+            assert np.array_equal(rows, apply_circuit(basis.circuit, identity))
+            assert np.array_equal(weights[b], basis.weights)
+        scale = np.max(np.abs(h.full))
+        rng = np.random.default_rng(seed)
+        for complex_valued in (False, True):
+            psi = random_state(rng, n_pts, complex_valued=complex_valued)
+            assert abs(evaluate_exact(plan, psi) - tau_by_bases(plan, psi)) <= 1e-12 * scale
+        assert np.max(np.abs(plan_to_matrix(plan) - truncate(h, spec.s, spec.r, spec.streamlined))) <= 1e-12 * scale

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from dvrvqe.pauli import (
     PauliSum,
+    _word_action,
     decompose,
     expectation,
+    format_pauli,
     load_pauli,
     reconstruct,
     save_pauli,
@@ -40,6 +42,29 @@ def dense_decompose(matrix):
         if abs(coeff) > 1e-12:
             coeffs[word] = coeff
     return coeffs
+
+
+def reconstruct_by_words(psum):
+    """Per-word oracle: adds each word's one entry per column, the real part of its phase."""
+    dim = 2 ** psum.n_qubits
+    out = np.zeros((dim, dim))
+    j = np.arange(dim)
+    for word, coeff in psum.items():
+        flip, phases = _word_action(word)
+        out[j ^ flip, j] += coeff * phases.real
+    return out
+
+
+@st.composite
+def pauli_sums(draw, max_qubits=7):
+    """Random words (odd-Y ones included) with coefficients spread over six decades."""
+    n = draw(st.integers(1, max_qubits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, min(4**n, 300)))
+    codes = np.unique(rng.integers(0, 4**n, size))
+    words = ["".join("IXYZ"[(code >> (2 * (n - 1 - q))) & 3] for q in range(n)) for code in codes.tolist()]
+    coeffs = rng.uniform(-1.0, 1.0, len(words)) * 10.0 ** rng.uniform(-3.0, 3.0, len(words))
+    return PauliSum(n, dict(zip(words, coeffs.tolist())))
 
 
 def random_symmetric(rng, n):
@@ -98,6 +123,16 @@ def test_roundtrip_random_symmetric(n):
     for _ in range(50 // n):
         matrix = random_symmetric(rng, n)
         assert np.max(np.abs(reconstruct(decompose(matrix, tol=0.0)) - matrix)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(pauli_sums())
+def test_reconstruct_matches_word_loop(psum):
+    oracle = reconstruct_by_words(psum)
+    # The transform sums each entry in another order than the loop: allow a
+    # few rounding steps per qubit relative to the largest entry.
+    scale = max(1.0, np.max(np.abs(oracle)))
+    assert np.max(np.abs(reconstruct(psum) - oracle)) <= 1e-15 * psum.n_qubits * scale
 
 
 def test_empty_sum_reconstructs_zero():
@@ -190,3 +225,38 @@ def test_export_roundtrip(tmp_path, morse16_radial):
     assert dict(loaded.items()) == dict(psum.items())
     first_word, first_coeff = psum.items()[0]
     assert f"{first_word} {first_coeff:.17e}" in path.read_text()
+
+
+@pytest.mark.parametrize("word", ["Q", "x", "I ", "IQ"])
+def test_rejects_letters_outside_ixyz(word):
+    with pytest.raises(ValueError, match="letters outside IXYZ"):
+        PauliSum(len(word), {word: 2.0})
+
+
+def test_load_rejects_repeated_word(tmp_path):
+    path = tmp_path / "pauli.txt"
+    path.write_text("XZ 1.0\nIZ 0.5\nXZ 2.0\n")
+    with pytest.raises(ValueError, match="pauli.txt:3: word XZ repeats"):
+        load_pauli(path)
+
+
+def test_load_rejects_bad_letter(tmp_path):
+    path = tmp_path / "pauli.txt"
+    path.write_text("Q 2.0\n")
+    with pytest.raises(ValueError, match="letters outside IXYZ"):
+        load_pauli(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pauli_sums(max_qubits=5), st.floats(allow_nan=False, allow_infinity=False))
+def test_text_roundtrip_bit_identical(tmp_path_factory, psum, extra):
+    terms = dict(psum.terms)
+    terms[psum.items()[0][0]] = extra  # any finite double, subnormals and -0.0 included
+    psum = PauliSum(psum.n_qubits, terms)
+    path = tmp_path_factory.mktemp("pauli") / "pauli.txt"
+    path.write_text(format_pauli(psum))
+    loaded = load_pauli(path)
+    assert loaded.n_qubits == psum.n_qubits
+    assert [(w, np.float64(c).tobytes()) for w, c in loaded.items()] == [
+        (w, np.float64(c).tobytes()) for w, c in psum.items()
+    ]

@@ -8,11 +8,12 @@ gives every RY gate its own slot.
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvrvqe.circuits import Circuit, cnot, hadamard, pauli_x, ry
-from dvrvqe.simulator import apply_circuit, run
+from dvrvqe.simulator import analysis_rows, apply_circuit, run
 from dvrvqe.vqe import ObjectiveConfig, gradient, objective
 
 from conftest import random_state
@@ -126,3 +127,31 @@ def test_gradient_matches_parameter_shift_on_unshared_slots(data):
     config = data.draw(objectives(circuit.n_qubits))
     oracle = half_differences(params, circuit, config, np.pi / 2)
     assert np.allclose(gradient(params, circuit, config), oracle, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(circuits(shared=False))
+def test_analysis_rows_match_dense_product(case):
+    """Row lists of parameter-free circuits, repeated H on one qubit (merged columns) included."""
+    circuit, _ = case
+    circuit = Circuit(circuit.n_qubits, tuple(g for g in circuit.gates if g.kind != "ry"))
+    cols, vals = analysis_rows(circuit)
+    dim = 2 ** circuit.n_qubits
+    assert cols.shape == vals.shape and cols.shape[0] == dim and cols.shape[1] <= 2 * dim
+    matrix = np.zeros((dim, dim))
+    np.add.at(matrix, (np.arange(dim)[:, None], cols), vals)
+    assert np.allclose(matrix, dense_unitary(circuit, []), rtol=0, atol=1e-12)
+
+
+def test_analysis_rows_merge_repeated_hadamards():
+    circuit = Circuit(2, (hadamard(0),) * 41)
+    cols, vals = analysis_rows(circuit)
+    assert cols.shape[1] <= 4
+    matrix = np.zeros((4, 4))
+    np.add.at(matrix, (np.arange(4)[:, None], cols), vals)
+    assert np.allclose(matrix, dense_unitary(Circuit(2, (hadamard(0),)), []), rtol=0, atol=1e-12)
+
+
+def test_analysis_rows_reject_slots():
+    with pytest.raises(ValueError, match="no ry gates"):
+        analysis_rows(Circuit(2, (hadamard(0), ry(1, 0)), 1))
