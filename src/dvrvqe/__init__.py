@@ -34,7 +34,6 @@ from .measurement import (
     full_plan,
     load_plan,
     plan_complexity,
-    plus_prep_circuit,
     save_plan,
 )
 from .ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
@@ -91,7 +90,6 @@ __all__ = [
     "full_plan",
     "load_plan",
     "plan_complexity",
-    "plus_prep_circuit",
     "save_plan",
     "AnsatzSpec",
     "empty_ansatz",

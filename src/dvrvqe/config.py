@@ -17,6 +17,15 @@ from .potentials import HarmonicPotential, MorsePotential, load_tabulated
 
 TASKS = ("diag", "decompose", "vqe", "excited", "search", "plan", "verify-plan", "measure")
 
+# Largest n_qubits per task. Every task but diag and plan builds the dense
+# 2^n x 2^n H or a 4^n Pauli array. diag runs LOBPCG on the matrix-free H
+# from 1024 points up, and plan reads only the band profile and V.
+DENSE_MAX_QUBITS = 14
+MAX_QUBITS = {"diag": 17, "plan": 16}
+# Above DENSE_MAX_QUBITS, diag takes at most 2^20 / 2^n levels: the LOBPCG
+# block of about 1.5 levels vectors then stays under about 0.5 GB.
+MATRIX_FREE_LEVEL_POINTS = 2**20
+
 
 class ConfigError(Exception):
     """Malformed configuration; message carries section/key diagnostics."""
@@ -88,9 +97,16 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         if not parser.has_section(required_section):
             raise ConfigError(f"missing required section [{required_section}]")
 
+    _check_keys("task", parser.options("task"), _TASK_KEYS)
+    task = task_override or _get(parser, "task", "name", str, required=True)
+    if task not in TASKS:
+        raise ConfigError(f"[task] unknown task {task!r}; expected one of {', '.join(TASKS)}")
     _check_keys("system", parser.options("system"), _SYSTEM_KEYS)
     variant = _get(parser, "system", "variant", str, required=True)
     n_qubits = _get(parser, "system", "n_qubits", int, required=True)
+    max_qubits = MAX_QUBITS.get(task, DENSE_MAX_QUBITS)
+    if n_qubits > max_qubits:
+        raise ConfigError(f"[system] n_qubits={n_qubits} is above {max_qubits}, the limit of the {task!r} task")
     mass_amu = _get(parser, "system", "mass_amu", float)
     mass_me = _get(parser, "system", "mass_me", float)
     if (mass_amu is None) == (mass_me is None):
@@ -134,10 +150,6 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         else:
             raise ConfigError(f"[potential] unknown type {ptype!r}")
 
-    _check_keys("task", parser.options("task"), _TASK_KEYS)
-    task = task_override or _get(parser, "task", "name", str, required=True)
-    if task not in TASKS:
-        raise ConfigError(f"[task] unknown task {task!r}; expected one of {', '.join(TASKS)}")
     seed = seed_override if seed_override is not None else _get(parser, "task", "seed", int, default=0)
 
     options: dict[str, object] = {}
@@ -152,8 +164,11 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         if value is not None:
             options[key] = value
     levels = options.get("levels")
-    if levels is not None and not 1 <= levels <= grid.n_points:
-        raise ConfigError(f"[task] key 'levels' must be in [1, {grid.n_points}], got {levels}")
+    max_levels = grid.n_points
+    if n_qubits > DENSE_MAX_QUBITS:
+        max_levels = MATRIX_FREE_LEVEL_POINTS // grid.n_points
+    if levels is not None and not 1 <= levels <= max_levels:
+        raise ConfigError(f"[task] key 'levels' must be in [1, {max_levels}], got {levels}")
     v_max = options.get("v_max")
     if v_max is not None and not 0 <= v_max <= grid.n_points - 1:
         raise ConfigError(f"[task] key 'v_max' must be in [0, {grid.n_points - 1}], got {v_max}")

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ResourceLimitError
-
 VARIANTS = ("infinite", "half-infinite", "finite")
-
-MAX_QUBITS = 14
 
 
 @dataclass(frozen=True)
@@ -85,11 +81,6 @@ def build_grid(variant, params, n_qubits, mass) -> GridSpec:
         raise ValueError(f"unknown grid variant {variant!r}; expected one of {VARIANTS}")
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_qubits > MAX_QUBITS:
-        raise ResourceLimitError(
-            f"n_qubits={n_qubits} would need a dense {2**n_qubits}x{2**n_qubits} matrix"
-            f" (limit {MAX_QUBITS})"
-        )
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
 

@@ -2,31 +2,38 @@
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.fft import irfft, rfft
+from scipy.sparse.linalg import lobpcg
 
-from .errors import InvariantViolationError
 from .grids import BandProfile, GridSpec, band_profile, tail_sums
 from .potentials import potential_on_grid
 
-# lowest_levels uses shift-invert Lanczos from 1024 points, while the grid
-# has at least 64 points per level asked for, and dense eigvalsh
-# otherwise. Measured on one core with OpenBLAS, Morse H, 8 levels, dense
-# against shift-invert: 17 ms against 19 ms at 512 points, 0.14 s against
-# 0.07 s at 1024, 7.8 s against 2.0 s at 4096. At 2048 points shift-invert
-# still wins at 32 levels (0.55 s against 0.9 s) and loses at 128 (1.3 s).
-SHIFT_INVERT_MIN_POINTS = 1024
-SHIFT_INVERT_POINTS_PER_LEVEL = 64
+# lowest_levels runs LOBPCG on the FFT matvec from MATRIX_FREE_MIN_POINTS up
+# and dense eigvalsh below, or when more levels are asked for than the
+# crossover count 16 (N/1024)^1.5. Measured on one core with OpenBLAS, README
+# Morse H, dense against LOBPCG: at 1024 points 0.14 s against 0.14 s for 16
+# levels, at 2048 points 0.93 s against 0.55 s for 32 and 1.2 s for 64, at
+# 4096 points 7.3 s against 7.1 s for 128.
+MATRIX_FREE_MIN_POINTS = 1024
+# Band half-width s of the LOBPCG preconditioner, |i-j| < s.
+PRECONDITIONER_BANDS = 32
+# LOBPCG stops when every residual |Hx - lambda x| is below this times max|H|;
+# rounding in the FFT matvec sits near 1e-14 times max|H|.
+RESIDUAL_TOL = 1e-11
+LOBPCG_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
 class DvrHamiltonian:
     grid: GridSpec
     potential_diag: np.ndarray
-    full: np.ndarray
     profile: BandProfile  # kinetic part only; the potential folds into d
 
     @property
@@ -38,23 +45,54 @@ class DvrHamiltonian:
         return self.grid.n_points
 
     @property
-    def kinetic(self) -> np.ndarray:
-        """Dense kinetic matrix, rebuilt from the band profile on each access."""
-        return self.profile.to_matrix()
+    def diagonal(self) -> np.ndarray:
+        """d + V, the diagonal of H."""
+        return self.profile.d + self.potential_diag
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        """Dense read-only H, built on first access and kept."""
+        full = self.profile.to_matrix()
+        np.fill_diagonal(full, self.diagonal)
+        full.setflags(write=False)
+        return full
+
+    @cached_property
+    def _fft_kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n_pts = self.n_points
+        f, g = self.profile.f, self.profile.g
+        # Toeplitz f(|i-j|) is the leading block of the 2N circulant with
+        # first column f(0..N-1), 0, f(N-1..1).
+        toeplitz = rfft(np.concatenate([f, [0.0], f[:0:-1]]))
+        # Hankel g(i+j) is entry 2N-2-i of the linear convolution of reversed
+        # g with x, which a 2N circulant holds unaliased. Reading the entries
+        # in reverse, y[-i-2], is exp(2 pi i k 2/2N) conj(Y[k]) for real y.
+        k = np.arange(n_pts + 1)
+        hankel = np.exp(2j * np.pi * k / n_pts) * np.conj(rfft(g[::-1], n=2 * n_pts))
+        # to_matrix overwrites f(0) + g(2i) on the diagonal with d.
+        diagonal = self.diagonal - f[0] - g[::2]
+        return toeplitz[:, None], hankel[:, None], diagonal[:, None]
+
+    def matmat(self, block: np.ndarray) -> np.ndarray:
+        """H @ block for an (N, m) block, without forming H: O(N log N) per column."""
+        toeplitz, hankel, diagonal = self._fft_kernels
+        spectrum = rfft(block, n=2 * self.n_points, axis=0)
+        out = irfft(toeplitz * spectrum + hankel * np.conj(spectrum), n=2 * self.n_points, axis=0)
+        out = out[: self.n_points]
+        out += diagonal * block
+        return out
 
 
 def assemble(grid: GridSpec, potential=None) -> DvrHamiltonian:
-    """Build H = T + diag(V) on the grid. ``potential=None`` means V = 0."""
+    """H = T + diag(V) on the grid as its band profile and V; ``potential=None``
+    means V = 0. The dense matrix ``full`` is built on first access."""
     profile = band_profile(grid)
     if potential is None:
         v = np.zeros(grid.n_points)
     else:
         v = potential_on_grid(potential, grid)
-    full = profile.to_matrix()
-    np.fill_diagonal(full, profile.d + v)
-    for arr in (v, full):
-        arr.setflags(write=False)
-    return DvrHamiltonian(grid, v, full, profile)
+    v.setflags(write=False)
+    return DvrHamiltonian(grid, v, profile)
 
 
 def retained_antidiagonals(n_qubits: int, r: int, streamlined: bool = False) -> np.ndarray:
@@ -84,14 +122,14 @@ def truncate(h: DvrHamiltonian, s: int, r: int, streamlined: bool = False) -> np
     """
     if s < 0 or r < 0:
         raise ValueError(f"s and r must be non-negative, got s={s}, r={r}")
-    n_pts = h.n_points
-    idx = np.arange(n_pts)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    summ = idx[:, None] + idx[None, :]
-    kept_anti = retained_antidiagonals(h.n_qubits, r, streamlined)
     profile = h.profile
-    out = np.where(diff < s, profile.f[diff], 0.0) + np.where(kept_anti[summ], profile.g[summ], 0.0)
-    np.fill_diagonal(out, np.diag(h.full))
+    kept = dataclasses.replace(
+        profile,
+        f=np.where(np.arange(h.n_points) < s, profile.f, 0.0),
+        g=np.where(retained_antidiagonals(h.n_qubits, r, streamlined), profile.g, 0.0),
+    )
+    out = kept.to_matrix()
+    np.fill_diagonal(out, h.diagonal)
     return out
 
 
@@ -118,34 +156,71 @@ def classical_spectrum(matrix: np.ndarray, count: int | None = None) -> np.ndarr
 def lowest_levels(h: DvrHamiltonian, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of H, ascending.
 
-    Grids below SHIFT_INVERT_MIN_POINTS, or with fewer than
-    SHIFT_INVERT_POINTS_PER_LEVEL points per level, use dense
-    ``classical_spectrum``. Otherwise H - sigma*I with sigma = min V
-    is Cholesky-factored and Lanczos (ARPACK) finds the largest eigenvalues
-    of its inverse. The kinetic matrix is positive definite for every grid
-    variant, so sigma lies below the spectrum; a failed factorization
-    means it does not, and raises InvariantViolationError.
+    Dense ``classical_spectrum`` on grids below MATRIX_FREE_MIN_POINTS or
+    when ``count`` is above the crossover (see ``dense_is_faster``).
+    Otherwise LOBPCG (Knyazev 2001) on ``h.matmat``, which never forms H,
+    with a block of max(count + 4, 1.5 count) seeded random vectors and the
+    preconditioner of ``_band_preconditioner``. A failed factorization of
+    the preconditioner or a residual left above RESIDUAL_TOL * max|H| after
+    LOBPCG_MAX_ITER iterations raises LinAlgError.
     """
     n_pts = h.n_points
     if not 1 <= count <= n_pts:
         raise ValueError(f"count must be in [1, {n_pts}], got {count}")
-    if n_pts < SHIFT_INVERT_MIN_POINTS or count * SHIFT_INVERT_POINTS_PER_LEVEL > n_pts:
+    if dense_is_faster(n_pts, count):
         return classical_spectrum(h.full, count)
 
-    sigma = float(np.min(h.potential_diag))
-    # H is symmetric, so copying its transpose gives H in Fortran order,
-    # which LAPACK factors and solves with in place instead of copying.
-    shifted = np.array(h.full.T)
-    shifted.flat[:: n_pts + 1] -= sigma
+    tol = RESIDUAL_TOL * _max_entry_bound(h)
+    start = np.random.default_rng(0).standard_normal((n_pts, max(count + 4, -(-3 * count // 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # unconverged: checked below
+        values, _, residuals = lobpcg(
+            h.matmat, start, M=_band_preconditioner(h), tol=tol, maxiter=LOBPCG_MAX_ITER,
+            largest=False, retResidualNormsHistory=True,
+        )
+    worst = float(np.max(residuals[-1][:count]))
+    if not worst <= tol:
+        raise np.linalg.LinAlgError(
+            f"LOBPCG did not converge in {LOBPCG_MAX_ITER} iterations:"
+            f" residual {worst:.3g} above the tolerance {tol:.3g}"
+        )
+    return values[:count]
+
+
+def dense_is_faster(n_points: int, count: int) -> bool:
+    """Whether dense eigvalsh beats LOBPCG for ``count`` levels of N points:
+    below MATRIX_FREE_MIN_POINTS, or above 16 (N/1024)^1.5 levels."""
+    return n_points < MATRIX_FREE_MIN_POINTS or count**2 * 1024**3 > 256 * n_points**3
+
+
+def _max_entry_bound(h: DvrHamiltonian) -> float:
+    """max|d + V| or max|f| + max|g|, whichever is larger: max|H| within a factor 2."""
+    profile = h.profile
+    return max(float(np.max(np.abs(h.diagonal))), float(np.max(np.abs(profile.f)) + np.max(np.abs(profile.g))))
+
+
+def _band_preconditioner(h: DvrHamiltonian):
+    """Banded Cholesky solve with P, the band |i-j| < PRECONDITIONER_BANDS of H.
+
+    The dropped alternating tail would leave P indefinite, so the row sums
+    of the dropped entries, H 1 - P 1, are added to its diagonal (as in
+    full_plan's diagonal compensation), and P is shifted by -min(V) so that
+    a negative potential keeps it positive definite.
+    """
+    n_pts = h.n_points
+    profile = h.profile
+    bands = min(PRECONDITIONER_BANDS, n_pts)
+    # Lower banded storage: row k holds H[i + k, i] = f(k) + g(2i + k).
+    band = np.zeros((bands, n_pts))
+    band[0] = h.diagonal
+    row_sums = h.diagonal.copy()
+    for k in range(1, bands):
+        band[k, : n_pts - k] = profile.f[k] + profile.g[k : 2 * n_pts - k : 2]
+        row_sums[: n_pts - k] += band[k, : n_pts - k]
+        row_sums[k:] += band[k, : n_pts - k]
+    band[0] += h.matmat(np.ones((n_pts, 1)))[:, 0] - row_sums - np.min(h.potential_diag)
     try:
-        factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
+        factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise InvariantViolationError(f"H - min(V) is not positive definite: {exc}") from exc
-    inverse = LinearOperator(
-        (n_pts, n_pts), matvec=lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False), dtype=float
-    )
-    # A fixed random start vector keeps the result reproducible and, unlike
-    # a constant one, overlaps both parities of a symmetric potential.
-    start = np.random.default_rng(0).standard_normal(n_pts)
-    mu = eigsh(inverse, k=count, which="LA", tol=0, v0=start, return_eigenvectors=False)
-    return np.sort(sigma + 1.0 / mu)
+        raise np.linalg.LinAlgError(f"the banded LOBPCG preconditioner is not positive definite: {exc}") from exc
+    return lambda block: scipy.linalg.cho_solve_banded((factor, True), block, check_finite=False)

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .circuits import Circuit, Gate, cnot, format_circuit, hadamard, parse_circuit, pauli_x
+from .circuits import Circuit, cnot, format_circuit, hadamard, parse_circuit
 from .hamiltonian import DvrHamiltonian, retained_antidiagonals
 from .simulator import analysis_rows
 
@@ -141,37 +141,6 @@ def _mask_qubits(mask: int, n: int) -> list[int]:
     return [q for q in range(n) if (mask >> (n - 1 - q)) & 1]
 
 
-def plus_prep_circuit(j: int, p: int, n_qubits: int) -> Circuit:
-    """Circuit mapping |0...0> to (|j> + |p>)/sqrt(2).
-
-    X gates set the bits common to j and p, an H on the pivot (the
-    lowest-index differing qubit) opens the superposition, CNOTs from the
-    pivot spread it over the remaining differing qubits, and X corrections
-    align each branch with j and p. The analysis circuit is the inverse.
-    """
-    n_pts = 2 ** n_qubits
-    if not (0 <= j < n_pts and 0 <= p < n_pts):
-        raise ValueError(f"indices must be in [0, {n_pts}), got {j}, {p}")
-    if j == p:
-        raise ValueError(f"j and p must differ, got {j} == {p}")
-    mask = j ^ p
-    qubits = _mask_qubits(mask, n_qubits)
-    pivot = qubits[0]
-    j_bit = lambda q: (j >> (n_qubits - 1 - q)) & 1
-
-    gates: list[Gate] = []
-    for q in range(n_qubits):
-        if not (mask >> (n_qubits - 1 - q)) & 1 and j_bit(q):
-            gates.append(pauli_x(q))
-    gates.append(hadamard(pivot))
-    for q in qubits[1:]:
-        gates.append(cnot(pivot, q))
-    for q in qubits[1:]:
-        if j_bit(q) != j_bit(pivot):
-            gates.append(pauli_x(q))
-    return Circuit(n_qubits, tuple(gates), 0)
-
-
 def _mask_analysis_circuit(mask: int, n: int) -> Circuit:
     """Inverse of the mask's GHZ-style prep (CNOTs from the pivot, then H)."""
     qubits = _mask_qubits(mask, n)
@@ -253,7 +222,7 @@ def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
     n = h.n_qubits
     n_pts = h.n_points
     profile = h.profile
-    diag = profile.d + h.potential_diag
+    diag = h.diagonal
     weights: dict[Circuit, np.ndarray] = {Circuit(n): diag}
 
     def add(bases: list[MeasBasis], scale: float = 1.0) -> None:

@@ -10,8 +10,7 @@ transform (Hantzko, Binkowski & Gupta 2023; Jones 2024): the row and
 column bits of H are interleaved into one base-4 digit per qubit, and a
 4x4 map per qubit turns the entries (r, c) of that qubit into its
 I, X, iY, Z components, O(n 4^n) in all. ``reconstruct`` runs the same
-transform backwards. The other functions act through the permutation
-structure of Pauli words (one nonzero entry per row).
+transform backwards.
 """
 
 from __future__ import annotations
@@ -38,29 +37,6 @@ _TRACE_MAP = 0.5 * np.array([
 _IS_Y = np.array([0, 0, 1, 0], dtype=np.int8)
 # _TRACE_MAP is 1/2 times a matrix with orthogonal rows of squared norm 2.
 _INVERSE_TRACE_MAP = 2.0 * _TRACE_MAP.T
-
-
-def _word_action(word: str) -> tuple[int, np.ndarray]:
-    """Return (flip_mask, phases) so that P|j> = phases[j] |j ^ flip_mask>.
-
-    phases are the entries <j ^ flip | P | j>; real for even-Y words,
-    imaginary otherwise.
-    """
-    n = len(word)
-    flip = 0
-    for q, letter in enumerate(word):
-        if letter in "XY":
-            flip |= 1 << (n - 1 - q)
-    j = np.arange(2 ** n)
-    phases = np.ones(2 ** n, dtype=complex)
-    for q, letter in enumerate(word):
-        bit = (j >> (n - 1 - q)) & 1
-        if letter == "Z":
-            phases = phases * np.where(bit, -1.0, 1.0)
-        elif letter == "Y":
-            # Y|0> = i|1>, Y|1> = -i|0>
-            phases = phases * np.where(bit, -1j, 1j)
-    return flip, phases
 
 
 @dataclass(frozen=True)
@@ -162,28 +138,6 @@ def _y_counts(n: int) -> np.ndarray:
     for _ in range(n):
         y_count = np.add.outer(y_count, _IS_Y).reshape(-1)
     return y_count
-
-
-def apply_word(word: str, state: np.ndarray) -> np.ndarray:
-    """P_w |psi>."""
-    flip, phases = _word_action(word)
-    out = np.empty_like(state, dtype=complex)
-    j = np.arange(state.size)
-    out[j ^ flip] = phases * state
-    return out
-
-
-def expectation(psum: PauliSum, state: np.ndarray) -> float:
-    """sum_w A_w <psi|P_w|psi>."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (2 ** psum.n_qubits,):
-        raise ValueError(
-            f"state dimension {state.shape} does not match {psum.n_qubits} qubits"
-        )
-    total = 0.0
-    for word, coeff in psum.items():
-        total += coeff * np.vdot(state, apply_word(word, state)).real
-    return float(total)
 
 
 def term_count(psum: PauliSum) -> int:

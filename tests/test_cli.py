@@ -1,13 +1,14 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from dvrvqe.cli import main
 from dvrvqe.config import ConfigError, load_config
-from dvrvqe.constants import HARTREE_TO_INV_CM
+from dvrvqe.constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INV_CM
 from dvrvqe.circuits import save_circuit
 from dvrvqe.ansatz import linear_ansatz
-from dvrvqe.potentials import HarmonicPotential
+from dvrvqe.potentials import HarmonicPotential, MorsePotential
 
 HARMONIC_CONFIG = """\
 [system]
@@ -135,6 +136,36 @@ seed = 1
         path = write_config(tmp_path, text)
         assert main(["run", str(path)]) == 3
         assert "outside tabulated range" in capsys.readouterr().err
+
+
+class TestQubitLimits:
+    @pytest.mark.parametrize("task", ["decompose", "vqe", "excited", "search", "verify-plan", "measure"])
+    def test_dense_task_above_limit_exit_2(self, tmp_path, capsys, task):
+        text = MORSE_BASE.format(task=task, extra="", outdir=tmp_path / "out").replace("n_qubits = 4", "n_qubits = 15")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert f"n_qubits=15 is above 14, the limit of the '{task}' task" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task,n", [("diag", 18), ("plan", 17)])
+    def test_matrix_free_task_above_limit_exit_2(self, tmp_path, capsys, task, n):
+        text = MORSE_BASE.format(task=task, extra="s = 2\nr = 1\n", outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text.replace("n_qubits = 4", f"n_qubits = {n}")))]) == 2
+        assert f"n_qubits={n} is above {n - 1}" in capsys.readouterr().err
+
+    def test_matrix_free_levels_capped_exit_2(self, tmp_path, capsys):
+        text = MORSE_BASE.format(task="diag", extra="levels = 17\n", outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text.replace("n_qubits = 4", "n_qubits = 16")))]) == 2
+        assert "'levels' must be in [1, 16]" in capsys.readouterr().err
+
+    def test_diag_and_plan_run_at_15_qubits(self, tmp_path):
+        morse = MorsePotential(0.07, 1.35, 3.2)
+        mass = 26.0 * AMU_TO_ELECTRON_MASS
+        for task, extra in (("diag", "levels = 2\n"), ("plan", "s = 2\nr = 1\n")):
+            text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / task)
+            assert main(["run", str(write_config(tmp_path, text.replace("n_qubits = 4", "n_qubits = 15")))]) == 0
+        rows = (tmp_path / "diag" / "spectrum.csv").read_text().splitlines()[1:]
+        levels = [float(row.split(",")[1]) for row in rows]
+        assert np.max(np.abs(np.subtract(levels, [morse.level(v, mass) for v in range(2)]))) * HARTREE_TO_INV_CM < 0.01
+        assert (tmp_path / "plan" / "plan.txt").read_text().startswith("basis 0\nqubits 15 slots 0\n")
 
 
 class TestDiagTask:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dvrvqe.errors import ResourceLimitError
 from dvrvqe.grids import band_profile, build_grid, kinetic_matrix, tail_sums
 
 
@@ -85,8 +84,6 @@ class TestBuildGrid:
             build_grid("infinite", {"x_min": 0.0, "dx": 1.0}, 3, 0.0)
         with pytest.raises(ValueError):
             build_grid("infinite", {"x_min": 0.0, "dx": 1.0}, 0, 1.0)
-        with pytest.raises(ResourceLimitError):
-            build_grid("infinite", {"x_min": 0.0, "dx": 1.0}, 15, 1.0)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrvqe import (
@@ -15,12 +16,12 @@ from dvrvqe import (
     truncate,
     truncation_error_bound,
 )
+from dvrvqe import hamiltonian
 from dvrvqe.constants import HARTREE_TO_INV_CM
-from dvrvqe.errors import InvariantViolationError
-from dvrvqe.grids import tail_sums
+from dvrvqe.grids import VARIANTS, tail_sums
 from dvrvqe.hamiltonian import (
-    SHIFT_INVERT_MIN_POINTS,
-    SHIFT_INVERT_POINTS_PER_LEVEL,
+    MATRIX_FREE_MIN_POINTS,
+    dense_is_faster,
     lowest_levels,
     retained_antidiagonals,
 )
@@ -31,14 +32,15 @@ from conftest import MASS, MORSE, random_state
 def test_zero_potential_gives_pure_kinetic():
     grid = build_grid("infinite", {"x_min": 0.0, "dx": 0.5}, 3, 1.0)
     h = assemble(grid)
-    assert np.array_equal(h.full, h.kinetic)
+    assert np.array_equal(h.full, h.profile.to_matrix())
     assert np.all(h.potential_diag == 0.0)
 
 
 def test_full_is_kinetic_plus_potential(morse16_radial):
     h = morse16_radial
-    assert np.array_equal(h.full, h.kinetic + np.diag(h.potential_diag))
+    assert np.array_equal(h.full, h.profile.to_matrix() + np.diag(h.potential_diag))
     assert not h.full.flags.writeable
+    assert h.full is h.full
 
 
 def test_symmetry_and_dimension(morse16_radial):
@@ -160,48 +162,98 @@ def test_eigenvalue_deviation_monotone_in_s():
         assert all(b <= a + 1e-12 for a, b in zip(deviations, deviations[1:]))
 
 
+POTENTIAL_KINDS = ("morse", "harmonic", "tabulated")
+
+
+def random_potential(kind, rng):
+    if kind == "morse":
+        return MorsePotential(rng.uniform(0.01, 0.2), rng.uniform(0.5, 2.0), rng.uniform(2.0, 3.5))
+    if kind == "harmonic":
+        return HarmonicPotential(rng.uniform(0.01, 1.0), rng.uniform(2.0, 4.0))
+    x = np.linspace(0.0, 6.0, int(rng.integers(2, 40)))
+    return TabulatedPotential(x, rng.uniform(-0.1, 0.1, x.size))
+
+
+def grid_on(variant, n):
+    params = {"a": 1.2, "b": 5.5, "x_min": 1.2, "dx": 4.3 / 2**n}
+    return build_grid(variant, params, n, MASS)
+
+
+def every_variant_and_kind(test):
+    """One explicit example per grid variant and potential kind, on top of the drawn ones."""
+    for i, (variant, kind) in enumerate(itertools.product(VARIANTS, POTENTIAL_KINDS)):
+        test = example(variant=variant, kind=kind, count=1 + 7 * i % 16, seed=i)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    kind=st.sampled_from(POTENTIAL_KINDS),
+    n=st.integers(1, 8),
+    columns=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmat_matches_dense(variant, kind, n, columns, seed):
+    """The FFT matvec reproduces H, the diagonal d that replaces f(0) + g(2i) included."""
+    rng = np.random.default_rng(seed)
+    h = assemble(grid_on(variant, n), random_potential(kind, rng))
+    block = rng.standard_normal((h.n_points, columns))
+    product = h.matmat(block)
+    assert product.shape == block.shape
+    assert np.max(np.abs(product - h.full @ block)) <= 1e-13 * np.max(np.abs(h.full))
+
+
 class TestLowestLevels:
-    # The smallest grid and the largest count that take the shift-invert path.
-    N_QUBITS = SHIFT_INVERT_MIN_POINTS.bit_length() - 1
-    MAX_COUNT = SHIFT_INVERT_MIN_POINTS // SHIFT_INVERT_POINTS_PER_LEVEL
+    # The smallest grid and the largest count that take the matrix-free path.
+    N_QUBITS = MATRIX_FREE_MIN_POINTS.bit_length() - 1
+    MAX_COUNT = 16
 
-    @staticmethod
-    def grid(variant, n):
-        params = {"a": 1.2, "b": 5.5, "x_min": 1.2, "dx": 4.3 / 2**n}
-        return build_grid(variant, params, n, MASS)
-
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=6, deadline=None)
+    @every_variant_and_kind
     @given(
-        variant=st.sampled_from(["infinite", "half-infinite", "finite"]),
-        kind=st.sampled_from(["morse", "harmonic", "tabulated"]),
+        variant=st.sampled_from(VARIANTS),
+        kind=st.sampled_from(POTENTIAL_KINDS),
         count=st.integers(1, MAX_COUNT),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_shift_invert_matches_dense(self, variant, kind, count, seed):
-        rng = np.random.default_rng(seed)
-        if kind == "morse":
-            potential = MorsePotential(rng.uniform(0.01, 0.2), rng.uniform(0.5, 2.0), rng.uniform(2.0, 3.5))
-        elif kind == "harmonic":
-            potential = HarmonicPotential(rng.uniform(0.01, 1.0), rng.uniform(2.0, 4.0))
-        else:
-            x = np.linspace(0.0, 6.0, int(rng.integers(2, 40)))
-            potential = TabulatedPotential(x, rng.uniform(-0.1, 0.1, x.size))
-        h = assemble(self.grid(variant, self.N_QUBITS), potential)
+        h = assemble(grid_on(variant, self.N_QUBITS), random_potential(kind, np.random.default_rng(seed)))
         levels = lowest_levels(h, count)
+        assert "full" not in vars(h)
         dense = classical_spectrum(h.full, count)
         assert levels.shape == (count,)
         assert np.max(np.abs(levels - dense)) <= 1e-12 * np.max(np.abs(h.full))
 
+    def test_no_dense_h_at_4096_points(self):
+        h = assemble(grid_on("finite", 12), MORSE)
+        levels = lowest_levels(h, 8)
+        assert "full" not in vars(h)
+        expected = [MORSE.level(v, MASS) for v in range(8)]
+        assert np.max(np.abs(levels - expected)) * HARTREE_TO_INV_CM < 0.01
+
+    def test_crossover(self):
+        assert dense_is_faster(MATRIX_FREE_MIN_POINTS // 2, 1)
+        for n_points, largest in ((1024, 16), (2048, 45), (4096, 128)):
+            assert not dense_is_faster(n_points, largest)
+            assert dense_is_faster(n_points, largest + 1)
+
     def test_dense_path_is_classical_spectrum(self, morse16_radial):
         assert np.array_equal(lowest_levels(morse16_radial, 16), classical_spectrum(morse16_radial.full))
-        h = assemble(self.grid("finite", self.N_QUBITS), MORSE)
+        h = assemble(grid_on("finite", self.N_QUBITS), MORSE)
         assert np.array_equal(lowest_levels(h, self.MAX_COUNT + 1), classical_spectrum(h.full, self.MAX_COUNT + 1))
 
-    def test_shift_above_the_spectrum_raises(self):
-        h = assemble(self.grid("finite", self.N_QUBITS), MORSE)
-        lifted = dataclasses.replace(h, potential_diag=h.potential_diag + 1.0)
-        with pytest.raises(InvariantViolationError, match="not positive definite"):
-            lowest_levels(lifted, 1)
+    def test_failed_factorization_raises(self):
+        h = assemble(grid_on("finite", self.N_QUBITS), MORSE)
+        sunk = dataclasses.replace(h, profile=dataclasses.replace(h.profile, d=h.profile.d - 1e3 * np.max(h.profile.d)))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            lowest_levels(sunk, 1)
+
+    def test_unconverged_residual_raises(self, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "LOBPCG_MAX_ITER", 2)
+        h = assemble(grid_on("finite", self.N_QUBITS), MORSE)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 2 iterations"):
+            lowest_levels(h, 8)
 
     @pytest.mark.parametrize("count", [0, -2, 17])
     def test_count_out_of_range(self, morse16_radial, count):

@@ -25,8 +25,9 @@ from dvrvqe.measurement import (
     parse_plan,
     plan_complexity,
     plan_to_matrix,
-    plus_prep_circuit,
 )
+from dvrvqe.circuits import cnot, hadamard, pauli_x
+from dvrvqe.measurement import _mask_analysis_circuit
 from dvrvqe.simulator import apply_circuit, run
 
 from conftest import DIATOMIC_MASS, DIATOMIC_MORSE, MASS, MORSE, random_state
@@ -58,6 +59,30 @@ def circuit_mask(circuit):
     return sum(1 << (n - 1 - q) for q in qubits)
 
 
+def plus_prep_circuit(j, p, n_qubits):
+    """Oracle circuit mapping |0...0> to (|j> + |p>)/sqrt(2).
+
+    X gates set the bits common to j and p, an H on the pivot (the
+    lowest-index differing qubit) opens the superposition, CNOTs from the
+    pivot spread it over the remaining differing qubits, and X corrections
+    align each branch with j and p.
+    """
+    n_pts = 2**n_qubits
+    if not (0 <= j < n_pts and 0 <= p < n_pts):
+        raise ValueError(f"indices must be in [0, {n_pts}), got {j}, {p}")
+    if j == p:
+        raise ValueError(f"j and p must differ, got {j} == {p}")
+    mask = j ^ p
+    qubits = [q for q in range(n_qubits) if (mask >> (n_qubits - 1 - q)) & 1]
+    pivot = qubits[0]
+    j_bit = lambda q: (j >> (n_qubits - 1 - q)) & 1
+    gates = [pauli_x(q) for q in range(n_qubits) if q not in qubits and j_bit(q)]
+    gates.append(hadamard(pivot))
+    gates += [cnot(pivot, q) for q in qubits[1:]]
+    gates += [pauli_x(q) for q in qubits[1:] if j_bit(q) != j_bit(pivot)]
+    return Circuit(n_qubits, tuple(gates), 0)
+
+
 class TestPlusPrep:
     @pytest.mark.parametrize("j,p,gates", [
         (0b00, 0b11, ["h0", "cnot01"]),
@@ -87,6 +112,23 @@ class TestPlusPrep:
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             plus_prep_circuit(3, 3, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mask_analysis_circuit_inverts_prep(self, n):
+        """For j < p, whose pivot bit (the highest one of j ^ p) is 0 in j, the band
+        plan's analysis circuit maps (|j> + |p>)/sqrt(2) to |j> and
+        (|j> - |p>)/sqrt(2) to |j> with the pivot bit set."""
+        for j in range(2**n):
+            for p in range(j + 1, 2**n):
+                mask = j ^ p
+                pivot_bit = 1 << (mask.bit_length() - 1)
+                analysis = _mask_analysis_circuit(mask, n)
+                plus = apply_circuit(analysis, run(plus_prep_circuit(j, p, n)))
+                minus = np.zeros(2**n)
+                minus[[j, p]] = [1.0, -1.0]
+                minus = apply_circuit(analysis, minus / np.sqrt(2))
+                assert np.allclose(plus, np.eye(2**n)[j], atol=1e-14)
+                assert np.allclose(minus, np.eye(2**n)[j | pivot_bit], atol=1e-14)
 
 
 class TestBandPlan:

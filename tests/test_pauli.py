@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from dvrvqe.pauli import (
     PauliSum,
-    _word_action,
     decompose,
-    expectation,
     format_pauli,
     load_pauli,
     reconstruct,
     save_pauli,
     term_count,
 )
+from dvrvqe.vqe import energy_of
 
 from conftest import random_state
 
@@ -44,13 +43,30 @@ def dense_decompose(matrix):
     return coeffs
 
 
+def word_action(word):
+    """(flip, phases) with P|j> = phases[j] |j ^ flip>; phases real for even-Y words."""
+    n = len(word)
+    j = np.arange(2**n)
+    flip = 0
+    phases = np.ones(2**n, dtype=complex)
+    for q, letter in enumerate(word):
+        bit = (j >> (n - 1 - q)) & 1
+        if letter in "XY":
+            flip |= 1 << (n - 1 - q)
+        if letter == "Z":
+            phases = phases * np.where(bit, -1.0, 1.0)
+        elif letter == "Y":  # Y|0> = i|1>, Y|1> = -i|0>
+            phases = phases * np.where(bit, -1j, 1j)
+    return flip, phases
+
+
 def reconstruct_by_words(psum):
     """Per-word oracle: adds each word's one entry per column, the real part of its phase."""
     dim = 2 ** psum.n_qubits
     out = np.zeros((dim, dim))
     j = np.arange(dim)
     for word, coeff in psum.items():
-        flip, phases = _word_action(word)
+        flip, phases = word_action(word)
         out[j ^ flip, j] += coeff * phases.real
     return out
 
@@ -194,13 +210,15 @@ def test_morse32_term_count_reported(morse32):
 
 
 class TestExpectation:
+    """<psi| sum_w A_w P_w |psi> through the one expectation path, energy_of on the reconstructed sum."""
+
     def test_z_on_zero_state(self):
         state = np.array([1.0, 0.0])
-        assert expectation(PauliSum(1, {"Z": 1.0}), state) == pytest.approx(1.0)
+        assert energy_of(state, reconstruct(PauliSum(1, {"Z": 1.0}))) == pytest.approx(1.0)
 
     def test_x_on_plus_state(self):
         state = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert expectation(PauliSum(1, {"X": 1.0}), state) == pytest.approx(1.0)
+        assert energy_of(state, reconstruct(PauliSum(1, {"X": 1.0}))) == pytest.approx(1.0)
 
     def test_matches_dense_quadratic_form(self):
         rng = np.random.default_rng(11)
@@ -209,11 +227,11 @@ class TestExpectation:
         for _ in range(5):
             psi = random_state(rng, 32)
             dense = np.vdot(psi, matrix @ psi).real
-            assert expectation(psum, psi) == pytest.approx(dense, abs=1e-10)
+            assert energy_of(psi, reconstruct(psum)) == pytest.approx(dense, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(PauliSum(2, {"II": 1.0}), np.array([1.0, 0.0]))
+            energy_of(np.array([1.0, 0.0]), reconstruct(PauliSum(2, {"II": 1.0})))
 
 
 def test_export_roundtrip(tmp_path, morse16_radial):
