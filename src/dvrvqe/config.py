@@ -39,6 +39,11 @@ _TASK_KEYS = {
     "streamlined", "shots", "plan", "circuit", "params",
 }
 _OUTPUT_KEYS = {"directory"}
+# Smallest accepted value of each integer [task] key without a grid-dependent range.
+_TASK_MINIMUM = {
+    "blocks": 1, "max_entanglers": 0, "candidate_budget": 1, "restarts": 1, "max_iter": 1,
+    "s": 1, "r": 1, "shots": 1,
+}
 
 
 @dataclass
@@ -163,6 +168,9 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         value = _get(parser, "task", key, cast)
         if value is not None:
             options[key] = value
+    for key, minimum in _TASK_MINIMUM.items():
+        if options.get(key, minimum) < minimum:
+            raise ConfigError(f"[task] key '{key}' must be >= {minimum}, got {options[key]}")
     levels = options.get("levels")
     max_levels = grid.n_points
     if n_qubits > DENSE_MAX_QUBITS:

@@ -37,6 +37,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.n_blocks < 1:
             raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
+        if self.max_entanglers < 0 or self.candidate_budget < 1:
+            raise ValueError(
+                f"max_entanglers must be >= 0 and candidate_budget >= 1, "
+                f"got {self.max_entanglers} and {self.candidate_budget}"
+            )
         thresholds = tuple(float(t) for t in self.thresholds)
         if not thresholds or any(t <= 0 for t in thresholds):
             raise ValueError("thresholds must be positive")

@@ -1,8 +1,9 @@
 """Exact statevector simulation of the {RY, CNOT, H, X} gate set.
 
 Qubit 0 is the most significant index bit (circuits.py). Each circuit is
-compiled once into ops on the flat state: RY and H act as 2x2 matrices on
-the (2^q, 2, 2^(n-q-1)) view, CNOT and X as index permutations. Every gate
+compiled once into ops on the flat state, kept on the circuit object: RY
+and H act as 2x2 matrices on the (2^q, 2, 2^(n-q-1)) view, and each run of
+consecutive CNOT and X gates acts as one index permutation. Every gate
 is real: ``run`` returns float64 amplitudes, ``adjoint_gradient`` takes
 float64 states, and ``apply_circuit`` and ``sample_counts`` keep complex
 input complex and turn any other input into float64. ``apply_circuit``
@@ -11,8 +12,6 @@ matrix of a parameter-free circuit as float64 row lists from the same ops.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,24 +22,35 @@ _H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
 _J_MATRIX = np.array([[0.0, -1.0], [1.0, 0.0]])  # dRY(theta)/dtheta = RY(theta) J / 2
 
 
-@lru_cache(maxsize=256)
 def _compile(circuit: Circuit) -> tuple[tuple, ...]:
-    """Ops (kind, view shape or permutation, slot) with kind 'ry', 'h' or 'perm'.
+    """Ops (kind, arg, slot): ('ry', view shape, slot), ('h', view shape, -1)
+    or ('perm', (forward, inverse), -1).
 
-    A permutation maps new[i] = old[perm[i]] and is its own inverse.
+    A permutation maps new[i] = old[forward[i]]; it is the product of one
+    run of consecutive CNOT and X gates, so it is in general not its own
+    inverse, and old[i] = new[inverse[i]] undoes it. The ops are built on
+    the first call and stored in the circuit's ``__dict__``, which the
+    frozen dataclass allows and which leaves its fields, equality and hash
+    as they are; no call hashes the gates.
     """
+    ops = circuit.__dict__.get("_ops")
+    if ops is not None:
+        return ops
     n = circuit.n_qubits
     index = np.arange(2 ** n)
     ops = []
     for g in circuit.gates:
         bit = 1 << (n - 1 - g.qubit)
-        if g.kind == "cnot":
-            ops.append(("perm", np.where(index & bit, index ^ (1 << (n - 1 - g.other)), index), -1))
-        elif g.kind == "x":
-            ops.append(("perm", index ^ bit, -1))
-        else:
+        if g.kind in ("ry", "h"):
             ops.append((g.kind, (2 ** g.qubit, 2, bit), g.other))
-    return tuple(ops)
+            continue
+        flip = bit if g.kind == "x" else np.where(index & bit, 1 << (n - 1 - g.other), 0)
+        if not ops or ops[-1][0] != "perm":
+            ops.append(("perm", index, -1))
+        ops[-1] = ("perm", ops[-1][1][index ^ flip], -1)
+    ops = tuple((kind, (arg, np.argsort(arg)) if kind == "perm" else arg, slot) for kind, arg, slot in ops)
+    circuit.__dict__["_ops"] = ops
+    return ops
 
 
 def _rotations(circuit: Circuit, params) -> np.ndarray:
@@ -76,7 +86,7 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
     rotations = _rotations(circuit, params)
     for kind, arg, slot in _compile(circuit):
         if kind == "perm":
-            state = state[arg]
+            state = state[arg[0]]
         else:
             matrix = rotations[slot] if kind == "ry" else _H_MATRIX
             state = (matrix @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
@@ -102,7 +112,7 @@ def analysis_rows(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     vals = np.ones((n_pts, 1))
     for kind, arg, _ in _compile(circuit):
         if kind == "perm":
-            cols, vals = cols[arg], vals[arg]
+            cols, vals = cols[arg[0]], vals[arg[0]]
             continue
         bit = arg[2]
         low, high = index & ~bit, index | bit
@@ -130,7 +140,7 @@ def adjoint_gradient(circuit: Circuit, params, state: np.ndarray, costate: np.nd
     pair = np.stack([state, costate])
     for kind, arg, slot in reversed(_compile(circuit)):
         if kind == "perm":
-            pair = pair[:, arg]
+            pair = pair[:, arg[1]]
             continue
         view = pair.reshape(2, *arg)
         if kind == "ry":

@@ -9,7 +9,8 @@ The objective is <psi|M|psi> with M = H + sum_i beta_i |psi_i><psi_i|.
 Its gradient is the adjoint gradient of simulator.adjoint_gradient: one
 forward simulation gives psi and M psi, one backward pass gives every
 slot's derivative, exactly, for any number of gates per slot. L-BFGS-B
-takes the value and the gradient from that single evaluation.
+takes the value and the gradient from that single evaluation, and the
+trace row and final result at a point it evaluated reuse its state.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer method {self.method!r}")
         if self.gradient_tol <= 0 or self.objective_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iter < 1 or self.restarts < 1:
+            raise ValueError(f"max_iter and restarts must be >= 1, got {self.max_iter} and {self.restarts}")
 
     def seed_tuple(self) -> tuple[int, ...]:
         return (self.seed,) if isinstance(self.seed, int) else tuple(self.seed)
@@ -86,8 +89,8 @@ def objective(params, circuit: Circuit, config: ObjectiveConfig) -> float:
     return _energy_and_objective(run(circuit, params), config)[1]
 
 
-def objective_and_gradient(params, circuit: Circuit, config: ObjectiveConfig) -> tuple[float, np.ndarray]:
-    """The objective and its gradient from one forward and one backward pass.
+def _evaluate(params, circuit: Circuit, config: ObjectiveConfig):
+    """(state, energy, objective, gradient) from one forward and one backward pass.
 
     A real psi sees only the real part of M, so lambda = Re(M) psi.
     """
@@ -95,7 +98,13 @@ def objective_and_gradient(params, circuit: Circuit, config: ObjectiveConfig) ->
     costate = config.hamiltonian @ state
     for ref, beta in config.deflation:
         costate = costate + beta * (np.vdot(ref, state) * ref).real
-    return _energy_and_objective(state, config)[1], adjoint_gradient(circuit, params, state, costate)
+    energy, value = _energy_and_objective(state, config)
+    return state, energy, value, adjoint_gradient(circuit, params, state, costate)
+
+
+def objective_and_gradient(params, circuit: Circuit, config: ObjectiveConfig) -> tuple[float, np.ndarray]:
+    """The objective and its gradient from one forward and one backward pass."""
+    return _evaluate(params, circuit, config)[2:]
 
 
 def gradient(params, circuit: Circuit, config: ObjectiveConfig) -> np.ndarray:
@@ -111,24 +120,35 @@ def gershgorin_upper(matrix: np.ndarray) -> float:
 
 def _single_run(circuit, config, opt, x0):
     trace = []
+    last = {}  # x, state and (energy, objective) of the last point L-BFGS-B evaluated
+
+    def lbfgs_objective(x):
+        state, energy, value, grad = _evaluate(x, circuit, config)
+        last.update(x=np.array(x), state=state, values=(energy, value))
+        return value, grad
+
+    def simulate(x):
+        """State and (energy, objective) at x; no new simulation at the last evaluated point."""
+        if last and np.array_equal(x, last["x"]):
+            return last["state"], last["values"]
+        state = run(circuit, x)
+        return state, _energy_and_objective(state, config)
 
     def record(xk):
-        energy, obj = _energy_and_objective(run(circuit, xk), config)
+        energy, obj = simulate(xk)[1]
         trace.append((len(trace), obj, energy))
 
     record(x0)
     if opt.method == "lbfgs":
-        fun, jac, method = objective_and_gradient, True, "L-BFGS-B"
+        fun, args, jac, method = lbfgs_objective, (), True, "L-BFGS-B"
         options = {"maxiter": opt.max_iter, "gtol": opt.gradient_tol, "ftol": opt.objective_tol}
     else:
-        fun, jac, method = objective, None, "Nelder-Mead"
+        fun, args, jac, method = objective, (circuit, config), None, "Nelder-Mead"
         options = {"maxiter": opt.max_iter, "fatol": opt.objective_tol, "xatol": 1e-10}
     res = scipy.optimize.minimize(
-        fun, x0, args=(circuit, config), jac=jac, method=method,
-        callback=record, options=options,
+        fun, x0, args=args, jac=jac, method=method, callback=record, options=options,
     )
-    state = run(circuit, res.x)
-    energy = energy_of(state, config.hamiltonian)
+    state, (energy, _) = simulate(res.x)
     overlaps = tuple(overlap_sq(ref, state) for ref, _ in config.deflation)
     converged = bool(res.status == 0)
     return VqeResult(energy, np.asarray(res.x), tuple(trace), converged, overlaps), float(res.fun)

@@ -138,6 +138,28 @@ seed = 1
         assert "outside tabulated range" in capsys.readouterr().err
 
 
+class TestTaskIntegerKeys:
+    @pytest.mark.parametrize("task, key, value", [
+        ("vqe", "restarts", 0),
+        ("excited", "restarts", -1),
+        ("search", "restarts", 0),
+        ("vqe", "max_iter", 0),
+        ("search", "max_iter", -5),
+        ("vqe", "blocks", 0),
+        ("search", "blocks", 0),
+        ("search", "candidate_budget", 0),
+        ("search", "max_entanglers", -1),
+        ("measure", "shots", 0),
+        ("plan", "s", 0),
+        ("plan", "r", 0),
+    ])
+    def test_below_minimum_exit_2(self, tmp_path, capsys, task, key, value):
+        text = MORSE_BASE.format(task=task, extra=f"{key} = {value}\n", outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert f"[task] key '{key}' must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestQubitLimits:
     @pytest.mark.parametrize("task", ["decompose", "vqe", "excited", "search", "verify-plan", "measure"])
     def test_dense_task_above_limit_exit_2(self, tmp_path, capsys, task):

@@ -115,6 +115,10 @@ def test_thresholds_validation():
         SearchConfig(n_blocks=1, thresholds=())
     with pytest.raises(ValueError):
         SearchConfig(n_blocks=0)
+    with pytest.raises(ValueError, match="max_entanglers"):
+        SearchConfig(n_blocks=1, max_entanglers=-1)
+    with pytest.raises(ValueError, match="candidate_budget"):
+        SearchConfig(n_blocks=1, candidate_budget=0)
 
 
 def test_non_power_of_two_rejected():

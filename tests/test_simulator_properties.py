@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvrvqe.circuits import Circuit, cnot, hadamard, pauli_x, ry
-from dvrvqe.simulator import analysis_rows, apply_circuit, run
+from dvrvqe.simulator import _compile, analysis_rows, apply_circuit, run
 from dvrvqe.vqe import ObjectiveConfig, gradient, objective
 
 from conftest import random_state
@@ -155,3 +155,51 @@ def test_analysis_rows_merge_repeated_hadamards():
 def test_analysis_rows_reject_slots():
     with pytest.raises(ValueError, match="no ry gates"):
         analysis_rows(Circuit(2, (hadamard(0), ry(1, 0)), 1))
+
+
+# cnot(0, 1) cnot(1, 0) x(2) cnot(2, 0) compiles to one permutation that is
+# not its own inverse, so a backward pass that undid it with the forward
+# permutation would give a wrong gradient.
+PERMUTATION_RUN = (cnot(0, 1), cnot(1, 0), pauli_x(2), cnot(2, 0))
+
+
+def ry_layer(first_slot):
+    return tuple(ry(q, first_slot + q) for q in range(3))
+
+
+def test_fused_permutation_run_matches_dense_and_differences():
+    circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
+    ops = _compile(circuit)
+    assert [kind for kind, _, _ in ops] == ["ry"] * 3 + ["perm"] + ["ry"] * 3
+    forward, inverse = ops[3][1]
+    assert not np.array_equal(forward[forward], np.arange(8))
+    assert np.array_equal(forward[inverse], np.arange(8))
+
+    rng = np.random.default_rng(21)
+    params = rng.uniform(-np.pi, np.pi, 6)
+    a = rng.standard_normal((8, 8))
+    config = ObjectiveConfig(a + a.T, ((random_state(rng, 8), 1.5),))
+    numeric = half_differences(params, circuit, config, 1e-6) / 1e-6
+    assert np.allclose(gradient(params, circuit, config), numeric, rtol=0, atol=1e-6)
+
+    unitary = dense_unitary(circuit, params)
+    batch = rng.standard_normal((8, 3))
+    assert np.allclose(run(circuit, params), unitary[:, 0], rtol=0, atol=1e-12)
+    assert np.allclose(apply_circuit(circuit, batch, params), unitary @ batch, rtol=0, atol=1e-12)
+
+    analysis = Circuit(3, (hadamard(1),) + PERMUTATION_RUN + (hadamard(0),))
+    cols, vals = analysis_rows(analysis)
+    matrix = np.zeros((8, 8))
+    np.add.at(matrix, (np.arange(8)[:, None], cols), vals)
+    assert np.allclose(matrix, dense_unitary(analysis, []), rtol=0, atol=1e-12)
+
+
+def test_compile_once_per_circuit_object():
+    circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
+    twin = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
+    ops = _compile(circuit)
+    for params in np.random.default_rng(22).uniform(-1, 1, (3, 6)):
+        run(circuit, params)
+        assert _compile(circuit) is ops
+    assert circuit == twin and hash(circuit) == hash(twin) and repr(circuit) == repr(twin)
+    assert _compile(twin) is not ops

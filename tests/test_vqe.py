@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
-from dvrvqe import classical_spectrum
+from dvrvqe import classical_spectrum, vqe
 from dvrvqe.ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
 from dvrvqe.circuits import Circuit, parse_circuit, ry
 from dvrvqe.constants import HARTREE_TO_INV_CM
 from dvrvqe.pauli import decompose
+from dvrvqe.simulator import run
 from dvrvqe.vqe import (
     ObjectiveConfig,
     OptimizerConfig,
+    _energy_and_objective,
+    energy_of,
     excited_states,
     gershgorin_upper,
     gradient,
@@ -128,6 +132,11 @@ class TestGradient:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("keys", [{"restarts": 0}, {"restarts": -1}, {"max_iter": 0}])
+    def test_optimizer_config_needs_one_run_and_iteration(self, keys):
+        with pytest.raises(ValueError, match="max_iter and restarts must be >= 1"):
+            OptimizerConfig(**keys)
+
     def test_single_qubit_ground(self):
         result = minimize(RY1, ObjectiveConfig(Z1), OptimizerConfig(max_iter=200, restarts=3, seed=1))
         assert result.energy == pytest.approx(-1.0, abs=1e-8)
@@ -197,6 +206,81 @@ class TestMinimize:
             x0=np.array([3.0]),
         )
         assert result.energy == pytest.approx(-1.0, abs=1e-10)
+
+
+class TestWorkPerPoint:
+    """L-BFGS-B simulates each point once: the trace and the result reuse that state."""
+
+    @staticmethod
+    def watch(monkeypatch, probe=False):
+        """Count vqe.run calls; keep every scipy minimize call's x0, iterates and result.
+
+        ``probe`` makes every objective call also evaluate a point off the
+        optimizer's path, so no iterate is the last point evaluated.
+        """
+        runs, calls = [], []
+        real_run, real_minimize = vqe.run, scipy.optimize.minimize
+
+        def counted_run(*args, **kwargs):
+            runs.append(1)
+            return real_run(*args, **kwargs)
+
+        def watched_minimize(fun, x0, *args, callback, **kwargs):
+            call = {"x0": np.array(x0), "iterates": []}
+            if probe:
+                real_fun = fun
+
+                def fun(x, *fun_args):
+                    value = real_fun(x, *fun_args)
+                    real_fun(x + 0.5, *fun_args)
+                    return value
+
+            def watched_callback(xk):
+                call["iterates"].append(np.array(xk))
+                callback(xk)
+
+            call["result"] = real_minimize(fun, x0, *args, callback=watched_callback, **kwargs)
+            calls.append(call)
+            return call["result"]
+
+        monkeypatch.setattr(vqe, "run", counted_run)
+        monkeypatch.setattr(scipy.optimize, "minimize", watched_minimize)
+        return runs, calls
+
+    @staticmethod
+    def problem(deflated):
+        rng = np.random.default_rng(17)
+        matrix = random_symmetric(rng, 8)
+        deflation = ((run(linear_ansatz(3, 2).circuit(), rng.uniform(-1, 1, 9)), 2.5),) if deflated else ()
+        return linear_ansatz(3, 2).circuit(), ObjectiveConfig(matrix, deflation)
+
+    @pytest.mark.parametrize("deflated", [False, True])
+    def test_lbfgs_runs_at_most_nfev_plus_two(self, monkeypatch, deflated):
+        circuit, config = self.problem(deflated)
+        runs, calls = self.watch(monkeypatch)
+        minimize(circuit, config, OptimizerConfig(max_iter=500, restarts=1, seed=18))
+        (call,) = calls
+        assert call["result"].nit >= 5
+        assert call["result"].nfev <= len(runs) <= call["result"].nfev + 2
+
+    @pytest.mark.parametrize("method, deflated, probe", [
+        ("lbfgs", False, False), ("lbfgs", True, False), ("lbfgs", False, True), ("simplex", False, False),
+    ])
+    def test_trace_and_result_are_bit_identical_to_fresh_runs(self, monkeypatch, method, deflated, probe):
+        circuit, config = self.problem(deflated)
+        _, calls = self.watch(monkeypatch, probe)
+        opt = OptimizerConfig(method=method, max_iter=300, restarts=2, seed=19)
+        result = minimize(circuit, config, opt)
+        assert len(calls) == 2
+        best = [c for c in calls if np.array_equal(c["result"].x, result.params)][0]
+        points = [best["x0"], *best["iterates"]]
+        assert len(result.trace) == len(points) > 5
+        for k, (x, row) in enumerate(zip(points, result.trace)):
+            energy, obj = _energy_and_objective(run(circuit, x), config)
+            assert row == (k, obj, energy)
+        state = run(circuit, best["result"].x)
+        assert result.energy == energy_of(state, config.hamiltonian)
+        assert result.overlaps == tuple(abs(np.vdot(ref, state)) ** 2 for ref, _ in config.deflation)
 
 
 class TestExcitedStates:
