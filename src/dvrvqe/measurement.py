@@ -9,9 +9,14 @@ It reconstructs the truncated operator as
 so tau = sum_bases sum_o w(o) P(o). The classically weighted diagonal is
 the basis with the empty circuit. full_plan keeps one basis per distinct
 circuit and folds each band's coefficient f(k) into the weights. A plan
-compiles once, on first use, into one stacked sparse analysis operator
-and a weight matrix (MeasurementPlan.compiled); evaluate_exact,
-evaluate_sampled and plan_to_matrix all read it.
+compiles once, on first use (MeasurementPlan.compiled), and only its
+weighted outcomes: each is one row e_o^T V^dag of its basis's analysis
+circuit, pushed backward through the gates (simulator.analysis_rows),
+and the rows stack into one sparse operator with one weight each.
+evaluate_exact and plan_to_matrix read that operator; zero-weight
+outcomes add nothing to either. evaluate_sampled draws each basis's
+shots over its weighted outcomes plus one lumped remainder, the
+probability of all its other outcomes.
 
 Band terms: for each retained band k, matrix-element pairs (i, i+k) are
 grouped by their XOR mask; one GHZ-style basis per mask measures every
@@ -115,26 +120,35 @@ class MeasurementPlan:
         return len(self.bases)
 
     @cached_property
-    def compiled(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """(A, W), built on first use and kept: A is the float64 CSR operator
-        of shape (B 2^n, 2^n) whose row b 2^n + o is row o of basis b's
-        analysis circuit, and W the (B, 2^n) outcome weights, B = num_bases.
+    def compiled(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """(A, w, place), built on first use and kept, with R the number of
+        outcomes that carry a nonzero weight. A is the float64 CSR operator
+        of shape (R, 2^n) whose rows are those outcomes' rows e_o^T V_b^dag,
+        basis by basis in plan order and by outcome within a basis, and w
+        their R weights. place is the (B, K + 1) table, B = num_bases and K
+        the largest weighted-outcome count of any basis, whose row b lists
+        basis b's rows of A, padded with R; column K holds R too, the slot
+        of the basis's lumped remainder.
         """
         n_pts = 2 ** self.n_qubits
-        rows = [analysis_rows(basis.circuit) for basis in self.bases]
-        widths = np.repeat([cols.shape[1] for cols, _ in rows], n_pts)
+        outcomes = [np.flatnonzero(basis.weights) for basis in self.bases]
+        rows = [analysis_rows(basis.circuit, o) for basis, o in zip(self.bases, outcomes)]
+        counts = np.array([o.size for o in outcomes])
+        n_rows = int(counts.sum())
+        widths = np.repeat([cols.shape[1] for cols, _ in rows], counts)
         operator = sp.csr_matrix(
             (
                 np.concatenate([vals.ravel() for _, vals in rows]),
                 np.concatenate([cols.ravel() for cols, _ in rows]),
                 np.concatenate([[0], np.cumsum(widths)]),
             ),
-            shape=(self.num_bases * n_pts, n_pts),
+            shape=(n_rows, n_pts),
         )
-        operator.sum_duplicates()
-        operator.eliminate_zeros()
-        weights = np.array([basis.weights for basis in self.bases], dtype=float)
-        return operator, weights
+        operator.sort_indices()
+        weights = np.concatenate([basis.weights[o] for basis, o in zip(self.bases, outcomes)]).astype(float)
+        place = np.full((self.num_bases, counts.max(initial=0) + 1), n_rows)
+        place[np.arange(place.shape[1]) < counts[:, None]] = np.arange(n_rows)
+        return operator, weights, place
 
 
 def _mask_qubits(mask: int, n: int) -> list[int]:
@@ -252,12 +266,12 @@ def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
 
 
 def plan_to_matrix(plan: MeasurementPlan) -> np.ndarray:
-    """Dense operator A^T diag(W) A from the compiled plan, i.e. the sum over
-    bases of V_b diag(w_b) V_b^dag. Every gate is real, so the result is
-    real symmetric.
+    """Dense operator A^T diag(w) A from the compiled weighted rows, i.e. the
+    sum over bases of V_b diag(w_b) V_b^dag. Every gate is real, so the
+    result is real symmetric.
     """
-    operator, weights = plan.compiled
-    return (operator.T @ sp.diags(weights.ravel()) @ operator).toarray()
+    operator, weights, _ = plan.compiled
+    return (operator.T @ sp.diags(weights) @ operator).toarray()
 
 
 def band_operator(k: int, n: int, q_vec=None) -> np.ndarray:
@@ -278,20 +292,18 @@ def antidiag_operator(k: int, n: int) -> np.ndarray:
     return ((idx[:, None] + idx[None, :]) == k).astype(float)
 
 
-def _amplitudes(plan: MeasurementPlan, state) -> np.ndarray:
-    """Outcome amplitudes of every basis, shape (B, 2^n); a real state stays real."""
+def _probabilities(plan: MeasurementPlan, state) -> np.ndarray:
+    """|A psi|^2: the probability of every weighted outcome, shape (R,)."""
     state = np.asarray(state)
-    n_pts = 2 ** plan.n_qubits
-    if state.shape != (n_pts,):
+    if state.shape != (2 ** plan.n_qubits,):
         raise ValueError(f"state dimension {state.shape} does not match {plan.n_qubits} qubits")
-    return (plan.compiled[0] @ state).reshape(plan.num_bases, n_pts)
+    return np.abs(plan.compiled[0] @ state) ** 2
 
 
 def evaluate_exact(plan: MeasurementPlan, state: np.ndarray) -> float:
     """tau = sum_b w_b . |V_b^dag psi|^2 from exact outcome probabilities,
-    one sparse matvec with the compiled plan."""
-    probs = np.abs(_amplitudes(plan, state)) ** 2
-    return float(np.dot(plan.compiled[1].ravel(), probs.ravel()))
+    one sparse matvec with the compiled weighted rows."""
+    return float(np.dot(plan.compiled[1], _probabilities(plan, state)))
 
 
 @dataclass(frozen=True)
@@ -312,19 +324,25 @@ class SampledTau:
 def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -> SampledTau:
     """Unbiased sampled estimate of evaluate_exact with its standard error.
 
-    Every basis gets ``shots_per_basis`` shots, all drawn in one multinomial
-    call from one PCG64 stream seeded with ``seed``, so the result is
-    reproducible for a given seed. ``per_basis`` keeps the plan's basis order.
+    Every basis gets ``shots_per_basis`` shots over its weighted outcomes
+    and one lumped remainder, which stands for all its other outcomes and
+    has weight 0. V_b is orthogonal, so the remainder's probability is
+    ||psi||^2 less the weighted ones, clamped at 0; each row is divided by
+    ||psi||^2. All bases are drawn in one multinomial call from one PCG64
+    stream seeded with ``seed``, so the result is reproducible for a given
+    seed. ``per_basis`` keeps the plan's basis order.
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
-    probs = np.abs(_amplitudes(plan, state)) ** 2
-    totals = probs.sum(axis=1, keepdims=True)
-    if not np.all(totals > 0):
+    _, weights, place = plan.compiled
+    probs = np.append(_probabilities(plan, state), 0.0)[place]
+    norm = float(np.vdot(state, state).real)
+    if not norm > 0:
         raise ValueError("cannot sample a zero-norm state")
-    counts = np.random.default_rng(seed).multinomial(shots_per_basis, probs / totals)
+    probs[:, -1] = np.maximum(norm - probs.sum(axis=1), 0.0)
+    counts = np.random.default_rng(seed).multinomial(shots_per_basis, probs / norm)
 
-    weights = plan.compiled[1]
+    weights = np.append(weights, 0.0)[place]
     mean = np.sum(counts * weights, axis=1) / shots_per_basis
     second = np.sum(counts * weights**2, axis=1) / shots_per_basis
     var = np.maximum(second - mean * mean, 0.0)

@@ -7,8 +7,9 @@ consecutive CNOT and X gates acts as one index permutation. Every gate
 is real: ``run`` returns float64 amplitudes, ``adjoint_gradient`` takes
 float64 states, and ``apply_circuit`` and ``sample_counts`` keep complex
 input complex and turn any other input into float64. ``apply_circuit``
-also takes a (2^n, k) batch of column states. ``analysis_rows`` gives the
-matrix of a parameter-free circuit as float64 row lists from the same ops.
+also takes a (2^n, k) batch of column states. ``analysis_rows`` gives
+chosen rows of a parameter-free circuit's matrix as float64 row lists,
+each pushed backward through the gates.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
     """Apply the circuit's gates left-to-right to an existing state.
 
     ``state`` is one state of shape (2^n,) or a batch of shape (2^n, k)
-    whose columns are states.
+    whose columns are states. An H gate takes each amplitude pair (a, b) to
+    ((a + b) / sqrt(2), (a - b) / sqrt(2)) elementwise, so a pair of equal
+    magnitudes gives (2a) / sqrt(2) and an exact 0 whether or not the BLAS
+    fuses multiply-adds, and analysis_rows reproduces every entry.
     """
     state = np.asarray(state)
     state = state.astype(np.result_type(state, float), copy=False)
@@ -87,42 +91,60 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
     for kind, arg, slot in _compile(circuit):
         if kind == "perm":
             state = state[arg[0]]
+        elif kind == "ry":
+            state = (rotations[slot] @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
         else:
-            matrix = rotations[slot] if kind == "ry" else _H_MATRIX
-            state = (matrix @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
+            view = state.reshape(arg[0], 2, -1)
+            pair = np.stack([view[:, 0] + view[:, 1], view[:, 0] - view[:, 1]], axis=1)
+            state = (_SQRT_HALF * pair).reshape(state.shape)
     return state
 
 
-def analysis_rows(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the matrix U with ``apply_circuit(circuit, psi) == U @ psi``.
+def analysis_rows(circuit: Circuit, outcomes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``outcomes`` (default all 2^n) of the matrix U with
+    ``apply_circuit(circuit, psi) == U @ psi``.
 
-    Returns (cols, vals), both of shape (2^n, w): row i of U is the sum of
-    vals[i, k] at column cols[i, k], where a column may repeat. The rows are
-    built from the compiled ops, never from the identity: a permutation
-    reorders them, and an H on bit b makes row i the sum (row i without b)
-    +- (row i with b), times 1/sqrt(2), doubling w. Once w passes 2^n the
-    rows become dense (w = 2^n). Raises ValueError for a circuit with RY
+    Returns (cols, vals), both of shape (len(outcomes), w): row k is the
+    row e_o^T U of outcome o = outcomes[k], with vals[k, j] at column
+    cols[k, j]. Each e_o is pushed backward through the gates, so no other
+    row and no 2^n-entry permutation is built. X and CNOT are their own
+    transposes: they flip the target bit of each column (CNOT only where
+    the control bit is set). An H on bit b splits column c into c & ~b
+    with +1/sqrt(2) and c | b with -+1/sqrt(2), minus when c has b.
+
+    The row of an H, CNOT and X circuit is a stabilizer state: its
+    support is a coset of one subspace shared by every row, and its
+    nonzero entries have one magnitude. So at an H either no column's
+    partner c ^ b is in the row, and w doubles, or every one is, and each
+    pair merges into the one column where it does not cancel, halving w.
+    Columns never repeat, w stays at most 2^n, and every value is exactly
+    the one apply_circuit gives. Raises ValueError for a circuit with RY
     slots.
     """
     if any(g.kind == "ry" for g in circuit.gates):
         raise ValueError("an analysis circuit has no ry gates")
-    n_pts = 2 ** circuit.n_qubits
-    index = np.arange(n_pts)
-    cols = index[:, None]
-    vals = np.ones((n_pts, 1))
-    for kind, arg, _ in _compile(circuit):
-        if kind == "perm":
-            cols, vals = cols[arg[0]], vals[arg[0]]
+    n = circuit.n_qubits
+    outcomes = np.arange(2 ** n) if outcomes is None else np.asarray(outcomes, dtype=np.intp)
+    cols = outcomes[:, None]
+    vals = np.ones(cols.shape)
+    if not outcomes.size:
+        return cols, vals
+    for g in reversed(circuit.gates):
+        bit = 1 << (n - 1 - g.qubit)
+        if g.kind != "h":
+            cols = cols ^ (bit if g.kind == "x" else np.where(cols & bit, 1 << (n - 1 - g.other), 0))
             continue
-        bit = arg[2]
-        low, high = index & ~bit, index | bit
-        sign = np.where(index & bit, -_SQRT_HALF, _SQRT_HALF)[:, None]
-        cols = np.hstack([cols[low], cols[high]])
-        vals = np.hstack([_SQRT_HALF * vals[low], sign * vals[high]])
-        if cols.shape[1] > n_pts:  # columns repeat: sum them into dense rows
-            dense = np.zeros((n_pts, n_pts))
-            np.add.at(dense, (index[:, None], cols), vals)
-            cols, vals = np.broadcast_to(index, dense.shape), dense
+        if not np.any(cols[0] == cols[0, 0] ^ bit):  # one row decides for all
+            sign = np.where(cols & bit, -_SQRT_HALF, _SQRT_HALF)
+            cols = np.hstack([cols & ~bit, cols | bit])
+            vals = np.hstack([_SQRT_HALF * vals, sign * vals])
+            continue
+        order = np.argsort(2 * (cols & ~bit) + ((cols & bit) > 0), axis=1)  # partners side by side
+        cols = np.take_along_axis(cols, order[:, 0::2], axis=1)  # the column without b
+        low, high = (np.take_along_axis(vals, order[:, k::2], axis=1) for k in (0, 1))
+        plus, minus = _SQRT_HALF * (low + high), _SQRT_HALF * (low - high)
+        cols = np.where(plus != 0, cols, cols | bit)
+        vals = np.where(plus != 0, plus, minus)
     return cols, vals
 
 

@@ -10,7 +10,8 @@ Its gradient is the adjoint gradient of simulator.adjoint_gradient: one
 forward simulation gives psi and M psi, one backward pass gives every
 slot's derivative, exactly, for any number of gates per slot. L-BFGS-B
 takes the value and the gradient from that single evaluation, and the
-trace row and final result at a point it evaluated reuse its state.
+trace row and final result at a point it evaluated reuse its state, the
+x0 row that of L-BFGS-B's first call.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def _single_run(circuit, config, opt, x0):
     def lbfgs_objective(x):
         state, energy, value, grad = _evaluate(x, circuit, config)
         last.update(x=np.array(x), state=state, values=(energy, value))
+        if not trace:  # the first call is at x0, whose trace row reads this evaluation
+            record(x0)
         return value, grad
 
     def simulate(x):
@@ -138,11 +141,11 @@ def _single_run(circuit, config, opt, x0):
         energy, obj = simulate(xk)[1]
         trace.append((len(trace), obj, energy))
 
-    record(x0)
     if opt.method == "lbfgs":
         fun, args, jac, method = lbfgs_objective, (), True, "L-BFGS-B"
         options = {"maxiter": opt.max_iter, "gtol": opt.gradient_tol, "ftol": opt.objective_tol}
     else:
+        record(x0)
         fun, args, jac, method = objective, (circuit, config), None, "Nelder-Mead"
         options = {"maxiter": opt.max_iter, "fatol": opt.objective_tol, "xatol": 1e-10}
     res = scipy.optimize.minimize(

@@ -378,7 +378,7 @@ class TestEvaluateExact:
     def test_real_state_stays_real(self, morse32):
         plan = full_plan(morse32, TruncationSpec(8, 5))
         psi = random_state(np.random.default_rng(19), 32, complex_valued=False)
-        operator, weights = plan.compiled
+        operator, weights, _ = plan.compiled
         assert operator.dtype == np.dtype(float) and weights.dtype == np.dtype(float)
         assert (operator @ psi).dtype == np.dtype(float)
         tau_real = evaluate_exact(plan, psi)
@@ -441,17 +441,26 @@ class TestEvaluateSampled:
 
     @pytest.mark.parametrize("shots", [1, 7, 1000])
     def test_matches_per_basis_statistics(self, morse16_radial, shots):
-        """One multinomial draw over the row-normalised outcome probabilities,
-        then the mean and Bessel-corrected standard error of each basis."""
+        """One multinomial draw whose row b holds basis b's weighted outcome
+        probabilities, zeros up to the widest basis and the lumped remainder,
+        all over ||psi||^2; then the mean and Bessel-corrected standard error
+        of each basis, the remainder weighing 0."""
         plan = full_plan(morse16_radial, TruncationSpec(4, 2))
-        psi = random_state(np.random.default_rng(47), 16)
-        probs = np.array([np.abs(apply_circuit(b.circuit, psi)) ** 2 for b in plan.bases])
-        counts = np.random.default_rng(11).multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
+        psi = 1.7 * random_state(np.random.default_rng(47), 16)
+        norm = np.vdot(psi, psi).real
+        outcomes = [np.flatnonzero(b.weights) for b in plan.bases]
+        width = max(o.size for o in outcomes) + 1
+        probs, weights = np.zeros((plan.num_bases, width)), np.zeros((plan.num_bases, width))
+        for b, (basis, o) in enumerate(zip(plan.bases, outcomes)):
+            probs[b, :o.size] = np.abs(apply_circuit(basis.circuit, psi)[o]) ** 2
+            probs[b, -1] = max(norm - probs[b].sum(), 0.0)
+            weights[b, :o.size] = basis.weights[o]
+        counts = np.random.default_rng(11).multinomial(shots, probs / norm)
         result = evaluate_sampled(plan, psi, shots, seed=11)
         assert [row.index for row in result.per_basis] == list(range(plan.num_bases))
-        for row, basis, c in zip(result.per_basis, plan.bases, counts):
-            mean = np.dot(c, basis.weights) / shots
-            var = max(np.dot(c, basis.weights**2) / shots - mean**2, 0.0)
+        for row, w, c in zip(result.per_basis, weights, counts):
+            mean = np.dot(c, w) / shots
+            var = max(np.dot(c, w**2) / shots - mean**2, 0.0)
             if shots > 1:
                 var *= shots / (shots - 1)
             assert row.shots == shots
@@ -462,8 +471,31 @@ class TestEvaluateSampled:
 
     def test_zero_norm_state_rejected(self, morse16_radial):
         plan = full_plan(morse16_radial, TruncationSpec(4, 2))
-        with pytest.raises(ValueError, match="zero-norm"):
+        with pytest.raises(ValueError, match="cannot sample a zero-norm state"):
             evaluate_sampled(plan, np.zeros(16), 100, seed=1)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_scaled_state_samples_its_direction(self, morse16_radial, scale):
+        """Probabilities are divided by ||psi||^2, so the draw sees the unit state."""
+        plan = full_plan(morse16_radial, TruncationSpec(8, 4))
+        psi = random_state(np.random.default_rng(59), 16)
+        scaled = evaluate_sampled(plan, scale * psi, 1000, seed=3)
+        unit = evaluate_sampled(plan, psi, 1000, seed=3)
+        assert scaled.estimate == pytest.approx(unit.estimate, rel=1e-9, abs=1e-15)
+        assert scaled.std_error == pytest.approx(unit.std_error, rel=1e-9, abs=1e-15)
+
+    def test_basis_without_weights_reads_zero(self):
+        """A block with no weight lines puts every shot in the remainder."""
+        plan = parse_plan("basis 0\nqubits 2 slots 0\nbasis 1\nqubits 2 slots 0\nh 0\nw 1 3.0\n")
+        psi = random_state(np.random.default_rng(61), 4)
+        result = evaluate_sampled(plan, psi, 500, seed=2)
+        first = result.per_basis[0]
+        assert (first.estimate, first.std_error) == (0.0, 0.0)
+        assert result.per_basis[1].estimate != 0.0
+        empty = parse_plan("basis 0\nqubits 2 slots 0\n")
+        assert evaluate_exact(empty, psi) == 0.0
+        result = evaluate_sampled(empty, psi, 500, seed=2)
+        assert (result.estimate, result.std_error) == (0.0, 0.0)
 
     def test_dimension_mismatch(self, morse16_radial):
         plan = full_plan(morse16_radial, TruncationSpec(4, 2))
@@ -605,19 +637,41 @@ class TestPlanProperties:
     @settings(max_examples=40, deadline=None)
     @given(truncated_systems(max_qubits=6), st.integers(0, 2**32 - 1))
     def test_compiled_operator_matches_circuits(self, system, seed):
+        """A row is stored exactly for each outcome with a nonzero weight, in
+        basis and outcome order, and equals that row of the analysis circuit
+        bit for bit; the placement table lists each basis's rows."""
         h, spec = system
         plan = full_plan(h, spec)
-        operator, weights = plan.compiled
+        operator, weights, place = plan.compiled
         n_pts = h.n_points
-        assert operator.shape == (plan.num_bases * n_pts, n_pts)
+        outcomes = [np.flatnonzero(basis.weights) for basis in plan.bases]
+        n_rows = sum(o.size for o in outcomes)
+        assert operator.shape == (n_rows, n_pts) and weights.shape == (n_rows,)
+        assert place.shape == (plan.num_bases, max(o.size for o in outcomes) + 1)
         identity = np.eye(n_pts)
-        for b, basis in enumerate(plan.bases):
-            rows = operator[b * n_pts:(b + 1) * n_pts].toarray()
-            assert np.array_equal(rows, apply_circuit(basis.circuit, identity))
-            assert np.array_equal(weights[b], basis.weights)
+        start = 0
+        for basis, o, slots in zip(plan.bases, outcomes, place):
+            stored = np.arange(start, start + o.size)
+            assert np.array_equal(slots, np.concatenate([stored, np.full(place.shape[1] - o.size, n_rows)]))
+            assert np.array_equal(operator[stored].toarray(), apply_circuit(basis.circuit, identity)[o])
+            assert np.array_equal(weights[stored], basis.weights[o])
+            start += o.size
         scale = np.max(np.abs(h.full))
         rng = np.random.default_rng(seed)
         for complex_valued in (False, True):
             psi = random_state(rng, n_pts, complex_valued=complex_valued)
             assert abs(evaluate_exact(plan, psi) - tau_by_bases(plan, psi)) <= 1e-12 * scale
         assert np.max(np.abs(plan_to_matrix(plan) - truncate(h, spec.s, spec.r, spec.streamlined))) <= 1e-12 * scale
+
+    @settings(max_examples=15, deadline=None)
+    @given(truncated_systems(max_qubits=4), st.integers(0, 2**32 - 1), st.booleans())
+    def test_sampled_mean_within_5_standard_errors(self, system, seed, complex_valued):
+        """Over 200 seeds the mean sampled tau lies within 5 standard errors of the exact tau."""
+        h, spec = system
+        plan = full_plan(h, spec)
+        psi = random_state(np.random.default_rng(seed), h.n_points, complex_valued=complex_valued)
+        exact = evaluate_exact(plan, psi)
+        samples = [evaluate_sampled(plan, psi, 50, seed=[seed, k]) for k in range(200)]
+        mean = np.mean([sample.estimate for sample in samples])
+        std_error = np.sqrt(np.mean([sample.std_error**2 for sample in samples]) / 200)
+        assert abs(mean - exact) <= 5 * std_error + 1e-12 * np.max(np.abs(h.full))

@@ -9,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrvqe.circuits import Circuit, cnot, hadamard, pauli_x, ry
@@ -129,18 +129,34 @@ def test_gradient_matches_parameter_shift_on_unshared_slots(data):
     assert np.allclose(gradient(params, circuit, config), oracle, rtol=0, atol=1e-12)
 
 
-@SETTINGS
-@given(circuits(shared=False))
-def test_analysis_rows_match_dense_product(case):
-    """Row lists of parameter-free circuits, repeated H on one qubit (merged columns) included."""
-    circuit, _ = case
+@st.composite
+def analysis_cases(draw):
+    """A parameter-free circuit and a subset of its outcomes: possibly empty,
+    possibly repeated, in any order."""
+    circuit, _ = draw(circuits(shared=False))
     circuit = Circuit(circuit.n_qubits, tuple(g for g in circuit.gates if g.kind != "ry"))
-    cols, vals = analysis_rows(circuit)
+    outcomes = draw(st.lists(st.integers(0, 2 ** circuit.n_qubits - 1), max_size=2 ** circuit.n_qubits + 2))
+    return circuit, outcomes
+
+
+@SETTINGS
+@given(analysis_cases())
+@example((Circuit(2, (hadamard(0),) * 3 + (pauli_x(1), hadamard(0), cnot(0, 1), hadamard(0))), [3, 0, 3]))
+@example((Circuit(3, (hadamard(1), cnot(0, 1), cnot(1, 0), pauli_x(2), cnot(2, 0), hadamard(0))), list(range(8))))
+@example((Circuit(3, (hadamard(1),) * 2), []))
+def test_analysis_rows_match_dense_product(case):
+    """Rows of an outcome subset, with repeated H on one qubit and fused
+    permutation runs, equal apply_circuit's rows of the identity bit for bit
+    and the dense product's to rounding; columns never repeat within a row."""
+    circuit, outcomes = case
     dim = 2 ** circuit.n_qubits
-    assert cols.shape == vals.shape and cols.shape[0] == dim and cols.shape[1] <= 2 * dim
-    matrix = np.zeros((dim, dim))
-    np.add.at(matrix, (np.arange(dim)[:, None], cols), vals)
-    assert np.allclose(matrix, dense_unitary(circuit, []), rtol=0, atol=1e-12)
+    cols, vals = analysis_rows(circuit, outcomes)
+    assert cols.shape == vals.shape and cols.shape[0] == len(outcomes) and cols.shape[1] <= dim
+    assert all(len(set(row)) == len(row) for row in cols.tolist())
+    rows = np.zeros((len(outcomes), dim))
+    np.put_along_axis(rows, cols, vals, axis=1)
+    assert np.array_equal(rows, apply_circuit(circuit, np.eye(dim))[outcomes])
+    assert np.allclose(rows, dense_unitary(circuit, [])[outcomes], rtol=0, atol=1e-12)
 
 
 def test_analysis_rows_merge_repeated_hadamards():
