@@ -201,7 +201,7 @@ def _task_vqe(config: RunConfig, ws: _Workspace) -> None:
 
 def _task_excited(config: RunConfig, ws: _Workspace) -> None:
     h = assemble(config.grid, config.potential)
-    v_max = config.opt("v_max", 2)
+    v_max = config.opt("v_max", min(2, h.n_points - 1))
     reference = lowest_levels(h, v_max + 1)
     circuit = _ansatz_for(config, h.full)
     results = excited_states(circuit, h.full, v_max, _optimizer_config(config))

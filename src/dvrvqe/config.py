@@ -8,6 +8,7 @@ draws its randomness from the single [task] seed key.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,9 +79,12 @@ def _get(parser, section, key, cast, default=None, required=False):
             if raw.lower() in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] key '{key}' must be a finite number, got {raw!r}")
+    return value
 
 
 def load_config(path, task_override: str | None = None, seed_override: int | None = None,
@@ -177,6 +181,13 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         max_levels = MATRIX_FREE_LEVEL_POINTS // grid.n_points
     if levels is not None and not 1 <= levels <= max_levels:
         raise ConfigError(f"[task] key 'levels' must be in [1, {max_levels}], got {levels}")
+    r = options.get("r")
+    if r is not None and r > grid.n_points:
+        raise ConfigError(f"[task] key 'r' must be in [1, {grid.n_points}], got {r}")
+    if options.get("epsilon", 1.0) <= 0:
+        raise ConfigError(f"[task] key 'epsilon' must be > 0, got {options['epsilon']}")
+    if options.get("tol", 0.0) < 0:
+        raise ConfigError(f"[task] key 'tol' must be >= 0, got {options['tol']}")
     v_max = options.get("v_max")
     if v_max is not None and not 0 <= v_max <= grid.n_points - 1:
         raise ConfigError(f"[task] key 'v_max' must be in [0, {grid.n_points - 1}], got {v_max}")
@@ -186,6 +197,8 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
             options["thresholds"] = tuple(float(t) for t in thresholds.split())
         except ValueError as exc:
             raise ConfigError(f"[task] key 'thresholds': cannot parse {thresholds!r}") from exc
+        if not all(math.isfinite(t) for t in options["thresholds"]):
+            raise ConfigError(f"[task] key 'thresholds' must be finite numbers, got {thresholds!r}")
     for key in ("plan", "circuit", "params"):
         if key in options:
             file_path = Path(options[key])

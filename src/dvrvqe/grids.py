@@ -13,6 +13,11 @@ n-qubit computational basis states (number encoding).
 Off-diagonal kinetic elements take the form f(|i-j|) + g(i+j) with
 0-based matrix indices; ``BandProfile`` stores d, f, g with the kinetic
 scale E_T = hbar^2/(2 m dx^2) already folded in.
+
+This module needs numpy alone: ``BandProfile.to_matrix`` gathers its
+Toeplitz part from a window view, so ``assemble``, ``decompose`` and
+``full_plan`` run without importing scipy, which would cost a fresh CLI
+process more time than most tasks compute.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 VARIANTS = ("infinite", "half-infinite", "finite")
 
@@ -62,10 +66,13 @@ class BandProfile:
     def to_matrix(self) -> np.ndarray:
         """Dense kinetic matrix: Toeplitz f(|i-j|) plus Hankel g(i+j), diagonal d."""
         n_pts = 2 ** self.n_qubits
-        mat = scipy.linalg.toeplitz(self.f)
-        # Row i of the window view is g[i : i + n_pts], the Hankel matrix
-        # g(i+j) without an n_pts x n_pts temporary.
-        mat += np.lib.stride_tricks.sliding_window_view(self.g, n_pts)
+        window = np.lib.stride_tricks.sliding_window_view
+        # Entry (i, j) of the window view of v = f(N-1..1), f(0..N-1) is
+        # v[i + j]; with its rows reversed it is v[N-1-i+j] = f(|i-j|), the
+        # Toeplitz matrix. Row i of the window view of g is g[i : i + N], the
+        # Hankel matrix g(i+j) without an N x N temporary.
+        mat = window(np.concatenate([self.f[:0:-1], self.f]), n_pts)[::-1].copy()
+        mat += window(self.g, n_pts)
         np.fill_diagonal(mat, self.d)
         return mat
 

@@ -1,4 +1,11 @@
-"""DVR Hamiltonian assembly, band truncation and classical benchmarks."""
+"""DVR Hamiltonian assembly, band truncation and classical benchmarks.
+
+scipy is imported at first use, inside the functions that call it:
+``scipy.linalg`` in the eigensolves, ``scipy.fft`` in the matrix-free
+matvec and ``scipy.sparse.linalg.lobpcg`` in ``lowest_levels``. Importing
+them costs a fresh process several tenths of a second, more than most CLI
+tasks compute, and ``assemble``, ``truncate`` and ``full`` need numpy alone.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.fft import irfft, rfft
-from scipy.sparse.linalg import lobpcg
 
 from .grids import BandProfile, GridSpec, band_profile, tail_sums
 from .potentials import potential_on_grid
@@ -59,6 +63,8 @@ class DvrHamiltonian:
 
     @cached_property
     def _fft_kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        from scipy.fft import rfft
+
         n_pts = self.n_points
         f, g = self.profile.f, self.profile.g
         # Toeplitz f(|i-j|) is the leading block of the 2N circulant with
@@ -75,6 +81,8 @@ class DvrHamiltonian:
 
     def matmat(self, block: np.ndarray) -> np.ndarray:
         """H @ block for an (N, m) block, without forming H: O(N log N) per column."""
+        from scipy.fft import irfft, rfft
+
         toeplitz, hankel, diagonal = self._fft_kernels
         spectrum = rfft(block, n=2 * self.n_points, axis=0)
         out = irfft(toeplitz * spectrum + hankel * np.conj(spectrum), n=2 * self.n_points, axis=0)
@@ -141,6 +149,8 @@ def truncation_error_bound(profile: BandProfile, s: int, r: int) -> float:
 
 def classical_spectrum(matrix: np.ndarray, count: int | None = None) -> np.ndarray:
     """Lowest ``count`` eigenvalues of a symmetric matrix, ascending."""
+    import scipy.linalg
+
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
@@ -169,6 +179,8 @@ def lowest_levels(h: DvrHamiltonian, count: int) -> np.ndarray:
         raise ValueError(f"count must be in [1, {n_pts}], got {count}")
     if dense_is_faster(n_pts, count):
         return classical_spectrum(h.full, count)
+
+    from scipy.sparse.linalg import lobpcg
 
     tol = RESIDUAL_TOL * _max_entry_bound(h)
     start = np.random.default_rng(0).standard_normal((n_pts, max(count + 4, -(-3 * count // 2))))
@@ -207,6 +219,8 @@ def _band_preconditioner(h: DvrHamiltonian):
     full_plan's diagonal compensation), and P is shifted by -min(V) so that
     a negative potential keeps it positive definite.
     """
+    import scipy.linalg
+
     n_pts = h.n_points
     profile = h.profile
     bands = min(PRECONDITIONER_BANDS, n_pts)

@@ -18,6 +18,10 @@ outcomes add nothing to either. evaluate_sampled draws each basis's
 shots over its weighted outcomes plus one lumped remainder, the
 probability of all its other outcomes.
 
+``scipy.sparse`` is imported at first use, by the compile and by
+plan_to_matrix: the ``plan`` task and ``full_plan`` need numpy alone, and
+a fresh process that imports scipy pays more for it than ``plan`` computes.
+
 Band terms: for each retained band k, matrix-element pairs (i, i+k) are
 grouped by their XOR mask; one GHZ-style basis per mask measures every
 pair with that mask at once. Outcome w (pivot bit 0) corresponds to the
@@ -44,7 +48,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .circuits import Circuit, cnot, format_circuit, hadamard, parse_circuit
 from .hamiltonian import DvrHamiltonian, retained_antidiagonals
@@ -120,7 +123,7 @@ class MeasurementPlan:
         return len(self.bases)
 
     @cached_property
-    def compiled(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    def compiled(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
         """(A, w, place), built on first use and kept, with R the number of
         outcomes that carry a nonzero weight. A is the float64 CSR operator
         of shape (R, 2^n) whose rows are those outcomes' rows e_o^T V_b^dag,
@@ -130,13 +133,15 @@ class MeasurementPlan:
         basis b's rows of A, padded with R; column K holds R too, the slot
         of the basis's lumped remainder.
         """
+        import scipy.sparse
+
         n_pts = 2 ** self.n_qubits
         outcomes = [np.flatnonzero(basis.weights) for basis in self.bases]
         rows = [analysis_rows(basis.circuit, o) for basis, o in zip(self.bases, outcomes)]
         counts = np.array([o.size for o in outcomes])
         n_rows = int(counts.sum())
         widths = np.repeat([cols.shape[1] for cols, _ in rows], counts)
-        operator = sp.csr_matrix(
+        operator = scipy.sparse.csr_matrix(
             (
                 np.concatenate([vals.ravel() for _, vals in rows]),
                 np.concatenate([cols.ravel() for cols, _ in rows]),
@@ -270,8 +275,10 @@ def plan_to_matrix(plan: MeasurementPlan) -> np.ndarray:
     sum over bases of V_b diag(w_b) V_b^dag. Every gate is real, so the
     result is real symmetric.
     """
+    import scipy.sparse
+
     operator, weights, _ = plan.compiled
-    return (operator.T @ sp.diags(weights) @ operator).toarray()
+    return (operator.T @ scipy.sparse.diags(weights) @ operator).toarray()
 
 
 def band_operator(k: int, n: int, q_vec=None) -> np.ndarray:
@@ -316,9 +323,22 @@ class BasisSample:
 
 @dataclass(frozen=True)
 class SampledTau:
+    """The summed estimate and its standard error, with every basis's mean
+    and standard error as arrays in plan order."""
+
     estimate: float
     std_error: float
-    per_basis: tuple[BasisSample, ...]
+    shots_per_basis: int
+    basis_estimates: np.ndarray
+    basis_std_errors: np.ndarray
+
+    @cached_property
+    def per_basis(self) -> tuple[BasisSample, ...]:
+        """One BasisSample row per basis, built on first access."""
+        return tuple(
+            BasisSample(index, self.shots_per_basis, m, se)
+            for index, (m, se) in enumerate(zip(self.basis_estimates.tolist(), self.basis_std_errors.tolist()))
+        )
 
 
 def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -> SampledTau:
@@ -330,7 +350,7 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     ||psi||^2 less the weighted ones, clamped at 0; each row is divided by
     ||psi||^2. All bases are drawn in one multinomial call from one PCG64
     stream seeded with ``seed``, so the result is reproducible for a given
-    seed. ``per_basis`` keeps the plan's basis order.
+    seed. The per-basis arrays and ``per_basis`` keep the plan's basis order.
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
@@ -349,11 +369,7 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     if shots_per_basis > 1:
         var *= shots_per_basis / (shots_per_basis - 1)
     std_errors = np.sqrt(var / shots_per_basis)
-    rows = tuple(
-        BasisSample(index, shots_per_basis, m, se)
-        for index, (m, se) in enumerate(zip(mean.tolist(), std_errors.tolist()))
-    )
-    return SampledTau(float(np.sum(mean)), float(math.sqrt(np.sum(std_errors**2))), rows)
+    return SampledTau(float(np.sum(mean)), float(math.sqrt(np.sum(std_errors**2))), shots_per_basis, mean, std_errors)
 
 
 def format_plan(plan: MeasurementPlan) -> str:

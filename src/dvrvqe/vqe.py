@@ -12,6 +12,10 @@ slot's derivative, exactly, for any number of gates per slot. L-BFGS-B
 takes the value and the gradient from that single evaluation, and the
 trace row and final result at a point it evaluated reuse its state, the
 x0 row that of L-BFGS-B's first call.
+
+``scipy.optimize`` is imported at first use, in ``_single_run``: it loads
+most of scipy, which costs a fresh process several tenths of a second,
+and tasks that import this module without optimizing should not pay for it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
@@ -120,6 +123,8 @@ def gershgorin_upper(matrix: np.ndarray) -> float:
 
 
 def _single_run(circuit, config, opt, x0):
+    import scipy.optimize
+
     trace = []
     last = {}  # x, state and (energy, objective) of the last point L-BFGS-B evaluated
 

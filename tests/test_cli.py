@@ -1,8 +1,14 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dvrvqe
 from dvrvqe.cli import main
 from dvrvqe.config import ConfigError, load_config
 from dvrvqe.constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INV_CM
@@ -136,6 +142,26 @@ seed = 1
         path = write_config(tmp_path, text)
         assert main(["run", str(path)]) == 3
         assert "outside tabulated range" in capsys.readouterr().err
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("task, extra, old, new, message", [
+        ("plan", "s = 100\nr = 100\n", "n_qubits = 4", "n_qubits = 3", "[task] key 'r' must be in [1, 8], got 100"),
+        ("plan", "epsilon = 0\n", None, None, "[task] key 'epsilon' must be > 0, got 0.0"),
+        ("plan", "epsilon = nan\n", None, None, "[task] key 'epsilon' must be a finite number, got 'nan'"),
+        ("plan", "s = 4\nr = 2\n", "well_depth = 0.07", "well_depth = nan",
+         "[potential] key 'well_depth' must be a finite number, got 'nan'"),
+        ("decompose", "tol = -1\n", None, None, "[task] key 'tol' must be >= 0, got -1.0"),
+        ("search", "thresholds = nan 0.01\n", None, None,
+         "[task] key 'thresholds' must be finite numbers, got 'nan 0.01'"),
+    ], ids=["r-above-grid", "epsilon-zero", "epsilon-nan", "well-depth-nan", "tol-negative", "threshold-nan"])
+    def test_bad_number_exit_2(self, tmp_path, capsys, task, extra, old, new, message):
+        text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / "out")
+        if old is not None:
+            text = text.replace(old, new)
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTaskIntegerKeys:
@@ -277,6 +303,11 @@ class TestExcitedTask:
             row = dict(zip(lines[0].split(","), line.split(",")))
             assert abs(float(row["error_cm1"])) < 1.0
 
+    def test_default_v_max_on_one_qubit_grid(self, tmp_path):
+        extra = "blocks = 1\nrestarts = 1\nmax_iter = 50\n"
+        text = MORSE_BASE.format(task="excited", extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text.replace("n_qubits = 4", "n_qubits = 1")))]) == 0
+        assert len((tmp_path / "out" / "result.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("v_max", [-3, 16])
     def test_v_max_out_of_range_exit_2(self, tmp_path, capsys, v_max):
@@ -486,3 +517,27 @@ class TestSearchTaskSmall:
         assert main(["run", str(write_config(tmp_path, config_text))]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest").exists()
+
+
+def scipy_modules_after(code: str, cwd: Path) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this dvrvqe; the scipy modules it leaves loaded."""
+    src = str(Path(dvrvqe.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    listing = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{listing}"], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert scipy_modules_after("import dvrvqe, dvrvqe.cli", tmp_path) == []
+
+    @pytest.mark.parametrize("task, extra", [("decompose", ""), ("plan", "s = 4\nr = 2\n")], ids=["decompose", "plan"])
+    def test_numpy_only_task_loads_no_scipy(self, tmp_path, task, extra):
+        write_config(tmp_path, MORSE_BASE.format(task=task, extra=extra, outdir="out"))
+        code = "from dvrvqe import cli\nassert cli.main(['run', 'run.ini']) == 0"
+        assert scipy_modules_after(code, tmp_path) == []
+        assert (tmp_path / "out" / "manifest").is_file()

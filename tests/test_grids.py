@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dvrvqe.grids import band_profile, build_grid, kinetic_matrix, tail_sums
+from dvrvqe.grids import VARIANTS, band_profile, build_grid, kinetic_matrix, tail_sums
 
 
 def sine_basis_kinetic(n_pts, a, b, mass):
@@ -182,6 +185,21 @@ class TestBandProfile:
         grid = build_grid(variant, params, n, 1.7)
         direct = kinetic_direct(grid)
         assert np.max(np.abs(band_profile(grid).to_matrix() - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(VARIANTS),
+        st.integers(1, 8),
+        st.floats(0.05, 3.0),
+        st.floats(-5.0, 5.0),
+        st.floats(0.1, 1e5),
+    )
+    def test_to_matrix_equals_scipy_toeplitz_plus_hankel(self, variant, n, width, start, mass):
+        params = {"a": start, "b": start + width, "x_min": start, "dx": width / 2**n}
+        profile = band_profile(build_grid(variant, params, n, mass))
+        expected = scipy.linalg.toeplitz(profile.f) + np.lib.stride_tricks.sliding_window_view(profile.g, 2**n)
+        np.fill_diagonal(expected, profile.d)
+        assert np.array_equal(profile.to_matrix(), expected)
 
 
 class TestTailSums:
