@@ -155,6 +155,15 @@ class MeasurementPlan:
         place[np.arange(place.shape[1]) < counts[:, None]] = np.arange(n_rows)
         return operator, weights, place
 
+    @cached_property
+    def sample_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (B, K + 1) tables of the weights w and w^2 laid out as
+        ``compiled``'s place, with 0 in the padding and the remainder
+        column; built on first use by evaluate_sampled and kept."""
+        _, weights, place = self.compiled
+        table = np.append(weights, 0.0)[place]
+        return table, table**2
+
 
 def _mask_qubits(mask: int, n: int) -> list[int]:
     return [q for q in range(n) if (mask >> (n - 1 - q)) & 1]
@@ -354,17 +363,19 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
-    _, weights, place = plan.compiled
+    place = plan.compiled[2]
+    weights, squares = plan.sample_weights
     probs = np.append(_probabilities(plan, state), 0.0)[place]
     norm = float(np.vdot(state, state).real)
     if not norm > 0:
         raise ValueError("cannot sample a zero-norm state")
     probs[:, -1] = np.maximum(norm - probs.sum(axis=1), 0.0)
-    counts = np.random.default_rng(seed).multinomial(shots_per_basis, probs / norm)
+    probs /= norm
+    counts = np.random.default_rng(seed).multinomial(shots_per_basis, probs)
 
-    weights = np.append(weights, 0.0)[place]
-    mean = np.sum(counts * weights, axis=1) / shots_per_basis
-    second = np.sum(counts * weights**2, axis=1) / shots_per_basis
+    # The drawn probabilities are spent; their table holds each product in turn.
+    mean = np.sum(np.multiply(counts, weights, out=probs), axis=1) / shots_per_basis
+    second = np.sum(np.multiply(counts, squares, out=probs), axis=1) / shots_per_basis
     var = np.maximum(second - mean * mean, 0.0)
     if shots_per_basis > 1:
         var *= shots_per_basis / (shots_per_basis - 1)

@@ -10,6 +10,15 @@ input complex and turn any other input into float64. ``apply_circuit``
 also takes a (2^n, k) batch of column states. ``analysis_rows`` gives
 chosen rows of a parameter-free circuit's matrix as float64 row lists,
 each pushed backward through the gates.
+
+``run`` and ``adjoint_gradient`` go through a kernel built once per
+circuit object and kept on it (_Kernel): the ops lowered onto views of
+preallocated float64 buffers, so a forward pass writes every gate in
+place and allocates only the state it returns. The backward pass keeps
+the (psi, lambda) pair after every op from the first RY gate on and then
+takes all RY terms in one batched dot. The buffers belong to the circuit
+object, so one circuit object must not be run from two threads at once;
+distinct circuit objects, even equal ones, share nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from .circuits import Circuit
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
-_J_MATRIX = np.array([[0.0, -1.0], [1.0, 0.0]])  # dRY(theta)/dtheta = RY(theta) J / 2
 
 
 def _compile(circuit: Circuit) -> tuple[tuple, ...]:
@@ -65,11 +73,117 @@ def _rotations(circuit: Circuit, params) -> np.ndarray:
     return np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
 
 
+class _Kernel:
+    """One circuit's ops lowered onto views of preallocated float64 buffers.
+
+    The forward steps ping-pong between the two rows of ``rows``: op k
+    reads row k % 2 and writes row (k + 1) % 2, with the arithmetic of
+    apply_circuit, so ``forward`` equals apply_circuit on |0...0> bit for
+    bit. The backward buffer ``pairs`` is made on the first backward call:
+    its row r holds (psi, lambda) after op first + r, with ``first`` the
+    index of the first RY op, so un-applying op k writes row k - first - 1
+    from row k - first and nothing before the first RY op is un-applied.
+    """
+
+    def __init__(self, circuit: Circuit):
+        self.ops = _compile(circuit)
+        self.n_slots = circuit.n_slots
+        self.rows = np.zeros((2, 2 ** circuit.n_qubits))
+        self.steps = []
+        for k, (kind, arg, slot) in enumerate(self.ops):
+            src, dst = self.rows[k % 2], self.rows[1 - k % 2]
+            if kind == "perm":
+                self.steps.append((kind, arg[0], src, dst))
+                continue
+            src, dst = src.reshape(arg), dst.reshape(arg)
+            if kind == "ry":
+                self.steps.append((kind, slot, src, dst))
+            else:
+                self.steps.append((kind, None, (src[:, 0], src[:, 1]), (dst[:, 0], dst[:, 1])))
+        self.result = self.rows[len(self.ops) % 2]
+        self.pairs = None
+
+    def forward(self, rotations: np.ndarray) -> np.ndarray:
+        self.rows[0] = 0.0
+        self.rows[0, 0] = 1.0
+        for kind, arg, src, dst in self.steps:
+            if kind == "ry":
+                np.matmul(rotations[arg], src, out=dst)
+            elif kind == "perm":
+                np.take(src, arg, out=dst, mode="clip")  # indices are valid; "raise" would buffer the output
+            else:
+                (a, b), (plus, minus) = src, dst
+                np.multiply(np.add(a, b, out=plus), _SQRT_HALF, out=plus)
+                np.multiply(np.subtract(a, b, out=minus), _SQRT_HALF, out=minus)
+        return self.result.copy()
+
+    def _build_backward(self) -> None:
+        ry_ops = [k for k, (kind, _, _) in enumerate(self.ops) if kind == "ry"]
+        first = ry_ops[0] if ry_ops else len(self.ops) - 1
+        dim = self.rows.shape[1]
+        self.pairs = np.empty((len(self.ops) - first, 2, dim))
+        self.back_steps = []
+        for k in range(len(self.ops) - 1, first, -1):
+            kind, arg, slot = self.ops[k]
+            after, before = self.pairs[k - first], self.pairs[k - first - 1]
+            if kind == "perm":
+                self.back_steps.append((kind, arg[1], after, before))
+            else:
+                shape = (2, *arg)
+                self.back_steps.append((kind, slot, after.reshape(shape), before.reshape(shape)))
+        # J psi for the RY gate on index bit b, with dRY/dtheta = RY J / 2 and
+        # J = [[0, -1], [1, 0]]: (J psi)[i] = sign[i] psi[i ^ b], sign[i] = -1
+        # where i lacks b. Gates are listed last first, the order their terms
+        # are added to the slots.
+        index = np.arange(dim)
+        rows = np.array([k - first for k in reversed(ry_ops)], dtype=np.intp)
+        bits = np.array([self.ops[k][1][2] for k in reversed(ry_ops)], dtype=np.intp)[:, None]
+        self.psi_flip = (2 * dim) * rows[:, None] + (index ^ bits)
+        self.sign = np.where(index & bits, 1.0, -1.0)
+        self.lambda_rows = rows
+        self.ry_slots = np.array([self.ops[k][2] for k in reversed(ry_ops)], dtype=np.intp)
+
+    def backward(self, rotations: np.ndarray, state: np.ndarray, costate: np.ndarray) -> np.ndarray:
+        if self.pairs is None:
+            self._build_backward()
+        if not self.ry_slots.size:
+            return np.zeros(self.n_slots)
+        pairs = self.pairs
+        pairs[-1, 0] = state
+        pairs[-1, 1] = costate
+        for kind, arg, after, before in self.back_steps:
+            if kind == "perm":
+                np.take(after, arg, axis=1, out=before, mode="clip")
+            else:
+                matrix = rotations[arg] if kind == "ry" else _H_MATRIX
+                np.matmul(matrix.T, after, out=before)
+        j_psi = self.sign * np.take(pairs, self.psi_flip)
+        terms = np.einsum("ij,ij->i", pairs[self.lambda_rows, 1], j_psi)
+        return np.bincount(self.ry_slots, weights=terms, minlength=self.n_slots)
+
+
+def _kernel(circuit: Circuit) -> _Kernel:
+    """The circuit's kernel, built on the first call and kept like its ops."""
+    kernel = circuit.__dict__.get("_kernel")
+    if kernel is None:
+        kernel = circuit.__dict__["_kernel"] = _Kernel(circuit)
+    return kernel
+
+
+def _forward(circuit: Circuit, rotations: np.ndarray) -> np.ndarray:
+    """run with the slot rotations already made by _rotations."""
+    return _kernel(circuit).forward(rotations)
+
+
+def _backward(circuit: Circuit, rotations: np.ndarray, state: np.ndarray, costate: np.ndarray) -> np.ndarray:
+    """adjoint_gradient with the slot rotations already made by _rotations."""
+    return _kernel(circuit).backward(rotations, state, costate)
+
+
 def run(circuit: Circuit, params=None) -> np.ndarray:
-    """Apply the circuit to |0...0> and return the final float64 amplitudes."""
-    state = np.zeros(2 ** circuit.n_qubits)
-    state[0] = 1.0
-    return apply_circuit(circuit, state, params)
+    """Apply the circuit to |0...0> and return the final float64 amplitudes
+    as a new array."""
+    return _forward(circuit, _rotations(circuit, params))
 
 
 def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarray:
@@ -153,25 +267,14 @@ def adjoint_gradient(circuit: Circuit, params, state: np.ndarray, costate: np.nd
 
     ``state`` is psi and ``costate`` is lambda = M psi for a real symmetric
     M. One backward pass un-applies each gate to both (Jones & Gacon 2020,
-    arXiv:2009.02823). Since dRY/dtheta = RY J / 2, an RY gate adds
-    lambda^T J psi, both taken just after the gate, to its slot; a slot
-    shared by several gates gets the sum of their terms.
+    arXiv:2009.02823) and keeps the pair after every RY gate. Since
+    dRY/dtheta = RY J / 2, an RY gate adds lambda^T J psi, both taken just
+    after the gate, to its slot; all those terms are taken in one batched
+    dot over contiguous rows, so the result does not depend on the inputs'
+    memory layout, and a slot shared by several gates gets the sum of
+    their terms, added last gate first.
     """
-    rotations = _rotations(circuit, params)
-    grad = np.zeros(circuit.n_slots)
-    pair = np.stack([state, costate])
-    for kind, arg, slot in reversed(_compile(circuit)):
-        if kind == "perm":
-            pair = pair[:, arg[1]]
-            continue
-        view = pair.reshape(2, *arg)
-        if kind == "ry":
-            grad[slot] += np.vdot(view[1], _J_MATRIX @ view[0])
-            matrix = rotations[slot]
-        else:
-            matrix = _H_MATRIX
-        pair = (matrix.T @ view).reshape(2, -1)
-    return grad
+    return _backward(circuit, _rotations(circuit, params), state, costate)
 
 
 def overlap_sq(s1: np.ndarray, s2: np.ndarray) -> float:

@@ -8,10 +8,14 @@ beta_i >= E_{i+1} - E_i always holds.
 The objective is <psi|M|psi> with M = H + sum_i beta_i |psi_i><psi_i|.
 Its gradient is the adjoint gradient of simulator.adjoint_gradient: one
 forward simulation gives psi and M psi, one backward pass gives every
-slot's derivative, exactly, for any number of gates per slot. L-BFGS-B
-takes the value and the gradient from that single evaluation, and the
-trace row and final result at a point it evaluated reuse its state, the
-x0 row that of L-BFGS-B's first call.
+slot's derivative, exactly, for any number of gates per slot. An
+evaluation makes the slot rotations once and hands them to both passes,
+which run on the circuit's own kernel buffers and take every RY term in
+one batched dot (simulator._Kernel); so one circuit object must not be
+optimized from two threads at once. L-BFGS-B takes the value and the
+gradient from that single evaluation, and the trace row and final
+result at a point it evaluated reuse its state, the x0 row that of
+L-BFGS-B's first call.
 
 ``scipy.optimize`` is imported at first use, in ``_single_run``: it loads
 most of scipy, which costs a fresh process several tenths of a second,
@@ -27,7 +31,7 @@ import numpy as np
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
 from .pauli import PauliSum, reconstruct
-from .simulator import adjoint_gradient, overlap_sq, run
+from .simulator import _backward, _forward, _rotations, overlap_sq, run
 
 
 @dataclass(frozen=True)
@@ -96,14 +100,21 @@ def objective(params, circuit: Circuit, config: ObjectiveConfig) -> float:
 def _evaluate(params, circuit: Circuit, config: ObjectiveConfig):
     """(state, energy, objective, gradient) from one forward and one backward pass.
 
-    A real psi sees only the real part of M, so lambda = Re(M) psi.
+    A real psi sees only the real part of M, so lambda = Re(M) psi. The
+    rotations are made once for both passes, and the energy and penalties
+    reuse H psi and each <ref|psi> of the costate, summed in the order of
+    _energy_and_objective, so they equal its values bit for bit.
     """
-    state = run(circuit, params)
+    rotations = _rotations(circuit, params)
+    state = _forward(circuit, rotations)
     costate = config.hamiltonian @ state
+    energy = float(np.vdot(state, costate).real)
+    penalty = 0
     for ref, beta in config.deflation:
-        costate = costate + beta * (np.vdot(ref, state) * ref).real
-    energy, value = _energy_and_objective(state, config)
-    return state, energy, value, adjoint_gradient(circuit, params, state, costate)
+        overlap = np.vdot(ref, state)
+        costate = costate + beta * (overlap * ref).real
+        penalty = penalty + beta * float(abs(overlap) ** 2)
+    return state, energy, energy + penalty, _backward(circuit, rotations, state, costate)
 
 
 def objective_and_gradient(params, circuit: Circuit, config: ObjectiveConfig) -> tuple[float, np.ndarray]:

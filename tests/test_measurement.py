@@ -469,6 +469,22 @@ class TestEvaluateSampled:
         assert result.estimate == pytest.approx(sum(r.estimate for r in result.per_basis), rel=1e-12)
         assert result.std_error == pytest.approx(np.sqrt(sum(r.std_error**2 for r in result.per_basis)), rel=1e-12)
 
+    def test_weight_tables_built_once_and_left_intact(self, morse16_radial):
+        """The plan keeps one pair of weight tables; a call that writes its
+        products in place leaves them, and the next call's result, as they were."""
+        plan = full_plan(morse16_radial, TruncationSpec(4, 2))
+        psi = random_state(np.random.default_rng(48), 16)
+        first = evaluate_sampled(plan, psi, 300, seed=12)
+        tables = plan.sample_weights
+        kept = [table.copy() for table in tables]
+        again = evaluate_sampled(plan, psi, 300, seed=12)
+        assert plan.sample_weights is tables
+        assert all(np.array_equal(table, copy) for table, copy in zip(tables, kept))
+        assert np.array_equal(tables[1], tables[0] ** 2)
+        assert (again.estimate, again.std_error) == (first.estimate, first.std_error)
+        assert np.array_equal(again.basis_estimates, first.basis_estimates)
+        assert np.array_equal(again.basis_std_errors, first.basis_std_errors)
+
     def test_zero_norm_state_rejected(self, morse16_radial):
         plan = full_plan(morse16_radial, TruncationSpec(4, 2))
         with pytest.raises(ValueError, match="cannot sample a zero-norm state"):

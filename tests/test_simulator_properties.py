@@ -1,8 +1,8 @@
 """Property tests of the simulator and the VQE gradient against dense oracles.
 
-Circuits are random over {RY, CNOT, H, X} on up to four qubits. The
-``shared`` strategy lets several RY gates use one slot; the unshared one
-gives every RY gate its own slot.
+Circuits are random over {RY, CNOT, H, X} on up to four qubits (six
+where no dense matrix is built). The ``shared`` strategy lets several RY
+gates use one slot; the unshared one gives every RY gate its own slot.
 """
 
 from functools import reduce
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrvqe.circuits import Circuit, cnot, hadamard, pauli_x, ry
-from dvrvqe.simulator import _compile, analysis_rows, apply_circuit, run
+from dvrvqe.simulator import _compile, _kernel, adjoint_gradient, analysis_rows, apply_circuit, run
 from dvrvqe.vqe import ObjectiveConfig, gradient, objective
 
 from conftest import random_state
@@ -56,13 +56,30 @@ def half_differences(params, circuit, config, step):
     ])
 
 
+def dense_gradient(circuit, params, matrix):
+    """2 psi^T M dpsi/dtheta_s, the derivative of each RY gate of slot s taken
+    as a dense product with dRY/dtheta in the gate's place."""
+    n = circuit.n_qubits
+    gates = [dense_gate(n, g, params) for g in circuit.gates]
+    apply = lambda matrices, vector: reduce(lambda v, u: u @ v, matrices, vector)
+    zero = np.eye(2 ** n)[:, 0]
+    psi = apply(gates, zero)
+    grad = np.zeros(circuit.n_slots)
+    for j, g in enumerate(circuit.gates):
+        if g.kind == "ry":
+            c, s = np.cos(params[g.other] / 2), np.sin(params[g.other] / 2)
+            derivative = on_qubits(n, {g.qubit: 0.5 * np.array([[-s, -c], [c, -s]])})
+            grad[g.other] += 2 * psi @ matrix @ apply(gates[j + 1:], derivative @ apply(gates[:j], zero))
+    return grad
+
+
 @st.composite
-def circuits(draw, shared=True):
-    n = draw(st.integers(1, 4))
+def circuits(draw, shared=True, max_qubits=4, max_gates=14):
+    n = draw(st.integers(1, max_qubits))
     n_slots = draw(st.integers(1, 3)) if shared else 0
     kinds = ("ry", "h", "x", "cnot") if n > 1 else ("ry", "h", "x")
     gates = []
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_gates)):
         q = draw(st.integers(0, n - 1))
         if kind == "cnot":
             t = draw(st.integers(0, n - 2))
@@ -109,6 +126,32 @@ def test_run_and_apply_match_dense_product(case, seed):
     assert np.allclose(apply_circuit(circuit, psi, params), unitary @ psi, atol=1e-12)
     batch = rng.standard_normal((2 ** circuit.n_qubits, 3))
     assert np.allclose(apply_circuit(circuit, batch, params), unitary @ batch, atol=1e-12)
+
+
+@SETTINGS
+@given(circuits(max_qubits=6, max_gates=24))
+def test_run_equals_apply_circuit_bit_for_bit(case):
+    """The buffered kernel does apply_circuit's arithmetic on |0...0>."""
+    circuit, params = case
+    zero = np.zeros(2 ** circuit.n_qubits)
+    zero[0] = 1.0
+    assert np.array_equal(run(circuit, params), apply_circuit(circuit, zero, params))
+
+
+@SETTINGS
+@given(circuits(), st.integers(0, 2**32 - 1))
+@example((Circuit(2, (ry(0, 0), hadamard(1), ry(1, 0), cnot(0, 1), pauli_x(1), ry(0, 1), hadamard(0), ry(1, 0)), 2),
+          np.array([0.7, -1.9])), 5)
+def test_adjoint_gradient_matches_dense_oracle(case, seed):
+    """H gates, fused permutation runs and slots shared by several gates."""
+    circuit, params = case
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2 ** circuit.n_qubits,) * 2)
+    matrix = (a + a.T) / 2
+    state = run(circuit, params)
+    oracle = dense_gradient(circuit, params, matrix)
+    scale = max(np.abs(oracle).max(initial=0.0), 1.0)
+    assert np.allclose(adjoint_gradient(circuit, params, state, matrix @ state), oracle, rtol=0, atol=1e-12 * scale)
 
 
 @SETTINGS
@@ -213,9 +256,52 @@ def test_fused_permutation_run_matches_dense_and_differences():
 def test_compile_once_per_circuit_object():
     circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
     twin = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
-    ops = _compile(circuit)
+    ops, kernel = _compile(circuit), _kernel(circuit)
     for params in np.random.default_rng(22).uniform(-1, 1, (3, 6)):
         run(circuit, params)
-        assert _compile(circuit) is ops
+        assert _compile(circuit) is ops and _kernel(circuit) is kernel
     assert circuit == twin and hash(circuit) == hash(twin) and repr(circuit) == repr(twin)
-    assert _compile(twin) is not ops
+    assert _compile(twin) is not ops and _kernel(twin) is not kernel
+
+
+def test_kernel_buffers_alias_no_result_or_input():
+    """A second run or adjoint_gradient on the same circuit object leaves the
+    arrays the first calls returned, and the state and costate they were
+    given, as they were."""
+    circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + (hadamard(1),) + ry_layer(3), 6)
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((8, 8))
+    matrix = a + a.T
+    first, second = rng.uniform(-np.pi, np.pi, (2, 6))
+    state = run(circuit, first)
+    costate = matrix @ state
+    grad = adjoint_gradient(circuit, first, state, costate)
+    kept = [array.copy() for array in (state, costate, grad)]
+    for params in (second, first):
+        other = run(circuit, params)
+        adjoint_gradient(circuit, params, other, matrix @ other)
+        assert not np.shares_memory(other, state)
+    assert all(np.array_equal(array, copy) for array, copy in zip((state, costate, grad), kept))
+    assert np.array_equal(run(circuit, first), state)
+    assert np.array_equal(adjoint_gradient(circuit, first, state, costate), grad)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_bits_do_not_depend_on_memory_layout(seed):
+    """Strided views of psi and lambda give the bits of contiguous copies, and
+    an RY layer's terms keep their bits when a fused CNOT/X run follows it:
+    un-applying the run gives back the very pair the layer alone gets."""
+    layer = tuple(ry(q, q) for q in range(4))
+    permutation = Circuit(4, (cnot(0, 1), cnot(1, 0), pauli_x(2), cnot(2, 3), cnot(3, 0)))
+    alone, followed = Circuit(4, layer, 4), Circuit(4, layer + permutation.gates, 4)
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(-np.pi, np.pi, 4)
+    psi, lam = rng.standard_normal((2, 16))
+    grad = adjoint_gradient(alone, params, psi, lam)
+    moved = [apply_circuit(permutation, v) for v in (psi, lam)]
+    assert np.array_equal(adjoint_gradient(followed, params, *moved), grad)
+    big = np.zeros((2, 32))
+    big[:, ::2] = moved
+    assert np.array_equal(adjoint_gradient(followed, params, big[0, ::2], big[1, ::2]), grad)
+    big[:, ::2] = psi, lam
+    assert np.array_equal(adjoint_gradient(alone, params, big[0, ::2], big[1, ::2]), grad)

@@ -7,7 +7,7 @@ from dvrvqe.ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
 from dvrvqe.circuits import Circuit, parse_circuit, ry
 from dvrvqe.constants import HARTREE_TO_INV_CM
 from dvrvqe.pauli import decompose
-from dvrvqe.simulator import run
+from dvrvqe.simulator import _rotations, run
 from dvrvqe.vqe import (
     ObjectiveConfig,
     OptimizerConfig,
@@ -213,17 +213,23 @@ class TestWorkPerPoint:
 
     @staticmethod
     def watch(monkeypatch, probe=False):
-        """Keep the parameters of every vqe.run call and every scipy minimize call's x0, iterates and result.
+        """Keep the slot rotations of every forward simulation in vqe (its
+        run calls and the forward passes of its evaluations) and every scipy
+        minimize call's x0, iterates and result.
 
         ``probe`` makes every objective call also evaluate a point off the
         optimizer's path, so no iterate is the last point evaluated.
         """
         runs, calls = [], []
-        real_run, real_minimize = vqe.run, scipy.optimize.minimize
+        real_run, real_forward, real_minimize = vqe.run, vqe._forward, scipy.optimize.minimize
 
         def counted_run(circuit, params=None):
-            runs.append(np.array(params))
+            runs.append(_rotations(circuit, params))
             return real_run(circuit, params)
+
+        def counted_forward(circuit, rotations):
+            runs.append(rotations)
+            return real_forward(circuit, rotations)
 
         def watched_minimize(fun, x0, *args, callback, **kwargs):
             call = {"x0": np.array(x0), "iterates": []}
@@ -244,6 +250,7 @@ class TestWorkPerPoint:
             return call["result"]
 
         monkeypatch.setattr(vqe, "run", counted_run)
+        monkeypatch.setattr(vqe, "_forward", counted_forward)
         monkeypatch.setattr(scipy.optimize, "minimize", watched_minimize)
         return runs, calls
 
@@ -263,7 +270,7 @@ class TestWorkPerPoint:
         (call,) = calls
         assert call["result"].nit >= 5
         assert call["result"].nfev <= len(runs) <= call["result"].nfev + 1
-        assert sum(np.array_equal(params, call["x0"]) for params in runs) == 1
+        assert sum(np.array_equal(rotations, _rotations(circuit, call["x0"])) for rotations in runs) == 1
 
     @pytest.mark.parametrize("method, deflated, probe", [
         ("lbfgs", False, False), ("lbfgs", True, False), ("lbfgs", False, True), ("simplex", False, False),
