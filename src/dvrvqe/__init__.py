@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .constants import HARTREE_TO_INV_CM, AMU_TO_ELECTRON_MASS
-from .grids import GridSpec, BandProfile, build_grid, kinetic_matrix, band_profile, tail_sums
+from .grids import GridSpec, BandProfile, build_grid, band_profile, tail_sums
 from .potentials import (
     HarmonicPotential,
     MorsePotential,
@@ -54,7 +54,6 @@ __all__ = [
     "GridSpec",
     "BandProfile",
     "build_grid",
-    "kinetic_matrix",
     "band_profile",
     "tail_sums",
     "HarmonicPotential",

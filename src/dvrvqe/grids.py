@@ -152,11 +152,6 @@ def band_profile(grid: GridSpec) -> BandProfile:
     return BandProfile(n, d, f, g, e_t)
 
 
-def kinetic_matrix(grid: GridSpec) -> np.ndarray:
-    """Dense kinetic-energy matrix for the grid (hartree)."""
-    return band_profile(grid).to_matrix()
-
-
 def tail_sums(profile: BandProfile, s: int, r: int) -> tuple[float, float]:
     """Exact tail sums (F_s, G_r) of the band profile.
 

@@ -2,9 +2,10 @@
 
 scipy is imported at first use, inside the functions that call it:
 ``scipy.linalg`` in the eigensolves, ``scipy.fft`` in the matrix-free
-matvec and ``scipy.sparse.linalg.lobpcg`` in ``lowest_levels``. Importing
-them costs a fresh process several tenths of a second, more than most CLI
-tasks compute, and ``assemble``, ``truncate`` and ``full`` need numpy alone.
+matvec and the coarse LOBPCG start, and ``scipy.sparse.linalg.lobpcg`` in
+``lowest_levels``. Importing them costs a fresh process several tenths of
+a second, more than most CLI tasks compute, and ``assemble``, ``truncate``
+and ``full`` need numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import BandProfile, GridSpec, band_profile, tail_sums
+from .grids import BandProfile, GridSpec, band_profile, build_grid, tail_sums
 from .potentials import potential_on_grid
 
 # lowest_levels runs LOBPCG on the FFT matvec from MATRIX_FREE_MIN_POINTS up
@@ -169,10 +170,17 @@ def lowest_levels(h: DvrHamiltonian, count: int) -> np.ndarray:
     Dense ``classical_spectrum`` on grids below MATRIX_FREE_MIN_POINTS or
     when ``count`` is above the crossover (see ``dense_is_faster``).
     Otherwise LOBPCG (Knyazev 2001) on ``h.matmat``, which never forms H,
-    with a block of max(count + 4, 1.5 count) seeded random vectors and the
-    preconditioner of ``_band_preconditioner``. A failed factorization of
-    the preconditioner or a residual left above RESIDUAL_TOL * max|H| after
-    LOBPCG_MAX_ITER iterations raises LinAlgError.
+    with a block of max(count + 4, 1.5 count) vectors and the
+    preconditioner of ``_band_preconditioner``. The first start is
+    ``_coarse_start``: the lowest eigenvectors of H on a coarse finite grid
+    of the same box, lifted to N points by DST-I and zero-padding, and
+    given LOBPCG_MAX_ITER // 8 iterations, so that an attempt that stalls
+    costs about what a random start does. A start that close to the answer
+    can break LOBPCG down, so when that attempt stops above the tolerance,
+    LOBPCG runs once more from seeded random vectors. A failed
+    factorization of the preconditioner or a residual left above
+    RESIDUAL_TOL * max|H| after LOBPCG_MAX_ITER iterations raises
+    LinAlgError.
     """
     n_pts = h.n_points
     if not 1 <= count <= n_pts:
@@ -183,20 +191,53 @@ def lowest_levels(h: DvrHamiltonian, count: int) -> np.ndarray:
     from scipy.sparse.linalg import lobpcg
 
     tol = RESIDUAL_TOL * _max_entry_bound(h)
-    start = np.random.default_rng(0).standard_normal((n_pts, max(count + 4, -(-3 * count // 2))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # unconverged: checked below
-        values, _, residuals = lobpcg(
-            h.matmat, start, M=_band_preconditioner(h), tol=tol, maxiter=LOBPCG_MAX_ITER,
-            largest=False, retResidualNormsHistory=True,
-        )
-    worst = float(np.max(residuals[-1][:count]))
+    size = max(count + 4, -(-3 * count // 2))
+    preconditioner = _band_preconditioner(h)
+
+    def solve(start: np.ndarray, maxiter: int) -> tuple[np.ndarray, float]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # unconverged: checked by the caller
+            values, _, residuals = lobpcg(
+                h.matmat, start, M=preconditioner, tol=tol, maxiter=maxiter,
+                largest=False, retResidualNormsHistory=True,
+            )
+        return values[:count], float(np.max(residuals[-1][:count]))
+
+    try:
+        values, worst = solve(_coarse_start(h, size), LOBPCG_MAX_ITER // 8)
+    except ValueError:  # scipy's answer to a linearly dependent start block
+        worst = np.inf
+    if not worst <= tol:
+        values, worst = solve(np.random.default_rng(0).standard_normal((n_pts, size)), LOBPCG_MAX_ITER)
     if not worst <= tol:
         raise np.linalg.LinAlgError(
             f"LOBPCG did not converge in {LOBPCG_MAX_ITER} iterations:"
             f" residual {worst:.3g} above the tolerance {tol:.3g}"
         )
-    return values[:count]
+    return values
+
+
+def _coarse_start(h: DvrHamiltonian, size: int) -> np.ndarray:
+    """The lowest ``size`` eigenvectors of H on a coarse finite grid, lifted to h's grid.
+
+    The coarse grid spans (x_0 - dx, x_{N-1} + dx), the box of the finite
+    variant and the box that encloses the other two, with 2^nc points,
+    nc = min(n - 1, max(7, bit_length(8 size - 1))), and V interpolated
+    onto it. The finite-interval DVR is the particle-in-a-box sine basis
+    sampled on the grid, so DST-I takes grid values to sine coefficients;
+    zero-padding those to N and transforming back gives the start block.
+    """
+    import scipy.linalg
+    from scipy.fft import dst, idst
+
+    grid = h.grid
+    n_coarse = min(grid.n_qubits - 1, max(7, (8 * size - 1).bit_length()))
+    box = {"a": grid.points[0] - grid.dx, "b": grid.points[-1] + grid.dx}
+    coarse = build_grid("finite", box, n_coarse, grid.mass)
+    matrix = band_profile(coarse).to_matrix()
+    matrix[np.diag_indices_from(matrix)] += np.interp(coarse.points, grid.points, h.potential_diag)
+    _, vectors = scipy.linalg.eigh(matrix, subset_by_index=[0, size - 1], driver="evr")
+    return idst(dst(vectors, type=1, axis=0), type=1, n=h.n_points, axis=0)
 
 
 def dense_is_faster(n_points: int, count: int) -> bool:

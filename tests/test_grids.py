@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvrvqe.grids import VARIANTS, band_profile, build_grid, kinetic_matrix, tail_sums
+from dvrvqe.grids import VARIANTS, band_profile, build_grid, tail_sums
 
 
 def sine_basis_kinetic(n_pts, a, b, mass):
@@ -107,13 +107,13 @@ class TestBuildGrid:
 class TestKineticMatrix:
     def test_infinite_n1_closed_form(self):
         grid = build_grid("infinite", {"x_min": 0.0, "dx": 1.0}, 1, 0.5)
-        t = kinetic_matrix(grid)
+        t = band_profile(grid).to_matrix()
         expected = np.array([[np.pi**2 / 3.0, -2.0], [-2.0, np.pi**2 / 3.0]])
         assert np.allclose(t, expected, atol=1e-14)
 
     def test_half_infinite_element(self):
         grid = build_grid("half-infinite", {"dx": 1.0}, 2, 0.5)
-        t = kinetic_matrix(grid)
+        t = band_profile(grid).to_matrix()
         # physical indices (1, 2): (-1) * (2/1 - 2/9)
         assert t[0, 1] == pytest.approx(-16.0 / 9.0, abs=1e-14)
 
@@ -125,7 +125,7 @@ class TestKineticMatrix:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_finite_matches_sine_oracle(self, n):
         grid = build_grid("finite", {"a": -0.5, "b": 2.0}, n, 1.3)
-        t = kinetic_matrix(grid)
+        t = band_profile(grid).to_matrix()
         oracle = sine_basis_kinetic(2**n, -0.5, 2.0, 1.3)
         assert np.max(np.abs(t - oracle)) < 1e-10 * np.max(np.abs(t))
 
@@ -136,7 +136,7 @@ class TestKineticMatrix:
     ])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_symmetry_all_variants(self, variant, params, n):
-        t = kinetic_matrix(build_grid(variant, params, n, 2.0))
+        t = band_profile(build_grid(variant, params, n, 2.0)).to_matrix()
         assert np.max(np.abs(t - t.T)) <= 1e-14 * np.max(np.abs(t))
 
 
@@ -149,7 +149,7 @@ class TestBandProfile:
     def test_half_infinite_g_from_matrix_residual(self):
         grid = build_grid("half-infinite", {"dx": 1.0}, 3, 0.5)
         profile = band_profile(grid)
-        t = kinetic_matrix(grid)
+        t = band_profile(grid).to_matrix()
         # residual after subtracting the band part must depend only on i+j
         n_pts = 8
         residual = {}

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from dvrvqe.hamiltonian import (
     retained_antidiagonals,
 )
 
-from conftest import MASS, MORSE, random_state
+from conftest import DIATOMIC_MASS, DIATOMIC_MORSE, MASS, MORSE, random_state
 
 
 def test_zero_potential_gives_pure_kinetic():
@@ -179,11 +180,31 @@ def grid_on(variant, n):
     return build_grid(variant, params, n, MASS)
 
 
-def every_variant_and_kind(test):
-    """One explicit example per grid variant and potential kind, on top of the drawn ones."""
-    for i, (variant, kind) in enumerate(itertools.product(VARIANTS, POTENTIAL_KINDS)):
-        test = example(variant=variant, kind=kind, count=1 + 7 * i % 16, seed=i)(test)
-    return test
+def every_variant_and_kind(n):
+    """One explicit example per grid variant and potential kind at n qubits, on top of the drawn ones."""
+
+    def decorate(test):
+        for i, (variant, kind) in enumerate(itertools.product(VARIANTS, POTENTIAL_KINDS)):
+            test = example(variant=variant, kind=kind, n=n, count=1 + 7 * i % 16, seed=i)(test)
+        return test
+
+    return decorate
+
+
+def record_lobpcg(monkeypatch):
+    """Wrap scipy's lobpcg; the returned list gets one entry per call, its
+    iteration count, or None when the call raised."""
+    iterations = []
+    lobpcg = scipy.sparse.linalg.lobpcg
+
+    def recorded(*args, **kwargs):
+        iterations.append(None)
+        out = lobpcg(*args, **kwargs)
+        iterations[-1] = len(out[-1]) - 2  # residual history: start, iterations, final
+        return out
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", recorded)
+    return iterations
 
 
 @settings(max_examples=30, deadline=None)
@@ -210,15 +231,17 @@ class TestLowestLevels:
     MAX_COUNT = 16
 
     @settings(max_examples=6, deadline=None)
-    @every_variant_and_kind
+    @every_variant_and_kind(N_QUBITS)
+    @example(variant="finite", kind="morse", n=N_QUBITS + 1, count=45, seed=0)  # the crossover at 2048 points
     @given(
         variant=st.sampled_from(VARIANTS),
         kind=st.sampled_from(POTENTIAL_KINDS),
+        n=st.just(N_QUBITS),
         count=st.integers(1, MAX_COUNT),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_shift_invert_matches_dense(self, variant, kind, count, seed):
-        h = assemble(grid_on(variant, self.N_QUBITS), random_potential(kind, np.random.default_rng(seed)))
+    def test_shift_invert_matches_dense(self, variant, kind, n, count, seed):
+        h = assemble(grid_on(variant, n), random_potential(kind, np.random.default_rng(seed)))
         levels = lowest_levels(h, count)
         assert "full" not in vars(h)
         dense = classical_spectrum(h.full, count)
@@ -231,6 +254,23 @@ class TestLowestLevels:
         assert "full" not in vars(h)
         expected = [MORSE.level(v, MASS) for v in range(8)]
         assert np.max(np.abs(levels - expected)) * HARTREE_TO_INV_CM < 0.01
+
+    def test_coarse_start_converges_in_one_short_call(self, monkeypatch):
+        iterations = record_lobpcg(monkeypatch)
+        h = assemble(build_grid("finite", {"a": 2.55, "b": 4.55}, 12, DIATOMIC_MASS), DIATOMIC_MORSE)
+        lowest_levels(h, 8)
+        assert len(iterations) == 1
+        assert iterations[0] <= 20
+        assert "full" not in vars(h)
+
+    def test_failed_coarse_start_falls_back_to_random_start(self, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "_coarse_start", lambda h, size: np.ones((h.n_points, size)))
+        iterations = record_lobpcg(monkeypatch)
+        h = assemble(grid_on("finite", self.N_QUBITS), MORSE)
+        levels = lowest_levels(h, 8)
+        assert len(iterations) == 2
+        dense = classical_spectrum(h.full, 8)
+        assert np.max(np.abs(levels - dense)) <= 1e-12 * np.max(np.abs(h.full))
 
     def test_crossover(self):
         assert dense_is_faster(MATRIX_FREE_MIN_POINTS // 2, 1)
