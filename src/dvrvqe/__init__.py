@@ -34,7 +34,6 @@ from .measurement import (
     full_plan,
     load_plan,
     plan_complexity,
-    save_plan,
 )
 from .ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
 from .vqe import (
@@ -89,7 +88,6 @@ __all__ = [
     "full_plan",
     "load_plan",
     "plan_complexity",
-    "save_plan",
     "AnsatzSpec",
     "empty_ansatz",
     "linear_ansatz",

@@ -40,6 +40,15 @@ from .search import SearchConfig, greedy_search
 from .simulator import run as run_circuit
 from .vqe import ObjectiveConfig, OptimizerConfig, energy_of, excited_states, minimize
 
+DEFAULT_BLOCKS = 3  # ansatz repetitions k of vqe, excited and search when [task] sets no 'blocks'
+# [task] key -> field, for the keys that set a library config field; a key
+# the config leaves out keeps the field's own default.
+_OPTIMIZER_FIELDS = {"max_iter": "max_iter", "restarts": "restarts"}
+_SEARCH_FIELDS = {
+    "thresholds": "thresholds", "max_entanglers": "max_entanglers", "candidate_budget": "candidate_budget",
+    "max_iter": "full_budget", "restarts": "restarts_initial",
+}
+
 
 class _Workspace:
     """Output directory with atomic writes and a hash manifest."""
@@ -130,10 +139,8 @@ def _plan_file(config: RunConfig, path) -> MeasurementPlan:
 def _ansatz_for(config: RunConfig, hamiltonian):
     """Resolve the [task] entangler choice into a circuit to optimize."""
     choice = config.opt("entangler", "linear")
-    blocks = config.opt("blocks", 3)
-    n = config.grid.n_qubits
     if choice == "linear":
-        return linear_ansatz(n, blocks).circuit()
+        return linear_ansatz(config.grid.n_qubits, config.opt("blocks", DEFAULT_BLOCKS)).circuit()
     if choice == "search":
         search_config = _search_config(config)
         result = greedy_search(hamiltonian, search_config)
@@ -141,24 +148,19 @@ def _ansatz_for(config: RunConfig, hamiltonian):
     return _circuit_file(config, choice)
 
 
+def _given(config: RunConfig, fields: dict[str, str]) -> dict[str, object]:
+    """The [task] keys of ``fields`` that the config sets, by field name."""
+    return {field: config.options[key] for key, field in fields.items() if key in config.options}
+
+
 def _optimizer_config(config: RunConfig) -> OptimizerConfig:
-    return OptimizerConfig(
-        max_iter=config.opt("max_iter", 2000),
-        restarts=config.opt("restarts", 5),
-        seed=config.seed,
-    )
+    return OptimizerConfig(seed=config.seed, **_given(config, _OPTIMIZER_FIELDS))
 
 
 def _search_config(config: RunConfig) -> SearchConfig:
     try:
         return SearchConfig(
-            n_blocks=config.opt("blocks", 3),
-            thresholds=config.opt("thresholds", (1.0, 0.01)),
-            max_entanglers=config.opt("max_entanglers", 20),
-            candidate_budget=config.opt("candidate_budget", 200),
-            full_budget=config.opt("max_iter", 2000),
-            restarts_initial=config.opt("restarts", 5),
-            seed=config.seed,
+            n_blocks=config.opt("blocks", DEFAULT_BLOCKS), seed=config.seed, **_given(config, _SEARCH_FIELDS)
         )
     except ValueError as exc:
         raise ConfigError(f"[task] {exc}") from exc
@@ -172,7 +174,7 @@ def _task_diag(config: RunConfig, ws: _Workspace) -> None:
 
 def _task_decompose(config: RunConfig, ws: _Workspace) -> None:
     h = assemble(config.grid, config.potential)
-    psum = decompose(h.full, tol=config.opt("tol", 1e-12))
+    psum = decompose(h.full, **_given(config, {"tol": "tol"}))
     ws.write_text("pauli.txt", format_pauli(psum))
 
 
@@ -282,8 +284,11 @@ def _task_verify_plan(config: RunConfig, ws: _Workspace) -> None:
 
 
 def _task_measure(config: RunConfig, ws: _Workspace) -> None:
-    h = assemble(config.grid, config.potential)
     spec = _truncation_spec(config)
+    shots = config.opt("shots", spec.default_shots())
+    if shots > np.iinfo(np.int64).max:
+        raise ConfigError(f"[task] {shots} shots per basis is above {np.iinfo(np.int64).max}, the largest a draw takes")
+    h = assemble(config.grid, config.potential)
     rebuilt = full_plan(h, spec)
     plan_path = config.opt("plan")
     plan = _plan_file(config, plan_path) if plan_path else rebuilt
@@ -307,7 +312,6 @@ def _task_measure(config: RunConfig, ws: _Workspace) -> None:
             )
     state = run_circuit(circuit, params)
 
-    shots = config.opt("shots", spec.default_shots())
     exact = evaluate_exact(plan, state)
     sampled = evaluate_sampled(plan, state, shots, config.seed)
     energy = energy_of(state, h.full)
@@ -325,8 +329,9 @@ def _task_measure(config: RunConfig, ws: _Workspace) -> None:
     ws.write_text("result.csv", "\n".join(lines) + "\n")
 
     per_basis = ["basis,shots,estimate,std_error"]
-    for row in sampled.per_basis:
-        per_basis.append(f"{row.index},{row.shots},{_fmt(row.estimate)},{_fmt(row.std_error)}")
+    rows = zip(sampled.basis_estimates.tolist(), sampled.basis_std_errors.tolist())
+    for index, (estimate, std_error) in enumerate(rows):
+        per_basis.append(f"{index},{shots},{_fmt(estimate)},{_fmt(std_error)}")
     ws.write_text("measure_bases.csv", "\n".join(per_basis) + "\n")
 
 

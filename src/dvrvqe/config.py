@@ -34,17 +34,16 @@ class ConfigError(Exception):
 
 _SYSTEM_KEYS = {"variant", "n_qubits", "mass_amu", "mass_me", "a", "b", "x_min", "dx"}
 _POTENTIAL_KEYS = {"type", "well_depth", "range", "equilibrium", "force_constant", "center", "file"}
+# [task] option key -> (type, smallest accepted value); None where the range
+# depends on the grid or is checked on its own. 'name' and 'seed' are read apart.
 _TASK_KEYS = {
-    "name", "seed", "levels", "tol", "blocks", "entangler", "v_max", "thresholds",
-    "max_entanglers", "candidate_budget", "restarts", "max_iter", "epsilon", "s", "r",
-    "streamlined", "shots", "plan", "circuit", "params",
+    "levels": (int, None), "tol": (float, 0), "blocks": (int, 1), "entangler": (str, None),
+    "v_max": (int, None), "thresholds": (str, None), "max_entanglers": (int, 0),
+    "candidate_budget": (int, 1), "restarts": (int, 1), "max_iter": (int, 1), "epsilon": (float, None),
+    "s": (int, 1), "r": (int, 1), "streamlined": (bool, None), "shots": (int, 1), "plan": (str, None),
+    "circuit": (str, None), "params": (str, None),
 }
 _OUTPUT_KEYS = {"directory"}
-# Smallest accepted value of each integer [task] key without a grid-dependent range.
-_TASK_MINIMUM = {
-    "blocks": 1, "max_entanglers": 0, "candidate_budget": 1, "restarts": 1, "max_iter": 1,
-    "s": 1, "r": 1, "shots": 1,
-}
 
 
 @dataclass
@@ -106,7 +105,7 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         if not parser.has_section(required_section):
             raise ConfigError(f"missing required section [{required_section}]")
 
-    _check_keys("task", parser.options("task"), _TASK_KEYS)
+    _check_keys("task", parser.options("task"), {"name", "seed", *_TASK_KEYS})
     task = task_override or _get(parser, "task", "name", str, required=True)
     if task not in TASKS:
         raise ConfigError(f"[task] unknown task {task!r}; expected one of {', '.join(TASKS)}")
@@ -153,7 +152,11 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
                 file_path = path.parent / file_path
             if not file_path.is_file():
                 raise ConfigError(f"[potential] file not found: {file_path}")
-            potential = load_tabulated(file_path)
+            try:
+                potential = load_tabulated(file_path)
+                potential(grid.points[[0, -1]])  # the table must cover the grid
+            except ValueError as exc:
+                raise ConfigError(f"[potential] {exc}") from exc
         elif ptype == "none":
             potential = None
         else:
@@ -162,19 +165,13 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
     seed = seed_override if seed_override is not None else _get(parser, "task", "seed", int, default=0)
 
     options: dict[str, object] = {}
-    for key, cast in (
-        ("levels", int), ("tol", float), ("blocks", int), ("entangler", str),
-        ("v_max", int), ("max_entanglers", int), ("candidate_budget", int),
-        ("restarts", int), ("max_iter", int), ("epsilon", float), ("s", int),
-        ("r", int), ("streamlined", bool), ("shots", int), ("plan", str),
-        ("circuit", str), ("params", str),
-    ):
+    for key, (cast, minimum) in _TASK_KEYS.items():
         value = _get(parser, "task", key, cast)
-        if value is not None:
-            options[key] = value
-    for key, minimum in _TASK_MINIMUM.items():
-        if options.get(key, minimum) < minimum:
-            raise ConfigError(f"[task] key '{key}' must be >= {minimum}, got {options[key]}")
+        if value is None:
+            continue
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"[task] key '{key}' must be >= {minimum}, got {value}")
+        options[key] = value
     levels = options.get("levels")
     max_levels = grid.n_points
     if n_qubits > DENSE_MAX_QUBITS:
@@ -186,12 +183,10 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         raise ConfigError(f"[task] key 'r' must be in [1, {grid.n_points}], got {r}")
     if options.get("epsilon", 1.0) <= 0:
         raise ConfigError(f"[task] key 'epsilon' must be > 0, got {options['epsilon']}")
-    if options.get("tol", 0.0) < 0:
-        raise ConfigError(f"[task] key 'tol' must be >= 0, got {options['tol']}")
     v_max = options.get("v_max")
     if v_max is not None and not 0 <= v_max <= grid.n_points - 1:
         raise ConfigError(f"[task] key 'v_max' must be in [0, {grid.n_points - 1}], got {v_max}")
-    thresholds = _get(parser, "task", "thresholds", str)
+    thresholds = options.get("thresholds")
     if thresholds is not None:
         try:
             options["thresholds"] = tuple(float(t) for t in thresholds.split())

@@ -323,31 +323,14 @@ def evaluate_exact(plan: MeasurementPlan, state: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class BasisSample:
-    index: int
-    shots: int
-    estimate: float
-    std_error: float
-
-
-@dataclass(frozen=True)
 class SampledTau:
     """The summed estimate and its standard error, with every basis's mean
     and standard error as arrays in plan order."""
 
     estimate: float
     std_error: float
-    shots_per_basis: int
     basis_estimates: np.ndarray
     basis_std_errors: np.ndarray
-
-    @cached_property
-    def per_basis(self) -> tuple[BasisSample, ...]:
-        """One BasisSample row per basis, built on first access."""
-        return tuple(
-            BasisSample(index, self.shots_per_basis, m, se)
-            for index, (m, se) in enumerate(zip(self.basis_estimates.tolist(), self.basis_std_errors.tolist()))
-        )
 
 
 def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -> SampledTau:
@@ -359,7 +342,7 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     ||psi||^2 less the weighted ones, clamped at 0; each row is divided by
     ||psi||^2. All bases are drawn in one multinomial call from one PCG64
     stream seeded with ``seed``, so the result is reproducible for a given
-    seed. The per-basis arrays and ``per_basis`` keep the plan's basis order.
+    seed. The per-basis arrays keep the plan's basis order.
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
@@ -380,7 +363,7 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     if shots_per_basis > 1:
         var *= shots_per_basis / (shots_per_basis - 1)
     std_errors = np.sqrt(var / shots_per_basis)
-    return SampledTau(float(np.sum(mean)), float(math.sqrt(np.sum(std_errors**2))), shots_per_basis, mean, std_errors)
+    return SampledTau(float(np.sum(mean)), float(math.sqrt(np.sum(std_errors**2))), mean, std_errors)
 
 
 def format_plan(plan: MeasurementPlan) -> str:
@@ -446,11 +429,6 @@ def parse_plan(text: str) -> MeasurementPlan:
             weights[outcome] = weight
         bases.append(MeasBasis(circuit, weights))
     return MeasurementPlan(n, tuple(bases))
-
-
-def save_plan(path, plan: MeasurementPlan) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_plan(plan))
 
 
 def load_plan(path) -> MeasurementPlan:

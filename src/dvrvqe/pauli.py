@@ -45,7 +45,6 @@ class PauliSum:
 
     n_qubits: int
     terms: dict[str, float]
-    drop_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         for word in self.terms:
@@ -95,7 +94,7 @@ def decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> PauliSum:
         "".join(_LETTERS[(i >> (2 * (n - 1 - q))) & 3] for q in range(n)): float(coeffs[i])
         for i in kept.tolist()
     }
-    return PauliSum(n, terms, tol)
+    return PauliSum(n, terms)
 
 
 def reconstruct(psum: PauliSum) -> np.ndarray:

@@ -68,7 +68,7 @@ class TabulatedPotential:
         xq = np.asarray(x, dtype=float)
         bad = (xq < self.x[0]) | (xq > self.x[-1])
         if np.any(bad):
-            offending = np.atleast_1d(xq)[np.atleast_1d(bad)][0]
+            offending = float(np.atleast_1d(xq)[np.atleast_1d(bad)][0])
             raise ValueError(
                 f"grid point x={offending!r} outside tabulated range"
                 f" [{self.x[0]}, {self.x[-1]}]"

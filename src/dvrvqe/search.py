@@ -20,6 +20,8 @@ from .hamiltonian import classical_spectrum
 from .vqe import ObjectiveConfig, OptimizerConfig, VqeResult, minimize
 
 PLATEAU_IMPROVEMENT = 1e-10  # hartree; stop when a full sweep gains less
+COMMIT_RESTARTS = 3  # fresh starts tried besides the warm start on each commit
+JITTER_SCALE = 0.01  # standard deviation of a candidate's warm-start jitter
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,6 @@ class SearchConfig:
     candidate_budget: int = 200
     full_budget: int = 2000
     restarts_initial: int = 5
-    commit_restarts: int = 3    # fresh starts tried besides the warm start on each commit
-    jitter_scale: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -154,7 +154,7 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
         best_params = None
         for gate in sorted(candidates):
             rng = np.random.default_rng((config.seed, step, *gate))
-            warm = incumbent.params + config.jitter_scale * rng.standard_normal(incumbent.params.size)
+            warm = incumbent.params + JITTER_SCALE * rng.standard_normal(incumbent.params.size)
             energy, params = candidate_evaluation(
                 ansatz, gate, warm, config.candidate_budget, objective_config,
                 seed=(config.seed, step, *gate),
@@ -174,18 +174,13 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
             OptimizerConfig(max_iter=config.full_budget, restarts=1, seed=(config.seed, step)),
             x0=best_params,
         )
-        if config.commit_restarts > 0:
-            fresh = minimize(
-                ansatz,
-                objective_config,
-                OptimizerConfig(
-                    max_iter=config.full_budget,
-                    restarts=config.commit_restarts,
-                    seed=(config.seed, step, 1),
-                ),
-            )
-            if fresh.energy < incumbent.energy:
-                incumbent = fresh
+        fresh = minimize(
+            ansatz,
+            objective_config,
+            OptimizerConfig(max_iter=config.full_budget, restarts=COMMIT_RESTARTS, seed=(config.seed, step, 1)),
+        )
+        if fresh.energy < incumbent.energy:
+            incumbent = fresh
         record(step, best_gate, incumbent)
 
     return SearchResult(snapshots, trace, ansatz, incumbent)

@@ -12,9 +12,10 @@ slot's derivative, exactly, for any number of gates per slot. An
 evaluation makes the slot rotations once and hands them to both passes,
 which run on the circuit's own kernel buffers and take every RY term in
 one batched dot (simulator._Kernel); so one circuit object must not be
-optimized from two threads at once. L-BFGS-B takes the value and the
-gradient from that single evaluation, and the trace row and final
-result at a point it evaluated reuse its state, the x0 row that of
+optimized from two threads at once. Every value, the energy, the
+objective and M psi, comes from ``_values``. L-BFGS-B takes the value
+and the gradient from that single evaluation, and the trace row and
+final result at a point it evaluated reuse its state, the x0 row that of
 L-BFGS-B's first call.
 
 ``scipy.optimize`` is imported at first use, in ``_single_run``: it loads
@@ -30,38 +31,35 @@ import numpy as np
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
-from .pauli import PauliSum, reconstruct
 from .simulator import _backward, _forward, _rotations, overlap_sq, run
+
+GRADIENT_TOL = 1e-8    # L-BFGS-B gtol
+OBJECTIVE_TOL = 1e-12  # L-BFGS-B ftol
+BETA_MARGIN = 1.1      # deflation weight over the Gershgorin gap bound
 
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    hamiltonian: object                     # dense real symmetric ndarray; a PauliSum is expanded once
+    hamiltonian: np.ndarray                 # dense real symmetric
     deflation: tuple[tuple[np.ndarray, float], ...] = ()
 
     def __post_init__(self):
         for _, beta in self.deflation:
             if beta <= 0:
                 raise ValueError(f"deflation weights must be positive, got {beta}")
-        if isinstance(self.hamiltonian, PauliSum):
-            object.__setattr__(self, "hamiltonian", reconstruct(self.hamiltonian))
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "lbfgs"                   # 'lbfgs' (L-BFGS-B, adjoint gradients) or 'simplex' (Nelder-Mead)
-    gradient_tol: float = 1e-8
-    objective_tol: float = 1e-12
+    """L-BFGS-B on adjoint gradients, from ``restarts`` seeded uniform starts
+    in [-init_scale, init_scale]."""
+
     max_iter: int = 2000
     restarts: int = 5
     seed: tuple[int, ...] | int = 0
     init_scale: float = 0.1
 
     def __post_init__(self):
-        if self.method not in ("lbfgs", "simplex"):
-            raise ValueError(f"unknown optimizer method {self.method!r}")
-        if self.gradient_tol <= 0 or self.objective_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iter < 1 or self.restarts < 1:
             raise ValueError(f"max_iter and restarts must be >= 1, got {self.max_iter} and {self.restarts}")
 
@@ -87,26 +85,13 @@ def energy_of(state: np.ndarray, hamiltonian: np.ndarray) -> float:
     return float(np.vdot(state, hamiltonian @ state).real)
 
 
-def _energy_and_objective(state: np.ndarray, config: ObjectiveConfig) -> tuple[float, float]:
-    energy = energy_of(state, config.hamiltonian)
-    return energy, energy + sum(beta * overlap_sq(ref, state) for ref, beta in config.deflation)
+def _values(state: np.ndarray, config: ObjectiveConfig) -> tuple[float, float, np.ndarray]:
+    """(energy, objective, costate) of a real state.
 
-
-def objective(params, circuit: Circuit, config: ObjectiveConfig) -> float:
-    """<H> plus the weighted squared overlaps with the deflation references."""
-    return _energy_and_objective(run(circuit, params), config)[1]
-
-
-def _evaluate(params, circuit: Circuit, config: ObjectiveConfig):
-    """(state, energy, objective, gradient) from one forward and one backward pass.
-
-    A real psi sees only the real part of M, so lambda = Re(M) psi. The
-    rotations are made once for both passes, and the energy and penalties
-    reuse H psi and each <ref|psi> of the costate, summed in the order of
-    _energy_and_objective, so they equal its values bit for bit.
+    A real psi sees only the real part of M, so the costate is
+    lambda = Re(M) psi. The energy is <psi|H psi> and the penalties reuse
+    each <ref|psi> of the costate, summed from 0 in deflation order.
     """
-    rotations = _rotations(circuit, params)
-    state = _forward(circuit, rotations)
     costate = config.hamiltonian @ state
     energy = float(np.vdot(state, costate).real)
     penalty = 0
@@ -114,17 +99,26 @@ def _evaluate(params, circuit: Circuit, config: ObjectiveConfig):
         overlap = np.vdot(ref, state)
         costate = costate + beta * (overlap * ref).real
         penalty = penalty + beta * float(abs(overlap) ** 2)
-    return state, energy, energy + penalty, _backward(circuit, rotations, state, costate)
+    return energy, energy + penalty, costate
 
 
-def objective_and_gradient(params, circuit: Circuit, config: ObjectiveConfig) -> tuple[float, np.ndarray]:
-    """The objective and its gradient from one forward and one backward pass."""
-    return _evaluate(params, circuit, config)[2:]
+def objective(params, circuit: Circuit, config: ObjectiveConfig) -> float:
+    """<H> plus the weighted squared overlaps with the deflation references."""
+    return _values(run(circuit, params), config)[1]
+
+
+def _evaluate(params, circuit: Circuit, config: ObjectiveConfig):
+    """(state, energy, objective, gradient) from one forward and one backward
+    pass; the rotations are made once for both."""
+    rotations = _rotations(circuit, params)
+    state = _forward(circuit, rotations)
+    energy, value, costate = _values(state, config)
+    return state, energy, value, _backward(circuit, rotations, state, costate)
 
 
 def gradient(params, circuit: Circuit, config: ObjectiveConfig) -> np.ndarray:
-    """Adjoint gradient of the objective; see objective_and_gradient."""
-    return objective_and_gradient(params, circuit, config)[1]
+    """Adjoint gradient of the objective."""
+    return _evaluate(params, circuit, config)[3]
 
 
 def gershgorin_upper(matrix: np.ndarray) -> float:
@@ -151,21 +145,15 @@ def _single_run(circuit, config, opt, x0):
         if last and np.array_equal(x, last["x"]):
             return last["state"], last["values"]
         state = run(circuit, x)
-        return state, _energy_and_objective(state, config)
+        return state, _values(state, config)[:2]
 
     def record(xk):
         energy, obj = simulate(xk)[1]
         trace.append((len(trace), obj, energy))
 
-    if opt.method == "lbfgs":
-        fun, args, jac, method = lbfgs_objective, (), True, "L-BFGS-B"
-        options = {"maxiter": opt.max_iter, "gtol": opt.gradient_tol, "ftol": opt.objective_tol}
-    else:
-        record(x0)
-        fun, args, jac, method = objective, (circuit, config), None, "Nelder-Mead"
-        options = {"maxiter": opt.max_iter, "fatol": opt.objective_tol, "xatol": 1e-10}
     res = scipy.optimize.minimize(
-        fun, x0, args=args, jac=jac, method=method, callback=record, options=options,
+        lbfgs_objective, x0, jac=True, method="L-BFGS-B", callback=record,
+        options={"maxiter": opt.max_iter, "gtol": GRADIENT_TOL, "ftol": OBJECTIVE_TOL},
     )
     state, (energy, _) = simulate(res.x)
     overlaps = tuple(overlap_sq(ref, state) for ref, _ in config.deflation)
@@ -199,10 +187,10 @@ def minimize(ansatz, config: ObjectiveConfig, opt: OptimizerConfig, x0=None) -> 
     return best
 
 
-def excited_states(ansatz, hamiltonian, v_max: int, opt: OptimizerConfig, beta_margin: float = 1.1):
+def excited_states(ansatz, hamiltonian, v_max: int, opt: OptimizerConfig):
     """Sequential deflation: solve v=0, penalize its state, re-solve, ...
 
-    beta_v = beta_margin * (Gershgorin upper bound - E_v), which dominates
+    beta_v = BETA_MARGIN * (Gershgorin upper bound - E_v), which dominates
     every gap E_{v+1} - E_v.
     """
     if v_max < 0:
@@ -217,7 +205,7 @@ def excited_states(ansatz, hamiltonian, v_max: int, opt: OptimizerConfig, beta_m
         config = ObjectiveConfig(hamiltonian, tuple(deflation))
         result = minimize(circuit, config, replace(opt, seed=(*opt.seed_tuple(), v)))
         results.append(result)
-        beta = beta_margin * max(upper - result.energy, 1e-6)
+        beta = BETA_MARGIN * max(upper - result.energy, 1e-6)
         deflation.append((run(circuit, result.params), beta))
     return results
 

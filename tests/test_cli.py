@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 import dvrvqe
+from dvrvqe import cli
 from dvrvqe.cli import main
 from dvrvqe.config import ConfigError, load_config
 from dvrvqe.constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INV_CM
 from dvrvqe.circuits import save_circuit
 from dvrvqe.ansatz import linear_ansatz
+from dvrvqe.hamiltonian import assemble
+from dvrvqe.pauli import DEFAULT_TOL, decompose, format_pauli
 from dvrvqe.potentials import HarmonicPotential, MorsePotential
+from dvrvqe.search import SearchConfig
+from dvrvqe.vqe import OptimizerConfig
 
 HARMONIC_CONFIG = """\
 [system]
@@ -120,15 +125,25 @@ class TestConfigParsing:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
 
-    def test_numeric_failure_exit_3(self, tmp_path, capsys):
-        table = tmp_path / "pot.dat"
-        table.write_text("2.0 0.0\n3.0 1.0\n")  # narrower than the grid
-        text = """\
+    def test_numeric_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        def fail(h, count):
+            raise np.linalg.LinAlgError("LOBPCG did not converge")
+
+        monkeypatch.setattr(cli, "lowest_levels", fail)
+        path = write_config(tmp_path, HARMONIC_CONFIG.format(outdir=tmp_path / "out"))
+        assert main(["run", str(path)]) == 3
+        assert "error: LinAlgError: LOBPCG did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, box, message", [
+        ("2.0 0.0\n3.0 1.0\n", "a = 0.0\nb = 4.0\nn_qubits = 3", "x=0.4444444444444444 outside tabulated range [2.0"),
+        ("3.0 0.0\n4.0 1.0\n", "a = 2.55\nb = 4.55\nn_qubits = 4", "x=2.6676470588235293 outside tabulated range [3.0"),
+    ], ids=["narrower-than-grid", "readme-box"])
+    def test_table_short_of_grid_exit_2(self, tmp_path, capsys, table, box, message):
+        (tmp_path / "pot.dat").write_text(table)
+        text = f"""\
 [system]
 variant = finite
-a = 0.0
-b = 4.0
-n_qubits = 3
+{box}
 mass_amu = 1.0
 
 [potential]
@@ -138,10 +153,13 @@ file = pot.dat
 [task]
 name = diag
 seed = 1
+
+[output]
+directory = {tmp_path / "out"}
 """
-        path = write_config(tmp_path, text)
-        assert main(["run", str(path)]) == 3
-        assert "outside tabulated range" in capsys.readouterr().err
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert f"config error: [potential] grid point {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBadNumbers:
@@ -184,6 +202,35 @@ class TestTaskIntegerKeys:
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         assert f"[task] key '{key}' must be >= " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestTaskDefaults:
+    """The CLI passes the library only the [task] keys a config sets."""
+
+    def test_unset_keys_keep_the_dataclass_defaults(self, tmp_path):
+        config = load_config(write_config(tmp_path, MORSE_BASE.format(task="search", extra="", outdir="out")))
+        assert cli._optimizer_config(config) == OptimizerConfig(seed=config.seed)
+        assert cli._search_config(config) == SearchConfig(n_blocks=3, seed=config.seed)
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        extra = (
+            "blocks = 2\nthresholds = 5.0 0.5\nmax_entanglers = 7\ncandidate_budget = 33\n"
+            "restarts = 4\nmax_iter = 123\n"
+        )
+        config = load_config(write_config(tmp_path, MORSE_BASE.format(task="search", extra=extra, outdir="out")))
+        assert cli._optimizer_config(config) == OptimizerConfig(max_iter=123, restarts=4, seed=9)
+        assert cli._search_config(config) == SearchConfig(
+            n_blocks=2, thresholds=(5.0, 0.5), max_entanglers=7, candidate_budget=33,
+            full_budget=123, restarts_initial=4, seed=9,
+        )
+
+    @pytest.mark.parametrize("extra, tol", [("", DEFAULT_TOL), ("tol = 1e-3\n", 1e-3)], ids=["default", "set"])
+    def test_decompose_tol(self, tmp_path, extra, tol):
+        path = write_config(tmp_path, MORSE_BASE.format(task="decompose", extra=extra, outdir=tmp_path / "out"))
+        assert main(["run", str(path)]) == 0
+        config = load_config(path)
+        expected = format_pauli(decompose(assemble(config.grid, config.potential).full, tol=tol))
+        assert (tmp_path / "out" / "pauli.txt").read_text() == expected
 
 
 class TestQubitLimits:
@@ -433,7 +480,18 @@ class TestPlanTasks:
         assert parted["bound_num_bases"] == whole["bound_num_bases"]
         assert float(parted["tau_exact"]) == pytest.approx(float(whole["tau_exact"]), rel=1e-12)
         per_basis = (tmp_path / "parted" / "measure_bases.csv").read_text().splitlines()
-        assert [row.split(",")[0] for row in per_basis[1:]] == [str(b) for b in range(last + 2)]
+        assert [row.split(",")[:2] for row in per_basis[1:]] == [[str(b), "100"] for b in range(last + 2)]
+
+    @pytest.mark.parametrize("extra", ["s = 4\nr = 2\nshots = 100000000000000000000\n", "epsilon = 1e-40\n"],
+                             ids=["explicit", "from-epsilon"])
+    def test_shots_above_int64_exit_2(self, tmp_path, capsys, extra):
+        save_circuit(tmp_path / "state.circuit", linear_ansatz(4, 1).circuit())
+        (tmp_path / "params.txt").write_text("0.05\n" * 8)
+        extra += "circuit = state.circuit\nparams = params.txt\n"
+        text = MORSE_BASE.format(task="measure", extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "shots per basis is above 9223372036854775807" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "result.csv").exists()
 
     def test_epsilon_driven_plan(self, tmp_path):
         extra = "epsilon = 0.3\n"

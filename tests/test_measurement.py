@@ -457,17 +457,16 @@ class TestEvaluateSampled:
             weights[b, :o.size] = basis.weights[o]
         counts = np.random.default_rng(11).multinomial(shots, probs / norm)
         result = evaluate_sampled(plan, psi, shots, seed=11)
-        assert [row.index for row in result.per_basis] == list(range(plan.num_bases))
-        for row, w, c in zip(result.per_basis, weights, counts):
+        assert result.basis_estimates.shape == result.basis_std_errors.shape == (plan.num_bases,)
+        for estimate, std_error, w, c in zip(result.basis_estimates, result.basis_std_errors, weights, counts):
             mean = np.dot(c, w) / shots
             var = max(np.dot(c, w**2) / shots - mean**2, 0.0)
             if shots > 1:
                 var *= shots / (shots - 1)
-            assert row.shots == shots
-            assert row.estimate == pytest.approx(mean, rel=1e-12, abs=1e-15)
-            assert row.std_error == pytest.approx(np.sqrt(var / shots), rel=1e-12, abs=1e-15)
-        assert result.estimate == pytest.approx(sum(r.estimate for r in result.per_basis), rel=1e-12)
-        assert result.std_error == pytest.approx(np.sqrt(sum(r.std_error**2 for r in result.per_basis)), rel=1e-12)
+            assert estimate == pytest.approx(mean, rel=1e-12, abs=1e-15)
+            assert std_error == pytest.approx(np.sqrt(var / shots), rel=1e-12, abs=1e-15)
+        assert result.estimate == pytest.approx(np.sum(result.basis_estimates), rel=1e-12)
+        assert result.std_error == pytest.approx(np.sqrt(np.sum(result.basis_std_errors**2)), rel=1e-12)
 
     def test_weight_tables_built_once_and_left_intact(self, morse16_radial):
         """The plan keeps one pair of weight tables; a call that writes its
@@ -505,9 +504,8 @@ class TestEvaluateSampled:
         plan = parse_plan("basis 0\nqubits 2 slots 0\nbasis 1\nqubits 2 slots 0\nh 0\nw 1 3.0\n")
         psi = random_state(np.random.default_rng(61), 4)
         result = evaluate_sampled(plan, psi, 500, seed=2)
-        first = result.per_basis[0]
-        assert (first.estimate, first.std_error) == (0.0, 0.0)
-        assert result.per_basis[1].estimate != 0.0
+        assert (result.basis_estimates[0], result.basis_std_errors[0]) == (0.0, 0.0)
+        assert result.basis_estimates[1] != 0.0
         empty = parse_plan("basis 0\nqubits 2 slots 0\n")
         assert evaluate_exact(empty, psi) == 0.0
         result = evaluate_sampled(empty, psi, 500, seed=2)
