@@ -20,12 +20,11 @@ import numpy as np
 
 from . import __version__
 from .ansatz import linear_ansatz
-from .circuits import Circuit, format_circuit, load_circuit
+from .circuits import format_circuit, load_circuit
 from .config import ConfigError, RunConfig, load_config
 from .constants import HARTREE_TO_INV_CM
-from .hamiltonian import assemble, lowest_levels, truncate
+from .hamiltonian import DvrHamiltonian, assemble, lowest_levels, truncate
 from .measurement import (
-    MeasurementPlan,
     TruncationSpec,
     evaluate_exact,
     evaluate_sampled,
@@ -51,14 +50,14 @@ _SEARCH_FIELDS = {
 
 
 class _Workspace:
-    """Output directory with atomic writes and a hash manifest."""
+    """Output directory, made at the first write, with atomic writes and a hash manifest."""
 
     def __init__(self, outdir: Path):
         self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.written: dict[str, str] = {}
 
-    def write_text(self, name: str, text: str) -> None:
+    def _replace(self, name: str, text: str) -> None:
+        self.outdir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.outdir, prefix=f".{name}.")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -68,34 +67,33 @@ class _Workspace:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+    def write_text(self, name: str, text: str) -> None:
+        self._replace(name, text)
         self.written[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def finish(self) -> None:
         lines = [f"{digest}  {name}" for name, digest in sorted(self.written.items())]
-        text = "\n".join(lines) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=self.outdir, prefix=".manifest.")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, self.outdir / "manifest")
+        self._replace("manifest", "\n".join(lines) + "\n")
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _spectrum_csv(energies) -> str:
-    lines = ["v,energy_hartree,energy_cm1"]
-    for v, e in enumerate(energies):
-        lines.append(f"{v},{_fmt(e)},{_fmt(e * HARTREE_TO_INV_CM)}")
+def _csv(header: str, rows) -> str:
+    """``header``, then one line per row: floats at 17 significant digits, anything else by ``str``."""
+    lines = [header]
+    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _spectrum_csv(energies) -> str:
+    return _csv("v,energy_hartree,energy_cm1", ((v, e, e * HARTREE_TO_INV_CM) for v, e in enumerate(energies)))
 
 
 def _result_csv(rows: list[dict]) -> str:
-    keys = list(rows[0])
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in (row[k] for k in keys)))
-    return "\n".join(lines) + "\n"
+    return _csv(",".join(rows[0]), (row.values() for row in rows))
 
 
 def _truncation_spec(config: RunConfig) -> TruncationSpec:
@@ -110,42 +108,30 @@ def _truncation_spec(config: RunConfig) -> TruncationSpec:
     return TruncationSpec.from_epsilon(epsilon, config.grid.n_qubits, streamlined=streamlined)
 
 
-def _circuit_file(config: RunConfig, path) -> Circuit:
-    """A circuit file named in [task], checked against the grid's qubit count."""
+def _task_file(config: RunConfig, kind: str, path):
+    """The circuit or plan file named in [task], checked against the grid's qubit count."""
+    load = load_circuit if kind == "circuit" else load_plan
     try:
-        circuit = load_circuit(path)
+        loaded = load(path)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"[task] cannot read circuit file {path}: {exc}") from exc
-    if circuit.n_qubits != config.grid.n_qubits:
+        raise ConfigError(f"[task] cannot read {kind} file {path}: {exc}") from exc
+    if loaded.n_qubits != config.grid.n_qubits:
         raise ConfigError(
-            f"[task] circuit file {path} has {circuit.n_qubits} qubits, the grid {config.grid.n_qubits}"
+            f"[task] {kind} file {path} has {loaded.n_qubits} qubits, the grid {config.grid.n_qubits}"
         )
-    return circuit
+    return loaded
 
 
-def _plan_file(config: RunConfig, path) -> MeasurementPlan:
-    """A plan file named in [task], checked against the grid's qubit count."""
-    try:
-        plan = load_plan(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"[task] cannot read plan file {path}: {exc}") from exc
-    if plan.n_qubits != config.grid.n_qubits:
-        raise ConfigError(
-            f"[task] plan file {path} has {plan.n_qubits} qubits, the grid {config.grid.n_qubits}"
-        )
-    return plan
-
-
-def _ansatz_for(config: RunConfig, hamiltonian):
+def _ansatz_for(config: RunConfig, h: DvrHamiltonian):
     """Resolve the [task] entangler choice into a circuit to optimize."""
     choice = config.opt("entangler", "linear")
     if choice == "linear":
         return linear_ansatz(config.grid.n_qubits, config.opt("blocks", DEFAULT_BLOCKS)).circuit()
     if choice == "search":
         search_config = _search_config(config)
-        result = greedy_search(hamiltonian, search_config)
+        result = greedy_search(h.full, search_config)
         return result.final_ansatz.circuit()
-    return _circuit_file(config, choice)
+    return _task_file(config, "circuit", choice)
 
 
 def _given(config: RunConfig, fields: dict[str, str]) -> dict[str, object]:
@@ -166,30 +152,25 @@ def _search_config(config: RunConfig) -> SearchConfig:
         raise ConfigError(f"[task] {exc}") from exc
 
 
-def _task_diag(config: RunConfig, ws: _Workspace) -> None:
-    h = assemble(config.grid, config.potential)
+def _task_diag(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     count = config.opt("levels", min(h.n_points, 8))
     ws.write_text("spectrum.csv", _spectrum_csv(lowest_levels(h, count)))
 
 
-def _task_decompose(config: RunConfig, ws: _Workspace) -> None:
-    h = assemble(config.grid, config.potential)
+def _task_decompose(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     psum = decompose(h.full, **_given(config, {"tol": "tol"}))
     ws.write_text("pauli.txt", format_pauli(psum))
 
 
-def _task_vqe(config: RunConfig, ws: _Workspace) -> None:
-    h = assemble(config.grid, config.potential)
+def _task_vqe(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
+    circuit = _ansatz_for(config, h)
     reference = lowest_levels(h, 1)[0]
-    circuit = _ansatz_for(config, h.full)
     result = minimize(circuit, ObjectiveConfig(h.full), _optimizer_config(config))
     ws.write_text("spectrum.csv", _spectrum_csv([reference]))
-
-    trace_lines = ["iter,objective,energy_hartree,energy_cm1"]
-    for iteration, obj, energy in result.trace:
-        trace_lines.append(f"{iteration},{_fmt(obj)},{_fmt(energy)},{_fmt(energy * HARTREE_TO_INV_CM)}")
-    ws.write_text("vqe_trace.csv", "\n".join(trace_lines) + "\n")
-
+    ws.write_text("vqe_trace.csv", _csv(
+        "iter,objective,energy_hartree,energy_cm1",
+        ((iteration, obj, energy, energy * HARTREE_TO_INV_CM) for iteration, obj, energy in result.trace),
+    ))
     error_cm1 = (result.energy - reference) * HARTREE_TO_INV_CM
     ws.write_text("result.csv", _result_csv([{
         "v": 0,
@@ -201,11 +182,10 @@ def _task_vqe(config: RunConfig, ws: _Workspace) -> None:
     }]))
 
 
-def _task_excited(config: RunConfig, ws: _Workspace) -> None:
-    h = assemble(config.grid, config.potential)
+def _task_excited(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     v_max = config.opt("v_max", min(2, h.n_points - 1))
+    circuit = _ansatz_for(config, h)
     reference = lowest_levels(h, v_max + 1)
-    circuit = _ansatz_for(config, h.full)
     results = excited_states(circuit, h.full, v_max, _optimizer_config(config))
     ws.write_text("spectrum.csv", _spectrum_csv(reference))
     rows = []
@@ -229,16 +209,14 @@ def _circuit_names(thresholds) -> dict[float, str]:
     return names
 
 
-def _task_search(config: RunConfig, ws: _Workspace) -> None:
+def _task_search(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     search_config = _search_config(config)
     names = _circuit_names(search_config.thresholds)
-    h = assemble(config.grid, config.potential)
     result = greedy_search(h.full, search_config)
-
-    trace_lines = ["step,block,ctrl,tgt,energy_hartree,error_cm1"]
-    for s in result.trace.steps:
-        trace_lines.append(f"{s.step},{s.block},{s.ctrl},{s.tgt},{_fmt(s.energy)},{_fmt(s.error_cm1)}")
-    ws.write_text("search_trace.csv", "\n".join(trace_lines) + "\n")
+    ws.write_text("search_trace.csv", _csv(
+        "step,block,ctrl,tgt,energy_hartree,error_cm1",
+        ((s.step, s.block, s.ctrl, s.tgt, s.energy, s.error_cm1) for s in result.trace.steps),
+    ))
 
     rows = []
     for threshold, snap in result.snapshots.items():
@@ -257,8 +235,7 @@ def _task_search(config: RunConfig, ws: _Workspace) -> None:
     ws.write_text("spectrum.csv", _spectrum_csv([result.trace.reference_energy]))
 
 
-def _task_plan(config: RunConfig, ws: _Workspace) -> None:
-    h = assemble(config.grid, config.potential)
+def _task_plan(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     spec = _truncation_spec(config)
     plan = full_plan(h, spec)
     ws.write_text("plan.txt", format_plan(plan))
@@ -270,9 +247,8 @@ def _task_plan(config: RunConfig, ws: _Workspace) -> None:
     }]))
 
 
-def _task_verify_plan(config: RunConfig, ws: _Workspace) -> None:
-    imported = _plan_file(config, config.opt("plan", config.outdir / "plan.txt"))
-    h = assemble(config.grid, config.potential)
+def _task_verify_plan(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
+    imported = _task_file(config, "plan", config.opt("plan", config.outdir / "plan.txt"))
     spec = _truncation_spec(config)
     matrix = plan_to_matrix(imported)
     dev_plan = float(np.max(np.abs(matrix - plan_to_matrix(full_plan(h, spec)))))
@@ -283,20 +259,18 @@ def _task_verify_plan(config: RunConfig, ws: _Workspace) -> None:
     }]))
 
 
-def _task_measure(config: RunConfig, ws: _Workspace) -> None:
+def _task_measure(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     spec = _truncation_spec(config)
     shots = config.opt("shots", spec.default_shots())
     if shots > np.iinfo(np.int64).max:
         raise ConfigError(f"[task] {shots} shots per basis is above {np.iinfo(np.int64).max}, the largest a draw takes")
-    h = assemble(config.grid, config.potential)
-    rebuilt = full_plan(h, spec)
     plan_path = config.opt("plan")
-    plan = _plan_file(config, plan_path) if plan_path else rebuilt
+    loaded = _task_file(config, "plan", plan_path) if plan_path else None
 
     circuit_path = config.opt("circuit")
     if circuit_path is None:
         raise ConfigError("[task] measure needs a 'circuit' file for the state")
-    circuit = _circuit_file(config, circuit_path)
+    circuit = _task_file(config, "circuit", circuit_path)
     params_path = config.opt("params")
     if circuit.n_slots and params_path is None:
         raise ConfigError("[task] measure needs a 'params' file for the circuit's slots")
@@ -310,29 +284,28 @@ def _task_measure(config: RunConfig, ws: _Workspace) -> None:
             raise ConfigError(
                 f"[task] params file {params_path} has {params.size} values, the circuit {circuit.n_slots} slots"
             )
-    state = run_circuit(circuit, params)
 
+    rebuilt = full_plan(h, spec)
+    plan = rebuilt if loaded is None else loaded
+    state = run_circuit(circuit, params)
     exact = evaluate_exact(plan, state)
     sampled = evaluate_sampled(plan, state, shots, config.seed)
-    energy = energy_of(state, h.full)
     bound = rebuilt.bound_num_bases
-
-    lines = ["quantity,value"]
-    lines.append(f"tau_exact,{_fmt(exact)}")
-    lines.append(f"tau_sampled,{_fmt(sampled.estimate)}")
-    lines.append(f"std_error,{_fmt(sampled.std_error)}")
-    lines.append(f"energy_dense,{_fmt(energy)}")
-    lines.append(f"shots_per_basis,{shots}")
-    lines.append(f"num_bases,{plan.num_bases}")
-    lines.append(f"bound_num_bases,{bound}")
-    lines.append(f"bases_within_bound,{int(plan.num_bases <= bound)}")
-    ws.write_text("result.csv", "\n".join(lines) + "\n")
-
-    per_basis = ["basis,shots,estimate,std_error"]
+    ws.write_text("result.csv", _csv("quantity,value", [
+        ("tau_exact", exact),
+        ("tau_sampled", sampled.estimate),
+        ("std_error", sampled.std_error),
+        ("energy_dense", energy_of(state, h.full)),
+        ("shots_per_basis", shots),
+        ("num_bases", plan.num_bases),
+        ("bound_num_bases", bound),
+        ("bases_within_bound", int(plan.num_bases <= bound)),
+    ]))
     rows = zip(sampled.basis_estimates.tolist(), sampled.basis_std_errors.tolist())
-    for index, (estimate, std_error) in enumerate(rows):
-        per_basis.append(f"{index},{shots},{_fmt(estimate)},{_fmt(std_error)}")
-    ws.write_text("measure_bases.csv", "\n".join(per_basis) + "\n")
+    ws.write_text("measure_bases.csv", _csv(
+        "basis,shots,estimate,std_error",
+        ((index, shots, estimate, std_error) for index, (estimate, std_error) in enumerate(rows)),
+    ))
 
 
 _TASK_RUNNERS = {
@@ -349,7 +322,7 @@ _TASK_RUNNERS = {
 
 def run_config(config: RunConfig) -> Path:
     ws = _Workspace(config.outdir)
-    _TASK_RUNNERS[config.task](config, ws)
+    _TASK_RUNNERS[config.task](config, assemble(config.grid, config.potential), ws)
     ws.finish()
     return ws.outdir / "manifest"
 

@@ -72,13 +72,7 @@ def _get(parser, section, key, cast, default=None, required=False):
         return default
     raw = parser.get(section, key)
     try:
-        if cast is bool:
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        value = cast(raw)
+        value = parser.getboolean(section, key) if cast is bool else cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}") from exc
     if cast is float and not math.isfinite(value):
@@ -146,10 +140,7 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
                 _get(parser, "potential", "center", float, default=0.0),
             )
         elif ptype == "tabulated":
-            file_name = _get(parser, "potential", "file", str, required=True)
-            file_path = Path(file_name)
-            if not file_path.is_absolute():
-                file_path = path.parent / file_path
+            file_path = path.parent / _get(parser, "potential", "file", str, required=True)
             if not file_path.is_file():
                 raise ConfigError(f"[potential] file not found: {file_path}")
             try:
@@ -163,6 +154,9 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
             raise ConfigError(f"[potential] unknown type {ptype!r}")
 
     seed = seed_override if seed_override is not None else _get(parser, "task", "seed", int, default=0)
+    if seed < 0:
+        source = "--seed" if seed_override is not None else "[task] key 'seed'"
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
 
     options: dict[str, object] = {}
     for key, (cast, minimum) in _TASK_KEYS.items():
@@ -194,28 +188,18 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
             raise ConfigError(f"[task] key 'thresholds': cannot parse {thresholds!r}") from exc
         if not all(math.isfinite(t) for t in options["thresholds"]):
             raise ConfigError(f"[task] key 'thresholds' must be finite numbers, got {thresholds!r}")
+    # File names resolve against the config's directory; an absolute name stays as it is.
     for key in ("plan", "circuit", "params"):
         if key in options:
-            file_path = Path(options[key])
-            if not file_path.is_absolute():
-                file_path = path.parent / file_path
-            options[key] = file_path
+            options[key] = path.parent / options[key]
     # entangler is either a keyword or a circuit file, resolved like the others
     if options.get("entangler") not in (None, "linear", "search"):
-        entangler_path = Path(options["entangler"])
-        if not entangler_path.is_absolute():
-            entangler_path = path.parent / entangler_path
-        options["entangler"] = entangler_path
+        options["entangler"] = path.parent / options["entangler"]
 
-    outdir = Path(outdir_override) if outdir_override is not None else None
-    if outdir is None:
-        if parser.has_section("output"):
-            _check_keys("output", parser.options("output"), _OUTPUT_KEYS)
-            directory = _get(parser, "output", "directory", str, default="out")
-        else:
-            directory = "out"
-        outdir = Path(directory)
-        if not outdir.is_absolute():
-            outdir = path.parent / outdir
+    directory = "out"
+    if parser.has_section("output"):
+        _check_keys("output", parser.options("output"), _OUTPUT_KEYS)
+        directory = _get(parser, "output", "directory", str, default="out")
+    outdir = Path(outdir_override) if outdir_override is not None else path.parent / directory
 
     return RunConfig(grid, potential, task, seed, outdir, options)

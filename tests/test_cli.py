@@ -86,6 +86,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="plotting"):
             load_config(path)
 
+    @pytest.mark.parametrize("argv", [[], ["--out", "elsewhere"]], ids=["config", "out-override"])
+    def test_unknown_output_key_rejected(self, tmp_path, capsys, argv):
+        text = HARMONIC_CONFIG.format(outdir="out") + "directroy = typo\n"
+        assert main(["diag", str(write_config(tmp_path, text)), *argv]) == 2
+        assert "[output] has unknown key(s): directroy" in capsys.readouterr().err
+
     def test_missing_mass_rejected(self, tmp_path):
         text = HARMONIC_CONFIG.format(outdir="out").replace("mass_me = 500.0\n", "")
         with pytest.raises(ConfigError, match="mass"):
@@ -121,6 +127,31 @@ class TestConfigParsing:
         path = write_config(tmp_path, text)
         assert main(["run", str(path)]) == 2
         assert "dx" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, argv, message", [
+        ("seed = 9", "seed = -1", [], "[task] key 'seed' must be >= 0, got -1"),
+        (None, None, ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ], ids=["config", "override"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, old, new, argv, message):
+        text = MORSE_BASE.format(task="vqe", extra="", outdir=tmp_path / "out")
+        if old is not None:
+            text = text.replace(old, new)
+        assert main(["vqe", str(write_config(tmp_path, text)), *argv]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("word, value", [
+        ("TRUE", True), ("Yes", True), ("1", True), ("oN", True),
+        ("false", False), ("NO", False), ("0", False), ("Off", False),
+    ])
+    def test_bool_words(self, tmp_path, word, value):
+        text = MORSE_BASE.format(task="plan", extra=f"streamlined = {word}\n", outdir="out")
+        assert load_config(write_config(tmp_path, text)).opt("streamlined") is value
+
+    def test_bad_bool_diagnostic(self, tmp_path):
+        text = MORSE_BASE.format(task="plan", extra="streamlined = maybe\n", outdir="out")
+        with pytest.raises(ConfigError, match=r"\[task\] key 'streamlined': cannot parse 'maybe'"):
+            load_config(write_config(tmp_path, text))
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
@@ -491,12 +522,62 @@ class TestPlanTasks:
         text = MORSE_BASE.format(task="measure", extra=extra, outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         assert "shots per basis is above 9223372036854775807" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "result.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_epsilon_driven_plan(self, tmp_path):
         extra = "epsilon = 0.3\n"
         text = MORSE_BASE.format(task="plan", extra=extra, outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 0
+
+
+def forbidden(*args, **kwargs):
+    pytest.fail("the task computed before it had read its input files")
+
+
+class TestTaskInputs:
+    """A config error that a task raises comes before any work and leaves no output directory."""
+
+    @pytest.mark.parametrize("task, extra, message", [
+        ("measure", "s = 4\nr = 2\ncircuit = missing.circuit\n", "cannot read circuit file"),
+        ("measure", "s = 4\nr = 2\nplan = bad_plan.txt\ncircuit = state.circuit\nparams = params.txt\n",
+         "repeats outcome 0"),
+        ("measure", "s = 4\nr = 2\ncircuit = state.circuit\nparams = short.txt\n", "has 2 values, the circuit 8 slots"),
+        ("measure", "s = 4\nr = 2\nshots = 9223372036854775808\ncircuit = state.circuit\nparams = params.txt\n",
+         "shots per basis is above 9223372036854775807"),
+        ("search", "blocks = 1\nthresholds = 25 2.5\n", "share a circuit file name"),
+    ], ids=["missing-circuit", "malformed-plan", "params-count", "shots-above-int64", "threshold-names-clash"])
+    def test_config_error_leaves_no_output(self, tmp_path, capsys, task, extra, message):
+        save_circuit(tmp_path / "state.circuit", linear_ansatz(4, 1).circuit())
+        (tmp_path / "params.txt").write_text("0.05\n" * 8)
+        (tmp_path / "short.txt").write_text("0.1\n0.2\n")
+        (tmp_path / "bad_plan.txt").write_text("basis 0\nqubits 4 slots 0\nw 0 1.0\nw 0 2.0\n")
+        text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task, extra", [
+        ("vqe", "entangler = missing.circuit\n"),
+        ("excited", "entangler = missing.circuit\n"),
+        ("measure", "s = 4\nr = 2\ncircuit = missing.circuit\n"),
+    ], ids=["vqe", "excited", "measure"])
+    def test_files_read_before_work(self, tmp_path, capsys, monkeypatch, task, extra):
+        monkeypatch.setattr(cli, "lowest_levels", forbidden)
+        monkeypatch.setattr(cli, "full_plan", forbidden)
+        text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "cannot read circuit file" in capsys.readouterr().err
+
+
+class TestCsv:
+    def test_floats_at_17_digits_everything_else_by_str(self):
+        rows = [(0.1, np.float64(1 / 3), 7, np.int64(-2)), ("x", float("nan"), 10**20, np.int64(2**62))]
+        assert cli._csv("a,b,c,d", rows) == (
+            "a,b,c,d\n0.10000000000000001,0.33333333333333331,7,-2\nx,nan,100000000000000000000,4611686018427387904\n"
+        )
+
+    def test_header_only(self):
+        assert cli._csv("quantity,value", []) == "quantity,value\n"
 
 
 class TestDeterminism:
@@ -574,7 +655,7 @@ class TestSearchTaskSmall:
         config_text = SMALL_SEARCH.format(thresholds=thresholds, outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, config_text))]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out" / "manifest").exists()
+        assert not (tmp_path / "out").exists()
 
 
 def scipy_modules_after(code: str, cwd: Path) -> list[str]:
