@@ -22,7 +22,7 @@ from .hamiltonian import (
 )
 from .pauli import PauliSum, decompose, reconstruct, term_count
 from .circuits import Circuit, Gate, load_circuit, save_circuit
-from .simulator import run, overlap_sq, sample_counts
+from .simulator import run, overlap_sq
 from .measurement import (
     MeasBasis,
     MeasurementPlan,
@@ -77,7 +77,6 @@ __all__ = [
     "save_circuit",
     "run",
     "overlap_sq",
-    "sample_counts",
     "MeasBasis",
     "MeasurementPlan",
     "TruncationSpec",

@@ -39,8 +39,6 @@ class GridSpec:
     points: np.ndarray
     dx: float
     kinetic_scale: float  # E_T = hbar^2 / (2 m dx^2), hartree
-    a: float | None = None
-    b: float | None = None
 
     @property
     def n_points(self) -> int:
@@ -63,8 +61,9 @@ class BandProfile:
     g: np.ndarray
     kinetic_scale: float
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense kinetic matrix: Toeplitz f(|i-j|) plus Hankel g(i+j), diagonal d."""
+    def to_matrix(self, diagonal: np.ndarray | None = None) -> np.ndarray:
+        """Dense matrix: Toeplitz f(|i-j|) plus Hankel g(i+j) off the diagonal,
+        and ``diagonal`` on it, d (the kinetic matrix) when none is given."""
         n_pts = 2 ** self.n_qubits
         window = np.lib.stride_tricks.sliding_window_view
         # Entry (i, j) of the window view of v = f(N-1..1), f(0..N-1) is
@@ -73,7 +72,7 @@ class BandProfile:
         # Hankel matrix g(i+j) without an N x N temporary.
         mat = window(np.concatenate([self.f[:0:-1], self.f]), n_pts)[::-1].copy()
         mat += window(self.g, n_pts)
-        np.fill_diagonal(mat, self.d)
+        np.fill_diagonal(mat, self.d if diagonal is None else diagonal)
         return mat
 
 
@@ -92,7 +91,6 @@ def build_grid(variant, params, n_qubits, mass) -> GridSpec:
         raise ValueError(f"mass must be positive, got {mass}")
 
     n_pts = 2 ** n_qubits
-    a = b = None
     if variant == "finite":
         a, b = float(params["a"]), float(params["b"])
         if b <= a:
@@ -113,7 +111,7 @@ def build_grid(variant, params, n_qubits, mass) -> GridSpec:
 
     e_t = 1.0 / (2.0 * mass * dx * dx)
     points.setflags(write=False)
-    return GridSpec(variant, n_qubits, float(mass), points, dx, e_t, a, b)
+    return GridSpec(variant, n_qubits, float(mass), points, dx, e_t)
 
 
 def band_profile(grid: GridSpec) -> BandProfile:

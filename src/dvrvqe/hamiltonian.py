@@ -57,8 +57,7 @@ class DvrHamiltonian:
     @cached_property
     def full(self) -> np.ndarray:
         """Dense read-only H, built on first access and kept."""
-        full = self.profile.to_matrix()
-        np.fill_diagonal(full, self.diagonal)
+        full = self.profile.to_matrix(self.diagonal)
         full.setflags(write=False)
         return full
 
@@ -76,7 +75,7 @@ class DvrHamiltonian:
         # in reverse, y[-i-2], is exp(2 pi i k 2/2N) conj(Y[k]) for real y.
         k = np.arange(n_pts + 1)
         hankel = np.exp(2j * np.pi * k / n_pts) * np.conj(rfft(g[::-1], n=2 * n_pts))
-        # to_matrix overwrites f(0) + g(2i) on the diagonal with d.
+        # full writes d + V over f(0) + g(2i) on the diagonal.
         diagonal = self.diagonal - f[0] - g[::2]
         return toeplitz[:, None], hankel[:, None], diagonal[:, None]
 
@@ -137,9 +136,7 @@ def truncate(h: DvrHamiltonian, s: int, r: int, streamlined: bool = False) -> np
         f=np.where(np.arange(h.n_points) < s, profile.f, 0.0),
         g=np.where(retained_antidiagonals(h.n_qubits, r, streamlined), profile.g, 0.0),
     )
-    out = kept.to_matrix()
-    np.fill_diagonal(out, h.diagonal)
-    return out
+    return kept.to_matrix(h.diagonal)
 
 
 def truncation_error_bound(profile: BandProfile, s: int, r: int) -> float:
@@ -234,8 +231,8 @@ def _coarse_start(h: DvrHamiltonian, size: int) -> np.ndarray:
     n_coarse = min(grid.n_qubits - 1, max(7, (8 * size - 1).bit_length()))
     box = {"a": grid.points[0] - grid.dx, "b": grid.points[-1] + grid.dx}
     coarse = build_grid("finite", box, n_coarse, grid.mass)
-    matrix = band_profile(coarse).to_matrix()
-    matrix[np.diag_indices_from(matrix)] += np.interp(coarse.points, grid.points, h.potential_diag)
+    profile = band_profile(coarse)
+    matrix = profile.to_matrix(profile.d + np.interp(coarse.points, grid.points, h.potential_diag))
     _, vectors = scipy.linalg.eigh(matrix, subset_by_index=[0, size - 1], driver="evr")
     return idst(dst(vectors, type=1, axis=0), type=1, n=h.n_points, axis=0)
 

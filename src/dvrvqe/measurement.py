@@ -67,8 +67,6 @@ class TruncationSpec:
     r: int
     streamlined: bool = False
     epsilon: float | None = None
-    alpha: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.s < 1 or self.r < 1:
@@ -76,13 +74,14 @@ class TruncationSpec:
 
     @classmethod
     def from_epsilon(cls, epsilon, n_qubits, alpha=1.0, beta=1.0, streamlined=False):
-        """Derive s = ceil(eps^(-1/alpha)), r = ceil(eps^(-1/beta)), capped at 2^n."""
+        """Derive s = ceil(eps^(-1/alpha)), r = ceil(eps^(-1/beta)), capped at 2^n;
+        alpha and beta are the decay exponents of the band and anti-diagonal tails."""
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         n_pts = 2 ** n_qubits
         s = min(math.ceil(epsilon ** (-1.0 / alpha)), n_pts)
         r = min(math.ceil(epsilon ** (-1.0 / beta)), n_pts)
-        return cls(s, r, streamlined, epsilon, alpha, beta)
+        return cls(s, r, streamlined, epsilon)
 
     @property
     def p(self) -> int:

@@ -148,11 +148,6 @@ def format_pauli(psum: PauliSum) -> str:
     return "".join(f"{word} {coeff:.17e}\n" for word, coeff in psum.items())
 
 
-def save_pauli(path, psum: PauliSum) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_pauli(psum))
-
-
 def load_pauli(path) -> PauliSum:
     terms: dict[str, float] = {}
     n = None

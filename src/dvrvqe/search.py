@@ -62,7 +62,6 @@ class SearchStep:
 
 @dataclass(frozen=True)
 class Snapshot:
-    threshold: float
     ansatz: AnsatzSpec
     energy: float
     params: np.ndarray
@@ -84,17 +83,16 @@ class SearchResult:
 
 
 def candidate_evaluation(base_ansatz: AnsatzSpec, candidate, warm_params, budget: int,
-                         config: ObjectiveConfig, seed) -> tuple[float, np.ndarray]:
-    """Energy after appending one candidate CNOT and re-optimizing.
+                         config: ObjectiveConfig) -> tuple[float, np.ndarray]:
+    """Energy after appending one candidate CNOT and re-optimizing from
+    ``warm_params`` for at most ``budget`` iterations.
 
-    Parameters warm-start from the incumbent optimum (the new gate adds no
-    parameter slots) with a small seeded jitter so the greedy signal is
-    about the gate, not the optimizer's starting point.
+    The new gate adds no parameter slots, so the incumbent's parameters fit
+    the trial as they are; greedy_search adds the warm start's jitter.
     """
     block, ctrl, tgt = candidate
     trial = base_ansatz.with_entangler(block, ctrl, tgt)
-    opt = OptimizerConfig(max_iter=budget, restarts=1, seed=seed)
-    result = minimize(trial, config, opt, x0=warm_params)
+    result = minimize(trial, config, OptimizerConfig(max_iter=budget, restarts=1), x0=warm_params)
     return result.energy, result.params
 
 
@@ -130,7 +128,7 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
         trace.steps.append(SearchStep(step, block, ctrl, tgt, result.energy, err))
         for threshold in config.thresholds:
             if snapshots[threshold] is None and err < threshold:
-                snapshots[threshold] = Snapshot(threshold, ansatz, result.energy, result.params, step)
+                snapshots[threshold] = Snapshot(ansatz, result.energy, result.params, step)
 
     record(0, None, incumbent)
     used: set[tuple[int, int, int]] = set()
@@ -140,7 +138,7 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
         and ansatz.n_entanglers < config.max_entanglers
     ):
         step += 1
-        candidates = [
+        candidates = [  # in (block, q, p) order, the tie-break order
             (d, q, p)
             for d in range(config.n_blocks)
             for q in range(n_qubits)
@@ -152,13 +150,12 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
         best_gate = None
         best_energy = None
         best_params = None
-        for gate in sorted(candidates):
+        for gate in candidates:
+            # A small seeded jitter of the warm start, so that the greedy
+            # signal is about the gate, not the optimizer's starting point.
             rng = np.random.default_rng((config.seed, step, *gate))
             warm = incumbent.params + JITTER_SCALE * rng.standard_normal(incumbent.params.size)
-            energy, params = candidate_evaluation(
-                ansatz, gate, warm, config.candidate_budget, objective_config,
-                seed=(config.seed, step, *gate),
-            )
+            energy, params = candidate_evaluation(ansatz, gate, warm, config.candidate_budget, objective_config)
             if best_energy is None or energy < best_energy:
                 best_gate, best_energy, best_params = gate, energy, params
         if best_energy > incumbent.energy - PLATEAU_IMPROVEMENT:

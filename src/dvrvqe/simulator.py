@@ -1,7 +1,7 @@
 """Exact statevector simulation of the {RY, CNOT, H, X} gate set.
 
 Qubit 0 is the most significant index bit (circuits.py). Each circuit is
-compiled once into ops on the flat state, kept on the circuit object: RY
+compiled once into ops on the flat state, kept in its kernel (_Kernel): RY
 and H act as 2x2 matrices on the (2^q, 2, 2^(n-q-1)) view, and each run of
 consecutive CNOT and X gates acts as one index permutation. Every gate
 is real: ``run`` returns float64 amplitudes, ``adjoint_gradient`` takes
@@ -37,14 +37,9 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
 
     A permutation maps new[i] = old[forward[i]]; it is the product of one
     run of consecutive CNOT and X gates, so it is in general not its own
-    inverse, and old[i] = new[inverse[i]] undoes it. The ops are built on
-    the first call and stored in the circuit's ``__dict__``, which the
-    frozen dataclass allows and which leaves its fields, equality and hash
-    as they are; no call hashes the gates.
+    inverse, and old[i] = new[inverse[i]] undoes it. _Kernel keeps the
+    ops it is built from as ``ops``.
     """
-    ops = circuit.__dict__.get("_ops")
-    if ops is not None:
-        return ops
     n = circuit.n_qubits
     index = np.arange(2 ** n)
     ops = []
@@ -57,9 +52,7 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
         if not ops or ops[-1][0] != "perm":
             ops.append(("perm", index, -1))
         ops[-1] = ("perm", ops[-1][1][index ^ flip], -1)
-    ops = tuple((kind, (arg, np.argsort(arg)) if kind == "perm" else arg, slot) for kind, arg, slot in ops)
-    circuit.__dict__["_ops"] = ops
-    return ops
+    return tuple((kind, (arg, np.argsort(arg)) if kind == "perm" else arg, slot) for kind, arg, slot in ops)
 
 
 def _rotations(circuit: Circuit, params) -> np.ndarray:
@@ -163,27 +156,19 @@ class _Kernel:
 
 
 def _kernel(circuit: Circuit) -> _Kernel:
-    """The circuit's kernel, built on the first call and kept like its ops."""
+    """The circuit's kernel, built on the first call and stored in its
+    ``__dict__``, which the frozen dataclass allows and which leaves its
+    fields, equality and hash as they are; no call hashes the gates."""
     kernel = circuit.__dict__.get("_kernel")
     if kernel is None:
         kernel = circuit.__dict__["_kernel"] = _Kernel(circuit)
     return kernel
 
 
-def _forward(circuit: Circuit, rotations: np.ndarray) -> np.ndarray:
-    """run with the slot rotations already made by _rotations."""
-    return _kernel(circuit).forward(rotations)
-
-
-def _backward(circuit: Circuit, rotations: np.ndarray, state: np.ndarray, costate: np.ndarray) -> np.ndarray:
-    """adjoint_gradient with the slot rotations already made by _rotations."""
-    return _kernel(circuit).backward(rotations, state, costate)
-
-
 def run(circuit: Circuit, params=None) -> np.ndarray:
     """Apply the circuit to |0...0> and return the final float64 amplitudes
     as a new array."""
-    return _forward(circuit, _rotations(circuit, params))
+    return _kernel(circuit).forward(_rotations(circuit, params))
 
 
 def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarray:
@@ -202,7 +187,7 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
             f"state dimension {state.shape} does not match {circuit.n_qubits} qubits"
         )
     rotations = _rotations(circuit, params)
-    for kind, arg, slot in _compile(circuit):
+    for kind, arg, slot in _kernel(circuit).ops:
         if kind == "perm":
             state = state[arg[0]]
         elif kind == "ry":
@@ -274,7 +259,7 @@ def adjoint_gradient(circuit: Circuit, params, state: np.ndarray, costate: np.nd
     memory layout, and a slot shared by several gates gets the sum of
     their terms, added last gate first.
     """
-    return _backward(circuit, _rotations(circuit, params), state, costate)
+    return _kernel(circuit).backward(_rotations(circuit, params), state, costate)
 
 
 def overlap_sq(s1: np.ndarray, s2: np.ndarray) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
-from .simulator import _backward, _forward, _rotations, overlap_sq, run
+from .simulator import _kernel, _rotations, overlap_sq, run
 
 GRADIENT_TOL = 1e-8    # L-BFGS-B gtol
 OBJECTIVE_TOL = 1e-12  # L-BFGS-B ftol
@@ -109,11 +109,11 @@ def objective(params, circuit: Circuit, config: ObjectiveConfig) -> float:
 
 def _evaluate(params, circuit: Circuit, config: ObjectiveConfig):
     """(state, energy, objective, gradient) from one forward and one backward
-    pass; the rotations are made once for both."""
-    rotations = _rotations(circuit, params)
-    state = _forward(circuit, rotations)
+    pass on the circuit's kernel; the rotations are made once for both."""
+    rotations, kernel = _rotations(circuit, params), _kernel(circuit)
+    state = kernel.forward(rotations)
     energy, value, costate = _values(state, config)
-    return state, energy, value, _backward(circuit, rotations, state, costate)
+    return state, energy, value, kernel.backward(rotations, state, costate)
 
 
 def gradient(params, circuit: Circuit, config: ObjectiveConfig) -> np.ndarray:

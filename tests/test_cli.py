@@ -18,8 +18,8 @@ from dvrvqe.ansatz import linear_ansatz
 from dvrvqe.hamiltonian import assemble
 from dvrvqe.pauli import DEFAULT_TOL, decompose, format_pauli
 from dvrvqe.potentials import HarmonicPotential, MorsePotential
-from dvrvqe.search import SearchConfig
-from dvrvqe.vqe import OptimizerConfig
+from dvrvqe.search import SearchConfig, greedy_search
+from dvrvqe.vqe import OptimizerConfig, minimize
 
 HARMONIC_CONFIG = """\
 [system]
@@ -127,6 +127,27 @@ class TestConfigParsing:
         path = write_config(tmp_path, text)
         assert main(["run", str(path)]) == 2
         assert "dx" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("type = morse", "type = lennard-jones", "[potential] unknown type 'lennard-jones'"),
+        ("seed = 9", "seed = 9\nthresholds = 1.0 abc", "[task] key 'thresholds': cannot parse '1.0 abc'"),
+    ], ids=["potential-type", "thresholds"])
+    def test_unparsable_value_exit_2(self, tmp_path, capsys, old, new, message):
+        text = MORSE_BASE.format(task="search", extra="", outdir=tmp_path / "out").replace(old, new)
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_potential_type_none_is_no_potential(self, tmp_path):
+        section = "[potential]\ntype = morse\nwell_depth = 0.07\nrange = 1.35\nequilibrium = 3.2\n\n"
+        spectra = []
+        for name, replacement in (("none", "[potential]\ntype = none\n\n"), ("absent", "")):
+            text = MORSE_BASE.format(task="diag", extra="levels = 4\n", outdir=tmp_path / name)
+            assert section in text
+            path = write_config(tmp_path, text.replace(section, replacement), name=f"{name}.ini")
+            assert main(["run", str(path)]) == 0
+            spectra.append((tmp_path / name / "spectrum.csv").read_bytes())
+        assert spectra[0] == spectra[1]
 
     @pytest.mark.parametrize("old, new, argv, message", [
         ("seed = 9", "seed = -1", [], "[task] key 'seed' must be >= 0, got -1"),
@@ -362,6 +383,26 @@ class TestVqeTask:
         text = MORSE_BASE.format(task="vqe", extra=extra, outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 0
 
+    def test_search_entangler_optimizes_the_searched_circuit(self, tmp_path, monkeypatch):
+        searches, optimized = [], []
+
+        def spied_search(*args, **kwargs):
+            searches.append(greedy_search(*args, **kwargs))
+            return searches[-1]
+
+        def spied_minimize(circuit, *args, **kwargs):
+            optimized.append(circuit)
+            return minimize(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "greedy_search", spied_search)
+        monkeypatch.setattr(cli, "minimize", spied_minimize)
+        extra = "entangler = search\nblocks = 1\nrestarts = 1\nmax_iter = 300\n"
+        text = MORSE_BASE.format(task="vqe", extra=extra, outdir=tmp_path / "out").replace("n_qubits = 4", "n_qubits = 3")
+        assert main(["run", str(write_config(tmp_path, text))]) == 0
+        (result,) = searches
+        assert optimized == [result.final_ansatz.circuit()]
+        assert (tmp_path / "out" / "result.csv").is_file()
+
     def test_malformed_entangler_file_exit_2(self, tmp_path, capsys):
         (tmp_path / "ansatz.circuit").write_text("qubits 4 slots 0\nx 0\ncnot 1 1\n")
         extra = "entangler = ansatz.circuit\nrestarts = 1\nmax_iter = 10\n"
@@ -545,7 +586,12 @@ class TestTaskInputs:
         ("measure", "s = 4\nr = 2\nshots = 9223372036854775808\ncircuit = state.circuit\nparams = params.txt\n",
          "shots per basis is above 9223372036854775807"),
         ("search", "blocks = 1\nthresholds = 25 2.5\n", "share a circuit file name"),
-    ], ids=["missing-circuit", "malformed-plan", "params-count", "shots-above-int64", "threshold-names-clash"])
+        ("plan", "s = 4\n", "explicit truncation needs both 's' and 'r'"),
+        ("plan", "", "needs 'epsilon' or explicit 's' and 'r'"),
+        ("measure", "s = 4\nr = 2\n", "measure needs a 'circuit' file for the state"),
+        ("measure", "s = 4\nr = 2\ncircuit = state.circuit\n", "measure needs a 'params' file for the circuit's slots"),
+    ], ids=["missing-circuit", "malformed-plan", "params-count", "shots-above-int64", "threshold-names-clash",
+            "s-without-r", "no-truncation", "no-circuit", "no-params"])
     def test_config_error_leaves_no_output(self, tmp_path, capsys, task, extra, message):
         save_circuit(tmp_path / "state.circuit", linear_ansatz(4, 1).circuit())
         (tmp_path / "params.txt").write_text("0.05\n" * 8)

@@ -201,6 +201,23 @@ class TestBandProfile:
         np.fill_diagonal(expected, profile.d)
         assert np.array_equal(profile.to_matrix(), expected)
 
+    @pytest.mark.parametrize("variant,params", [
+        ("infinite", {"x_min": -2.0, "dx": 0.21}),
+        ("half-infinite", {"dx": 0.17}),
+        ("finite", {"a": 0.3, "b": 2.9}),
+    ])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_to_matrix_writes_the_given_diagonal(self, variant, params, n):
+        """The diagonal is d unless one is given; every off-diagonal entry is
+        the same bits either way."""
+        profile = band_profile(build_grid(variant, params, n, 1.7))
+        diagonal = np.random.default_rng(n).standard_normal(2**n)
+        default, given = profile.to_matrix(), profile.to_matrix(diagonal)
+        assert np.array_equal(np.diag(default), profile.d)
+        assert np.array_equal(np.diag(given), diagonal)
+        off = ~np.eye(2**n, dtype=bool)
+        assert np.array_equal(given[off], default[off])
+
 
 class TestTailSums:
     def test_infinite_f2_direct_sum(self):

@@ -240,7 +240,7 @@ class TestLowestLevels:
         count=st.integers(1, MAX_COUNT),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_shift_invert_matches_dense(self, variant, kind, n, count, seed):
+    def test_lobpcg_matches_dense(self, variant, kind, n, count, seed):
         h = assemble(grid_on(variant, n), random_potential(kind, np.random.default_rng(seed)))
         levels = lowest_levels(h, count)
         assert "full" not in vars(h)

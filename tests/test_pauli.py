@@ -9,7 +9,6 @@ from dvrvqe.pauli import (
     format_pauli,
     load_pauli,
     reconstruct,
-    save_pauli,
     term_count,
 )
 from dvrvqe.vqe import energy_of
@@ -237,7 +236,7 @@ class TestExpectation:
 def test_export_roundtrip(tmp_path, morse16_radial):
     psum = decompose(morse16_radial.full)
     path = tmp_path / "pauli.txt"
-    save_pauli(path, psum)
+    path.write_text(format_pauli(psum))
     loaded = load_pauli(path)
     assert loaded.n_qubits == psum.n_qubits
     assert dict(loaded.items()) == dict(psum.items())

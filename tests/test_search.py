@@ -84,9 +84,7 @@ def test_candidate_evaluation_inert_gate():
     config = ObjectiveConfig(h)
     incumbent = minimize(base, config, OptimizerConfig(max_iter=500, restarts=3, seed=2))
     assert incumbent.energy == pytest.approx(0.0, abs=1e-10)
-    energy, _ = candidate_evaluation(
-        base, (0, 0, 1), incumbent.params, 500, config, seed=(0, 1)
-    )
+    energy, _ = candidate_evaluation(base, (0, 0, 1), incumbent.params, 500, config)
     assert energy <= incumbent.energy + 1e-9
 
 
@@ -95,7 +93,7 @@ def test_candidate_evaluation_never_worse_morse(diatomic16):
     base = empty_ansatz(4, 2)
     incumbent = minimize(base, config, OptimizerConfig(max_iter=1500, restarts=3, seed=3))
     for gate in ((0, 0, 1), (0, 2, 3), (1, 1, 2)):
-        energy, _ = candidate_evaluation(base, gate, incumbent.params, 400, config, seed=(1, *gate))
+        energy, _ = candidate_evaluation(base, gate, incumbent.params, 400, config)
         assert energy <= incumbent.energy + 1e-9
 
 

@@ -254,14 +254,18 @@ def test_fused_permutation_run_matches_dense_and_differences():
 
 
 def test_compile_once_per_circuit_object():
+    """One kernel per circuit object, holding the circuit's only ops."""
     circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
     twin = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
-    ops, kernel = _compile(circuit), _kernel(circuit)
+    kernel = _kernel(circuit)
+    ops = kernel.ops
     for params in np.random.default_rng(22).uniform(-1, 1, (3, 6)):
         run(circuit, params)
-        assert _compile(circuit) is ops and _kernel(circuit) is kernel
+        apply_circuit(circuit, np.eye(8), params)
+        assert _kernel(circuit) is kernel and kernel.ops is ops
+    assert set(vars(circuit)) - set(vars(twin)) == {"_kernel"}
     assert circuit == twin and hash(circuit) == hash(twin) and repr(circuit) == repr(twin)
-    assert _compile(twin) is not ops and _kernel(twin) is not kernel
+    assert _kernel(twin) is not kernel
 
 
 def test_kernel_buffers_alias_no_result_or_input():

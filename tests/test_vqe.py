@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from dvrvqe import classical_spectrum, vqe
+from dvrvqe import classical_spectrum, simulator
 from dvrvqe.ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
 from dvrvqe.circuits import Circuit, parse_circuit, ry
 from dvrvqe.constants import HARTREE_TO_INV_CM
@@ -186,23 +186,19 @@ class TestWorkPerPoint:
 
     @staticmethod
     def watch(monkeypatch, probe=False):
-        """Keep the slot rotations of every forward simulation in vqe (its
-        run calls and the forward passes of its evaluations) and every scipy
-        minimize call's x0, iterates and result.
+        """Keep the slot rotations of every forward pass of a circuit kernel
+        (vqe's run calls and the forward passes of its evaluations) and every
+        scipy minimize call's x0, iterates and result.
 
         ``probe`` makes every objective call also evaluate a point off the
         optimizer's path, so no iterate is the last point evaluated.
         """
         runs, calls = [], []
-        real_run, real_forward, real_minimize = vqe.run, vqe._forward, scipy.optimize.minimize
+        real_forward, real_minimize = simulator._Kernel.forward, scipy.optimize.minimize
 
-        def counted_run(circuit, params=None):
-            runs.append(_rotations(circuit, params))
-            return real_run(circuit, params)
-
-        def counted_forward(circuit, rotations):
+        def counted_forward(kernel, rotations):
             runs.append(rotations)
-            return real_forward(circuit, rotations)
+            return real_forward(kernel, rotations)
 
         def watched_minimize(fun, x0, *args, callback, **kwargs):
             call = {"x0": np.array(x0), "iterates": []}
@@ -222,8 +218,7 @@ class TestWorkPerPoint:
             calls.append(call)
             return call["result"]
 
-        monkeypatch.setattr(vqe, "run", counted_run)
-        monkeypatch.setattr(vqe, "_forward", counted_forward)
+        monkeypatch.setattr(simulator._Kernel, "forward", counted_forward)
         monkeypatch.setattr(scipy.optimize, "minimize", watched_minimize)
         return runs, calls
 
