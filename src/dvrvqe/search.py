@@ -1,8 +1,9 @@
 """Greedy compositional search for entangler layouts.
 
 Starting from RY-only layers, every unused CNOT(q, p) in every block is
-trialled each step with a warm-started VQE run; the candidate with the
-lowest energy is committed (ties break lexicographically on (block, q, p)).
+trialled each step with a warm-started VQE run, all candidates of a step
+as one lockstep batch; the candidate with the lowest energy is committed
+(ties break lexicographically on (block, q, p)).
 Snapshots of the layout are taken the first time the ground-state error
 against the same-size classical spectrum drops below each threshold,
 yielding the C_1 / C_0.01 style circuits.
@@ -17,7 +18,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, empty_ansatz
 from .constants import HARTREE_TO_INV_CM
 from .hamiltonian import classical_spectrum
-from .vqe import ObjectiveConfig, OptimizerConfig, VqeResult, minimize
+from .vqe import ObjectiveConfig, OptimizerConfig, VqeResult, _best, minimize, minimize_rows
 
 PLATEAU_IMPROVEMENT = 1e-10  # hartree; stop when a full sweep gains less
 COMMIT_RESTARTS = 3  # fresh starts tried besides the warm start on each commit
@@ -82,18 +83,18 @@ class SearchResult:
     final: VqeResult
 
 
-def candidate_evaluation(base_ansatz: AnsatzSpec, candidate, warm_params, budget: int,
-                         config: ObjectiveConfig) -> tuple[float, np.ndarray]:
-    """Energy after appending one candidate CNOT and re-optimizing from
-    ``warm_params`` for at most ``budget`` iterations.
+def candidate_evaluation(base_ansatz: AnsatzSpec, candidates, warm_params, budget: int,
+                         config: ObjectiveConfig) -> list[tuple[float, np.ndarray]]:
+    """(energy, params) of each candidate (block, ctrl, tgt) CNOT appended
+    to ``base_ansatz``, re-optimized from its row of ``warm_params`` for at
+    most ``budget`` iterations; the candidates run as one lockstep batch,
+    and each gets the result it gets alone.
 
     The new gate adds no parameter slots, so the incumbent's parameters fit
     the trial as they are; greedy_search adds the warm start's jitter.
     """
-    block, ctrl, tgt = candidate
-    trial = base_ansatz.with_entangler(block, ctrl, tgt)
-    result = minimize(trial, config, OptimizerConfig(max_iter=budget, restarts=1), x0=warm_params)
-    return result.energy, result.params
+    circuits = [base_ansatz.with_entangler(*gate).circuit() for gate in candidates]
+    return [(result.energy, result.params) for result, _ in minimize_rows(circuits, config, budget, warm_params)]
 
 
 def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
@@ -147,35 +148,29 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
         ]
         if not candidates:
             break
-        best_gate = None
-        best_energy = None
-        best_params = None
-        for gate in candidates:
-            # A small seeded jitter of the warm start, so that the greedy
-            # signal is about the gate, not the optimizer's starting point.
-            rng = np.random.default_rng((config.seed, step, *gate))
-            warm = incumbent.params + JITTER_SCALE * rng.standard_normal(incumbent.params.size)
-            energy, params = candidate_evaluation(ansatz, gate, warm, config.candidate_budget, objective_config)
-            if best_energy is None or energy < best_energy:
-                best_gate, best_energy, best_params = gate, energy, params
+        # A small seeded jitter of each warm start, so that the greedy
+        # signal is about the gate, not the optimizer's starting point.
+        warm = [
+            incumbent.params
+            + JITTER_SCALE * np.random.default_rng((config.seed, step, *gate)).standard_normal(incumbent.params.size)
+            for gate in candidates
+        ]
+        trials = candidate_evaluation(ansatz, candidates, warm, config.candidate_budget, objective_config)
+        best = min(range(len(candidates)), key=lambda k: (trials[k][0], k))
+        best_gate, (best_energy, best_params) = candidates[best], trials[best]
         if best_energy > incumbent.energy - PLATEAU_IMPROVEMENT:
             break
-        block, ctrl, tgt = best_gate
-        ansatz = ansatz.with_entangler(block, ctrl, tgt)
+        ansatz = ansatz.with_entangler(*best_gate)
         used.add(best_gate)
-        # Full-budget re-optimization of the committed layout: warm start from
-        # the winning candidate plus a few fresh restarts to escape its basin.
-        incumbent = minimize(
-            ansatz,
-            objective_config,
-            OptimizerConfig(max_iter=config.full_budget, restarts=1, seed=(config.seed, step)),
-            x0=best_params,
+        # Full-budget re-optimization of the committed layout, as one batch:
+        # warm start from the winning candidate plus a few fresh restarts to
+        # escape its basin.
+        circuit = ansatz.circuit()
+        fresh_starts = OptimizerConfig(restarts=COMMIT_RESTARTS, seed=(config.seed, step, 1)).starts(circuit.n_slots)
+        rows = minimize_rows(
+            [circuit] * (1 + COMMIT_RESTARTS), objective_config, config.full_budget, [best_params, *fresh_starts]
         )
-        fresh = minimize(
-            ansatz,
-            objective_config,
-            OptimizerConfig(max_iter=config.full_budget, restarts=COMMIT_RESTARTS, seed=(config.seed, step, 1)),
-        )
+        incumbent, fresh = rows[0][0], _best(rows[1:])
         if fresh.energy < incumbent.energy:
             incumbent = fresh
         record(step, best_gate, incumbent)

@@ -12,13 +12,16 @@ chosen rows of a parameter-free circuit's matrix as float64 row lists,
 each pushed backward through the gates.
 
 ``run`` and ``adjoint_gradient`` go through a kernel built once per
-circuit object and kept on it (_Kernel): the ops lowered onto views of
-preallocated float64 buffers, so a forward pass writes every gate in
-place and allocates only the state it returns. The backward pass keeps
-the (psi, lambda) pair after every op from the first RY gate on and then
-takes all RY terms in one batched dot. The buffers belong to the circuit
-object, so one circuit object must not be run from two threads at once;
-distinct circuit objects, even equal ones, share nothing.
+circuit object and kept on it (_Kernel), which runs a block of rows: one
+circuit under several parameter rows, or several circuits that differ
+only in their CNOT/X runs, each row with the bits it gets alone. Its
+ops are lowered onto views of float64 buffers made at the first pass,
+so a forward pass writes every gate in place and allocates only the
+states it returns. The backward pass keeps the (psi, lambda) pairs after
+every op from the first RY gate on and then takes all RY terms of all
+rows in one einsum. The buffers belong to the kernel, so one circuit
+object must not be run from two threads at once; distinct circuit
+objects, even equal ones, share nothing.
 """
 
 from __future__ import annotations
@@ -55,51 +58,129 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
     return tuple((kind, (arg, np.argsort(arg)) if kind == "perm" else arg, slot) for kind, arg, slot in ops)
 
 
-def _rotations(circuit: Circuit, params) -> np.ndarray:
-    """RY matrices of every slot, shape (n_slots, 2, 2)."""
+def _param_row(circuit: Circuit, params) -> np.ndarray:
+    """``params`` as a one-row (1, n_slots) float block, checked against the circuit."""
     params = np.asarray(params if params is not None else [], dtype=float)
     if params.shape != (circuit.n_slots,):
         raise ValueError(
             f"parameter vector length {params.shape} does not match slot count {circuit.n_slots}"
         )
+    return params[None]
+
+
+def _rotations(params: np.ndarray) -> np.ndarray:
+    """RY matrices of a (rows, n_slots) parameter block, shape
+    (n_slots, rows, 2, 2).
+
+    Each row's matrices are stored (2, 2, n_slots), so a slot's matrix has
+    the strides (16 n_slots, 8 n_slots) bytes in any batch; numpy's matmul
+    picks its kernel by those strides, so a row gets the same bits in a
+    batch of any size as alone.
+    """
+    rows, n_slots = params.shape
     c, s = np.cos(0.5 * params), np.sin(0.5 * params)
-    return np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+    matrices = np.concatenate([c, -s, s, c], axis=1).reshape(rows, 2, 2, n_slots)
+    return matrices.transpose(3, 0, 1, 2)
+
+
+def _align(circuits, compiled) -> tuple[tuple, ...]:
+    """One op sequence for circuits whose ops agree but for their CNOT/X runs.
+
+    An RY or H op is shared as it is. Where any circuit has a run, the
+    sequence has ('perm', (forwards, inverses), -1) with one permutation
+    per circuit, the identity for a circuit without a run there.
+    """
+    shape = (circuits[0].n_qubits, circuits[0].n_slots)
+    if any((c.n_qubits, c.n_slots) != shape for c in circuits):
+        raise ValueError("circuits of one batch need the same qubit and slot counts")
+    fixed, gaps = [], []
+    for ops in compiled:
+        gates, runs = [], [None]
+        for kind, arg, slot in ops:
+            if kind == "perm":
+                runs[-1] = arg
+            else:
+                gates.append((kind, arg, slot))
+                runs.append(None)
+        fixed.append(gates)
+        gaps.append(runs)
+    if any(gates != fixed[0] for gates in fixed):
+        raise ValueError("circuits of one batch may differ only in their CNOT and X gates")
+    identity = np.arange(2 ** shape[0])
+    steps = []
+    for k in range(len(fixed[0]) + 1):
+        runs = [gap[k] for gap in gaps]
+        if any(run is not None for run in runs):
+            steps.append(("perm", tuple(zip(*((identity, identity) if r is None else r for r in runs))), -1))
+        if k < len(fixed[0]):
+            steps.append(fixed[0][k])
+    return tuple(steps)
 
 
 class _Kernel:
-    """One circuit's ops lowered onto views of preallocated float64 buffers.
+    """Ops of one or more circuits, run on a block of float64 rows, one per
+    state of a batch.
 
-    The forward steps ping-pong between the two rows of ``rows``: op k
-    reads row k % 2 and writes row (k + 1) % 2, with the arithmetic of
-    apply_circuit, so ``forward`` equals apply_circuit on |0...0> bit for
-    bit. The backward buffer ``pairs`` is made on the first backward call:
-    its row r holds (psi, lambda) after op first + r, with ``first`` the
-    index of the first RY op, so un-applying op k writes row k - first - 1
-    from row k - first and nothing before the first RY op is un-applied.
+    The circuits agree in their RY and H gates (_align); batch row r runs
+    circuit ``rows[r]`` with its own rotations. RY is one stacked matmul
+    with a matrix per row, each CNOT/X run one flat ``np.take`` with a
+    permutation per row, H the (a+b)·√½, (a−b)·√½ arithmetic of
+    apply_circuit. Every row gets the arithmetic it gets alone, so a batch
+    changes no bit of any row, and a one-row ``forward`` equals
+    apply_circuit on |0...0> bit for bit. A one-row batch drops the batch
+    axis from its views, which saves numpy a broadcast loop per gate.
+    ``ops`` are the first circuit's ops, as _compile gives them.
+
+    The buffers are made on the first ``forward`` and ``backward``, sized
+    for that batch and grown for a larger one. The views of the last batch
+    (its ``rows``) are kept. Forward steps ping-pong between two row
+    blocks: op k reads block k % 2 and writes block (k + 1) % 2. The
+    backward buffer holds (psi, lambda) per row after op first + d in its
+    depth d, with ``first`` the first RY op, so nothing before that op is
+    un-applied.
     """
 
-    def __init__(self, circuit: Circuit):
-        self.ops = _compile(circuit)
-        self.n_slots = circuit.n_slots
-        self.rows = np.zeros((2, 2 ** circuit.n_qubits))
-        self.steps = []
-        for k, (kind, arg, slot) in enumerate(self.ops):
-            src, dst = self.rows[k % 2], self.rows[1 - k % 2]
-            if kind == "perm":
-                self.steps.append((kind, arg[0], src, dst))
-                continue
-            src, dst = src.reshape(arg), dst.reshape(arg)
-            if kind == "ry":
-                self.steps.append((kind, slot, src, dst))
-            else:
-                self.steps.append((kind, None, (src[:, 0], src[:, 1]), (dst[:, 0], dst[:, 1])))
-        self.result = self.rows[len(self.ops) % 2]
-        self.pairs = None
+    def __init__(self, circuits):
+        compiled = [_compile(c) for c in circuits]
+        self.ops = compiled[0]
+        self.steps = _align(circuits, compiled)
+        self.n_slots = circuits[0].n_slots
+        self.dim = 2 ** circuits[0].n_qubits
+        self._rows = self._pairs = None
+        self._forward = self._backward = (None, None)
 
-    def forward(self, rotations: np.ndarray) -> np.ndarray:
-        self.rows[0] = 0.0
-        self.rows[0, 0] = 1.0
-        for kind, arg, src, dst in self.steps:
+    def _forward_plan(self, rows):
+        if self._forward[0] == rows:
+            return self._forward[1]
+        count = len(rows)
+        if self._rows is None or self._rows.shape[1] < count:
+            self._rows = np.empty((2, count, self.dim))
+        blocks = self._rows[:, :count]
+        offsets = self.dim * np.arange(count)[:, None]
+        batch = () if count == 1 else (count,)
+        matrix = (0,) if count == 1 else (slice(None), None)
+        steps = []
+        for k, (kind, arg, slot) in enumerate(self.steps):
+            src, dst = blocks[k % 2], blocks[1 - k % 2]
+            if kind == "perm":
+                index = (np.array([arg[0][c] for c in rows]) + offsets).ravel()
+                steps.append((kind, index, src.reshape(-1), dst.reshape(-1)))
+                continue
+            src, dst = src.reshape(*batch, *arg), dst.reshape(*batch, *arg)
+            if kind == "ry":
+                steps.append((kind, (slot, *matrix), src, dst))
+            else:
+                steps.append((kind, None, (src[..., 0, :], src[..., 1, :]), (dst[..., 0, :], dst[..., 1, :])))
+        plan = steps, blocks[0], blocks[len(self.steps) % 2]
+        self._forward = (rows, plan)
+        return plan
+
+    def forward(self, rows: tuple[int, ...], rotations: np.ndarray) -> np.ndarray:
+        """Final states, one row per batch row, as a new (len(rows), 2^n) array."""
+        steps, start, result = self._forward_plan(rows)
+        start[:] = 0.0
+        start[:, 0] = 1.0
+        for kind, arg, src, dst in steps:
             if kind == "ry":
                 np.matmul(rotations[arg], src, out=dst)
             elif kind == "perm":
@@ -108,51 +189,71 @@ class _Kernel:
                 (a, b), (plus, minus) = src, dst
                 np.multiply(np.add(a, b, out=plus), _SQRT_HALF, out=plus)
                 np.multiply(np.subtract(a, b, out=minus), _SQRT_HALF, out=minus)
-        return self.result.copy()
+        return result.copy()
 
-    def _build_backward(self) -> None:
-        ry_ops = [k for k, (kind, _, _) in enumerate(self.ops) if kind == "ry"]
-        first = ry_ops[0] if ry_ops else len(self.ops) - 1
-        dim = self.rows.shape[1]
-        self.pairs = np.empty((len(self.ops) - first, 2, dim))
-        self.back_steps = []
-        for k in range(len(self.ops) - 1, first, -1):
-            kind, arg, slot = self.ops[k]
-            after, before = self.pairs[k - first], self.pairs[k - first - 1]
+    def _backward_plan(self, rows):
+        if self._backward[0] == rows:
+            return self._backward[1]
+        ry_ops = [k for k, (kind, _, _) in enumerate(self.steps) if kind == "ry"]
+        if not ry_ops:
+            self._backward = (rows, None)
+            return None
+        first, count, dim = ry_ops[0], len(rows), self.dim
+        if self._pairs is None or self._pairs.shape[1] < count:
+            self._pairs = np.empty((len(self.steps) - first, count, 2, dim))
+        pairs = self._pairs[:, :count]
+        offsets = 2 * dim * np.arange(count)[:, None, None] + dim * np.arange(2)[:, None]
+        batch = () if count == 1 else (count,)
+        matrix = (0,) if count == 1 else (slice(None), None, None)
+        back = []
+        for k in range(len(self.steps) - 1, first, -1):
+            kind, arg, slot = self.steps[k]
+            after, before = pairs[k - first], pairs[k - first - 1]
             if kind == "perm":
-                self.back_steps.append((kind, arg[1], after, before))
+                index = (np.array([arg[1][c] for c in rows])[:, None] + offsets).ravel()
+                back.append((kind, index, after.reshape(-1), before.reshape(-1)))
             else:
-                shape = (2, *arg)
-                self.back_steps.append((kind, slot, after.reshape(shape), before.reshape(shape)))
+                shape = (*batch, 2, *arg)
+                back.append((kind, (slot, *matrix), after.reshape(shape), before.reshape(shape)))
         # J psi for the RY gate on index bit b, with dRY/dtheta = RY J / 2 and
         # J = [[0, -1], [1, 0]]: (J psi)[i] = sign[i] psi[i ^ b], sign[i] = -1
         # where i lacks b. Gates are listed last first, the order their terms
         # are added to the slots.
+        gates = ry_ops[::-1]
         index = np.arange(dim)
-        rows = np.array([k - first for k in reversed(ry_ops)], dtype=np.intp)
-        bits = np.array([self.ops[k][1][2] for k in reversed(ry_ops)], dtype=np.intp)[:, None]
-        self.psi_flip = (2 * dim) * rows[:, None] + (index ^ bits)
-        self.sign = np.where(index & bits, 1.0, -1.0)
-        self.lambda_rows = rows
-        self.ry_slots = np.array([self.ops[k][2] for k in reversed(ry_ops)], dtype=np.intp)
+        depths = np.array([k - first for k in gates], dtype=np.intp)
+        bits = np.array([self.steps[k][1][2] for k in gates], dtype=np.intp)[:, None]
+        psi_flip = (
+            self._pairs[0].size * depths[:, None, None] + 2 * dim * np.arange(count)[:, None] + (index ^ bits)[:, None]
+        )
+        sign = np.where(index & bits, 1.0, -1.0)[:, None]
+        slots = np.array([self.steps[k][2] for k in gates], dtype=np.intp)
+        bins = (slots[:, None] + self.n_slots * np.arange(count)).ravel()
+        plan = back, pairs[-1], psi_flip, sign, depths, bins
+        self._backward = (rows, plan)
+        return plan
 
-    def backward(self, rotations: np.ndarray, state: np.ndarray, costate: np.ndarray) -> np.ndarray:
-        if self.pairs is None:
-            self._build_backward()
-        if not self.ry_slots.size:
-            return np.zeros(self.n_slots)
-        pairs = self.pairs
-        pairs[-1, 0] = state
-        pairs[-1, 1] = costate
-        for kind, arg, after, before in self.back_steps:
+    def backward(self, rows: tuple[int, ...], rotations: np.ndarray, states: np.ndarray,
+                 costates: np.ndarray) -> np.ndarray:
+        """Slot gradients of <psi|M|psi>, one row per batch row, from the
+        final states and costates lambda = M psi of those rows."""
+        plan = self._backward_plan(rows)
+        count = len(rows)
+        if plan is None:
+            return np.zeros((count, self.n_slots))
+        back, top, psi_flip, sign, depths, bins = plan
+        top[:, 0] = states
+        top[:, 1] = costates
+        transposed = rotations.swapaxes(-1, -2)
+        for kind, arg, after, before in back:
             if kind == "perm":
-                np.take(after, arg, axis=1, out=before, mode="clip")
+                np.take(after, arg, out=before, mode="clip")
             else:
-                matrix = rotations[arg] if kind == "ry" else _H_MATRIX
-                np.matmul(matrix.T, after, out=before)
-        j_psi = self.sign * np.take(pairs, self.psi_flip)
-        terms = np.einsum("ij,ij->i", pairs[self.lambda_rows, 1], j_psi)
-        return np.bincount(self.ry_slots, weights=terms, minlength=self.n_slots)
+                np.matmul(transposed[arg] if kind == "ry" else _H_MATRIX.T, after, out=before)
+        j_psi = sign * np.take(self._pairs, psi_flip)
+        lambdas = self._pairs[depths, :count, 1]
+        terms = np.einsum("ij,ij->i", lambdas.reshape(-1, self.dim), j_psi.reshape(-1, self.dim))
+        return np.bincount(bins, weights=terms, minlength=count * self.n_slots).reshape(count, self.n_slots)
 
 
 def _kernel(circuit: Circuit) -> _Kernel:
@@ -161,14 +262,24 @@ def _kernel(circuit: Circuit) -> _Kernel:
     fields, equality and hash as they are; no call hashes the gates."""
     kernel = circuit.__dict__.get("_kernel")
     if kernel is None:
-        kernel = circuit.__dict__["_kernel"] = _Kernel(circuit)
+        kernel = circuit.__dict__["_kernel"] = _Kernel((circuit,))
     return kernel
+
+
+def _kernel_for(circuits) -> tuple[_Kernel, tuple[int, ...]]:
+    """A kernel that runs ``circuits``, one batch row each, and the rows'
+    circuit indices: the circuit's own kernel when every row runs one
+    circuit object, else a new kernel over them all."""
+    first = circuits[0]
+    if all(c is first for c in circuits):
+        return _kernel(first), (0,) * len(circuits)
+    return _Kernel(tuple(circuits)), tuple(range(len(circuits)))
 
 
 def run(circuit: Circuit, params=None) -> np.ndarray:
     """Apply the circuit to |0...0> and return the final float64 amplitudes
     as a new array."""
-    return _kernel(circuit).forward(_rotations(circuit, params))
+    return _kernel(circuit).forward((0,), _rotations(_param_row(circuit, params)))[0]
 
 
 def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarray:
@@ -186,12 +297,12 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
         raise ValueError(
             f"state dimension {state.shape} does not match {circuit.n_qubits} qubits"
         )
-    rotations = _rotations(circuit, params)
+    rotations = _rotations(_param_row(circuit, params))
     for kind, arg, slot in _kernel(circuit).ops:
         if kind == "perm":
             state = state[arg[0]]
         elif kind == "ry":
-            state = (rotations[slot] @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
+            state = (rotations[slot, 0] @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
         else:
             view = state.reshape(arg[0], 2, -1)
             pair = np.stack([view[:, 0] + view[:, 1], view[:, 0] - view[:, 1]], axis=1)
@@ -259,7 +370,8 @@ def adjoint_gradient(circuit: Circuit, params, state: np.ndarray, costate: np.nd
     memory layout, and a slot shared by several gates gets the sum of
     their terms, added last gate first.
     """
-    return _kernel(circuit).backward(_rotations(circuit, params), state, costate)
+    rotations = _rotations(_param_row(circuit, params))
+    return _kernel(circuit).backward((0,), rotations, state, costate)[0]
 
 
 def overlap_sq(s1: np.ndarray, s2: np.ndarray) -> float:

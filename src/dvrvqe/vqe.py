@@ -8,34 +8,45 @@ beta_i >= E_{i+1} - E_i always holds.
 The objective is <psi|M|psi> with M = H + sum_i beta_i |psi_i><psi_i|.
 Its gradient is the adjoint gradient of simulator.adjoint_gradient: one
 forward simulation gives psi and M psi, one backward pass gives every
-slot's derivative, exactly, for any number of gates per slot. An
-evaluation makes the slot rotations once and hands them to both passes,
-which run on the circuit's own kernel buffers and take every RY term in
-one batched dot (simulator._Kernel); so one circuit object must not be
-optimized from two threads at once. Every value, the energy, the
-objective and M psi, comes from ``_values``. L-BFGS-B takes the value
-and the gradient from that single evaluation, and the trace row and
-final result at a point it evaluated reuse its state, the x0 row that of
-L-BFGS-B's first call.
+slot's derivative, exactly, for any number of gates per slot. Every
+value, the energy, the objective and M psi, comes from ``_values``.
 
-``scipy.optimize`` is imported at first use, in ``_single_run``: it loads
-most of scipy, which costs a fresh process several tenths of a second,
-and tasks that import this module without optimizing should not pay for it.
+The optimizer is L-BFGS: the two-loop recursion of Liu & Nocedal (1989,
+Math. Prog. 45, 503) with 10 correction pairs (_Memory), and the
+Moré-Thuente line search and stopping rules of L-BFGS-B (Byrd, Lu,
+Nocedal & Zhu 1995, SIAM J. Sci. Comput. 16, 1190). It imports numpy
+only. ``minimize_rows`` runs several rows, the restarts of one
+``minimize`` or the candidates of one search step, in lockstep: each
+round evaluates the trial point of every live row in one forward and one
+backward pass of a batched kernel (simulator._Kernel), and a row that
+stops leaves the batch. Each row gets the bits it would get alone. The
+trace and the result of a row reuse the state of the iterate they
+report, so no point is simulated twice. The kernel buffers belong to
+the circuit object (or to the batch), so one circuit object must not be
+optimized from two threads at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
-from .simulator import _kernel, _rotations, overlap_sq, run
+from .simulator import _kernel, _kernel_for, _param_row, _rotations, overlap_sq, run
 
-GRADIENT_TOL = 1e-8    # L-BFGS-B gtol
-OBJECTIVE_TOL = 1e-12  # L-BFGS-B ftol
+GRADIENT_TOL = 1e-8    # stop when max |gradient| <= this (L-BFGS-B pgtol)
+OBJECTIVE_TOL = 1e-12  # stop when an iteration lowers the objective by at most this, relative (L-BFGS-B ftol)
 BETA_MARGIN = 1.1      # deflation weight over the Gershgorin gap bound
+MEMORY = 10            # L-BFGS correction pairs per row
+LINE_SEARCH_EVALUATIONS = 20  # a line search that needs more is abandoned
+# Moré-Thuente sufficient decrease, curvature and interval tolerances and
+# the largest step, as L-BFGS-B sets them.
+DECREASE, CURVATURE, STEP_TOL, MAX_STEP = 1e-3, 0.9, 0.1, 1e10
+_EPS = float(np.finfo(float).eps)
+_EYE = np.eye(MEMORY)
 
 
 @dataclass(frozen=True)
@@ -51,8 +62,9 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """L-BFGS-B on adjoint gradients, from ``restarts`` seeded uniform starts
-    in [-init_scale, init_scale]."""
+    """L-BFGS on adjoint gradients for at most ``max_iter`` iterations, from
+    ``restarts`` seeded uniform starts in [-init_scale, init_scale] that
+    run as one lockstep batch."""
 
     max_iter: int = 2000
     restarts: int = 5
@@ -65,6 +77,13 @@ class OptimizerConfig:
 
     def seed_tuple(self) -> tuple[int, ...]:
         return (self.seed,) if isinstance(self.seed, int) else tuple(self.seed)
+
+    def starts(self, n_slots: int) -> np.ndarray:
+        """The (restarts, n_slots) start points; restart k draws from seed (*seed, k)."""
+        return np.array([
+            np.random.default_rng((*self.seed_tuple(), restart)).uniform(-self.init_scale, self.init_scale, n_slots)
+            for restart in range(self.restarts)
+        ]).reshape(self.restarts, n_slots)
 
 
 @dataclass(frozen=True)
@@ -85,40 +104,43 @@ def energy_of(state: np.ndarray, hamiltonian: np.ndarray) -> float:
     return float(np.vdot(state, hamiltonian @ state).real)
 
 
-def _values(state: np.ndarray, config: ObjectiveConfig) -> tuple[float, float, np.ndarray]:
-    """(energy, objective, costate) of a real state.
+def _values(states: np.ndarray, config: ObjectiveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(energies, objectives, costates) of a block of real states, one row each.
 
     A real psi sees only the real part of M, so the costate is
     lambda = Re(M) psi. The energy is <psi|H psi> and the penalties reuse
-    each <ref|psi> of the costate, summed from 0 in deflation order.
+    each <ref|psi> of the costate, summed from 0 in deflation order. Every
+    product is a stacked per-row matmul (H psi a gemv, each dot a dot),
+    which gives a row the bits it gets alone; one (rows, 2^n) gemm would not.
     """
-    costate = config.hamiltonian @ state
-    energy = float(np.vdot(state, costate).real)
-    penalty = 0
+    costates = np.matmul(config.hamiltonian, states[:, :, None])[:, :, 0]
+    energies = np.matmul(states[:, None], costates[:, :, None])[:, 0, 0]
+    penalties = 0
     for ref, beta in config.deflation:
-        overlap = np.vdot(ref, state)
-        costate = costate + beta * (overlap * ref).real
-        penalty = penalty + beta * float(abs(overlap) ** 2)
-    return energy, energy + penalty, costate
+        overlaps = np.matmul(states[:, None], np.conj(ref)[:, None])[:, 0, 0]
+        costates = costates + beta * (overlaps[:, None] * ref).real
+        penalties = penalties + beta * np.abs(overlaps) ** 2
+    return energies, energies + penalties, costates
 
 
 def objective(params, circuit: Circuit, config: ObjectiveConfig) -> float:
     """<H> plus the weighted squared overlaps with the deflation references."""
-    return _values(run(circuit, params), config)[1]
+    return float(_values(run(circuit, params)[None], config)[1][0])
 
 
-def _evaluate(params, circuit: Circuit, config: ObjectiveConfig):
-    """(state, energy, objective, gradient) from one forward and one backward
-    pass on the circuit's kernel; the rotations are made once for both."""
-    rotations, kernel = _rotations(circuit, params), _kernel(circuit)
-    state = kernel.forward(rotations)
-    energy, value, costate = _values(state, config)
-    return state, energy, value, kernel.backward(rotations, state, costate)
+def _evaluate(kernel, rows, params: np.ndarray, config: ObjectiveConfig):
+    """(states, energies, objectives, gradients) of a (len(rows), n_slots)
+    parameter block, from one forward and one backward pass of the kernel;
+    the rotations are made once for both."""
+    rotations = _rotations(params)
+    states = kernel.forward(rows, rotations)
+    energies, values, costates = _values(states, config)
+    return states, energies, values, kernel.backward(rows, rotations, states, costates)
 
 
 def gradient(params, circuit: Circuit, config: ObjectiveConfig) -> np.ndarray:
     """Adjoint gradient of the objective."""
-    return _evaluate(params, circuit, config)[3]
+    return _evaluate(_kernel(circuit), (0,), _param_row(circuit, params), config)[3][0]
 
 
 def gershgorin_upper(matrix: np.ndarray) -> float:
@@ -127,64 +149,367 @@ def gershgorin_upper(matrix: np.ndarray) -> float:
     return float(np.max(np.diag(matrix) + radii))
 
 
-def _single_run(circuit, config, opt, x0):
-    import scipy.optimize
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """One safeguarded step of Moré & Thuente (MINPACK-2 dcstep).
 
-    trace = []
-    last = {}  # x, state and (energy, objective) of the last point L-BFGS-B evaluated
+    (stx, fx, dx) is the best step so far with its value and derivative,
+    (sty, fy, dy) the other end of the interval, (stp, fp, dp) the trial.
+    Returns the updated ends, the next trial step and whether the
+    interval brackets a minimizer. Division by zero or the root of a
+    negative number, which rounding can bring about, gives a NaN step.
+    """
+    try:
+        sgnd = dp * (dx / abs(dx))
+        if fp > fx:  # higher value: the minimum is bracketed
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            if stp < stx:
+                gamma = -gamma
+            p = (gamma - dx) + theta
+            q = ((gamma - dx) + gamma) + dp
+            stpc = stx + (p / q) * (stp - stx)
+            stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+            stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+            brackt = True
+        elif sgnd < 0.0:  # derivatives of opposite sign: bracketed
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            if stp > stx:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dx
+            stpc = stp + (p / q) * (stx - stp)
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            brackt = True
+        elif abs(dp) < abs(dx):  # the derivative shrinks
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+            if stp > stx:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = (gamma + (dx - dp)) + gamma
+            r = p / q
+            if r < 0.0 and gamma != 0.0:
+                stpc = stp + r * (stx - stp)
+            else:
+                stpc = stpmax if stp > stx else stpmin
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            if brackt:
+                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+                bound = stp + 0.66 * (sty - stp)
+                stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+            else:
+                stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+                stpf = max(stpmin, min(stpmax, stpf))
+        elif brackt:  # the derivative does not shrink: cubic step towards sty
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * math.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            if stp > sty:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dy
+            stpf = stp + (p / q) * (sty - stp)
+        else:
+            stpf = stpmax if stp > stx else stpmin
+    except (ZeroDivisionError, ValueError):
+        return stx, fx, dx, sty, fy, dy, math.nan, brackt
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
 
-    def lbfgs_objective(x):
-        state, energy, value, grad = _evaluate(x, circuit, config)
-        last.update(x=np.array(x), state=state, values=(energy, value))
-        if not trace:  # the first call is at x0, whose trace row reads this evaluation
-            record(x0)
-        return value, grad
 
-    def simulate(x):
-        """State and (energy, objective) at x; no new simulation at the last evaluated point."""
-        if last and np.array_equal(x, last["x"]):
-            return last["state"], last["values"]
-        state = run(circuit, x)
-        return state, _values(state, config)[:2]
+class _LineSearch:
+    """Moré & Thuente's search (MINPACK-2 dcsrch, as L-BFGS-B uses it) for a
+    step along one row's direction that meets the strong Wolfe conditions.
 
-    def record(xk):
-        energy, obj = simulate(xk)[1]
-        trace.append((len(trace), obj, energy))
+    ``stp`` is the step to evaluate next and ``evaluations`` how many steps
+    were handed out. ``update(f, g)`` takes the objective and its
+    directional derivative at ``stp``; it returns True when ``stp`` is
+    final, because the conditions hold or because rounding, the step
+    bounds or the interval width end the search (L-BFGS-B takes the step
+    in every case), else it moves ``stp`` to the next trial, NaN where the
+    interpolation broke down.
+    """
 
-    res = scipy.optimize.minimize(
-        lbfgs_objective, x0, jac=True, method="L-BFGS-B", callback=record,
-        options={"maxiter": opt.max_iter, "gtol": GRADIENT_TOL, "ftol": OBJECTIVE_TOL},
-    )
-    state, (energy, _) = simulate(res.x)
+    __slots__ = ("stp", "evaluations", "finit", "gtest", "gmax", "brackt", "stage", "width", "width1",
+                 "stx", "fx", "gx", "sty", "fy", "gy", "stmin", "stmax")
+
+    def __init__(self, f0: float, g0: float, stp: float):
+        self.stp, self.evaluations = stp, 1
+        self.finit, self.gtest, self.gmax = f0, DECREASE * g0, -CURVATURE * g0
+        self.brackt, self.stage = False, 1
+        self.width, self.width1 = MAX_STEP, 2.0 * MAX_STEP
+        self.stx, self.fx, self.gx = 0.0, f0, g0
+        self.sty, self.fy, self.gy = 0.0, f0, g0
+        self.stmin, self.stmax = 0.0, 5.0 * stp
+
+    def _exhausted(self, stp: float) -> bool:
+        """The minimizer is bracketed, but ``stp`` is not inside the interval
+        or the interval is narrower than STEP_TOL allows."""
+        return self.brackt and (
+            stp <= self.stmin or stp >= self.stmax or self.stmax - self.stmin <= STEP_TOL * self.stmax
+        )
+
+    def update(self, f: float, g: float) -> bool:
+        stp, gtest = self.stp, self.gtest
+        ftest = self.finit + stp * gtest
+        if self.stage == 1 and f <= ftest and g >= 0.0:
+            self.stage = 2
+        if (
+            self._exhausted(stp)
+            or (stp == MAX_STEP and f <= ftest and g <= gtest)
+            or (stp == 0.0 and (f > ftest or g >= gtest))
+            or (f <= ftest and abs(g) <= self.gmax)
+        ):
+            return True
+        # In the first stage, while the value is above the sufficient-decrease
+        # line but below the best so far, step on the function shifted by
+        # that line.
+        shift = gtest if self.stage == 1 and self.fx >= f > ftest else 0.0
+        stx, fx, gx, sty, fy, gy, stp, self.brackt = _dcstep(
+            self.stx, self.fx - self.stx * shift, self.gx - shift,
+            self.sty, self.fy - self.sty * shift, self.gy - shift,
+            stp, f - stp * shift, g - shift, self.brackt, self.stmin, self.stmax,
+        )
+        self.stx, self.fx, self.gx = stx, fx + stx * shift, gx + shift
+        self.sty, self.fy, self.gy = sty, fy + sty * shift, gy + shift
+        if self.brackt:
+            if abs(sty - stx) >= 0.66 * self.width1:
+                stp = stx + 0.5 * (sty - stx)
+            self.width1, self.width = self.width, abs(sty - stx)
+            self.stmin, self.stmax = min(stx, sty), max(stx, sty)
+        else:
+            self.stmin, self.stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), MAX_STEP)
+        if self._exhausted(stp):
+            stp = stx
+        self.stp = stp
+        return False
+
+
+def _rows(rows: list[int], count: int):
+    """An index of ``rows``, an increasing list out of ``count``: a slice
+    when it holds them all, which indexes without a copy."""
+    return slice(None) if len(rows) == count else np.array(rows)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+class _Memory:
+    """The L-BFGS memory of every live row: up to MEMORY (s, y) pairs,
+    newest first, with rho_k = 1 / s_k.y_k (0 for an unused pair) and
+    gamma = s.y / y.y of the newest pair, H0 = gamma I.
+
+    The two-loop recursion's first loop, newest pair first, is
+    alpha_k = rho_k s_k.(g - sum_{j newer} alpha_j y_j), and with
+    r = gamma (g - sum_j alpha_j y_j) its second loop, oldest first, adds
+    c_k s_k to r with c_k = alpha_k - rho_k y_k.(r + sum_{j older} c_j s_j).
+    Each loop is one unit-triangular system per row, (I + rho N) alpha =
+    rho S g and (I + rho U) c = alpha - rho Y r, with N the s_k.y_j of
+    newer j and U the y_k.s_j of older j. A new pair adds a first row and
+    column to both and the oldest pair drops the last, so ``inverses``
+    keeps both inverses and updates them with one product per pair;
+    -H g then takes a few batched products.
+    """
+
+    def __init__(self, rows: int, n_slots: int):
+        self.pairs = np.zeros((rows, 2, MEMORY, n_slots))
+        self.rho, self.gamma = np.zeros((rows, MEMORY)), np.ones(rows)
+        self.inverses = np.tile(_EYE, (rows, 2, 1, 1))
+
+    def has_pairs(self, r: int) -> bool:
+        return bool(self.rho[r, 0])
+
+    def forget(self, r: int) -> None:
+        self.pairs[r], self.rho[r], self.gamma[r], self.inverses[r] = 0.0, 0.0, 1.0, _EYE
+
+    def add(self, at, s: np.ndarray, y: np.ndarray, sy: np.ndarray, yy: np.ndarray) -> None:
+        """Add the pair (s, y) with s.y = sy and y.y = yy to each row ``at``."""
+        projections = np.matmul(self.pairs[at, 0, :-1], y[:, :, None])  # s_j.y of the pairs that stay
+        rho = 1.0 / sy
+        loops = self.inverses[at, :, :-1, :-1]
+        first = -np.matmul(loops[:, 0], self.rho[at, :-1, None] * projections)
+        second = -np.matmul(rho[:, None, None] * projections.swapaxes(1, 2), loops[:, 1])
+        self.pairs[at, :, 1:] = self.pairs[at, :, :-1]
+        self.pairs[at, 0, 0], self.pairs[at, 1, 0] = s, y
+        self.rho[at, 1:] = self.rho[at, :-1]
+        self.rho[at, 0], self.gamma[at] = rho, sy / yy
+        self.inverses[at, :, 1:, 1:] = loops
+        self.inverses[at, :, 0] = self.inverses[at, :, :, 0] = 0.0
+        self.inverses[at, :, 0, 0] = 1.0
+        self.inverses[at, 0, 1:, 0] = first[:, :, 0]
+        self.inverses[at, 1, 0, 1:] = second[:, 0]
+
+    def directions(self, at, grads: np.ndarray) -> np.ndarray:
+        """-H g for each row ``at`` and its gradient."""
+        s, y, rho, inverses = self.pairs[at, 0], self.pairs[at, 1], self.rho[at, :, None], self.inverses[at]
+        alpha = np.matmul(inverses[:, 0], rho * np.matmul(s, grads[:, :, None]))
+        r = self.gamma[at, None, None] * (grads[:, :, None] - np.matmul(y.swapaxes(1, 2), alpha))
+        c = np.matmul(inverses[:, 1], alpha - rho * np.matmul(y, r))
+        return -(r + np.matmul(s.swapaxes(1, 2), c))[:, :, 0]
+
+    def keep(self, rows: list[int]) -> None:
+        self.pairs, self.rho, self.gamma, self.inverses = (
+            array[rows] for array in (self.pairs, self.rho, self.gamma, self.inverses)
+        )
+
+
+def _single_run(params, state, energy, value, trace, converged, config) -> tuple[VqeResult, float]:
+    """One optimizer row's result and its final objective; ``state`` is
+    the one simulated at ``params``."""
     overlaps = tuple(overlap_sq(ref, state) for ref, _ in config.deflation)
-    converged = bool(res.status == 0)
-    return VqeResult(energy, np.asarray(res.x), tuple(trace), converged, overlaps), float(res.fun)
+    return VqeResult(float(energy), params, tuple(trace), converged, overlaps), float(value)
+
+
+def minimize_rows(circuits, config: ObjectiveConfig, max_iter: int, starts) -> list[tuple[VqeResult, float]]:
+    """L-BFGS on ``circuits[i]`` from ``starts[i]`` for every row i, all
+    rows in lockstep; each row's result and final objective.
+
+    Each round evaluates every live row's trial point in one batch. A row
+    stops, and leaves the batch, at max_iter iterations (not converged),
+    when max |gradient| <= GRADIENT_TOL or when an iteration lowers the
+    objective by at most OBJECTIVE_TOL relative to max(|f_old|, |f|, 1)
+    (converged). A line search that fails, or a direction that does not
+    descend, clears the row's memory and starts again along the gradient;
+    without memory the row stops, not converged. The circuits must differ
+    in their CNOT and X gates only.
+    """
+    kernel, kernel_rows = _kernel_for(circuits)
+    trial = np.array(starts, dtype=float)  # the point each live row evaluates next
+    if trial.shape != (len(circuits), kernel.n_slots):
+        raise ValueError(f"starts of shape {trial.shape} do not fit {len(circuits)} rows of {kernel.n_slots} slots")
+    n_rows, n_slots = trial.shape
+    results: list[tuple[VqeResult, float] | None] = [None] * n_rows
+    # Per live row, compacted when rows stop: the iterate, its gradient,
+    # state, objective and energy; the search direction, the step on it
+    # and the slope at the step's start; the L-BFGS memory; the line search
+    # (None until the start is evaluated), trace and iteration count.
+    x, grad, direction = np.zeros_like(trial), np.zeros_like(trial), np.zeros_like(trial)
+    states = np.zeros((n_rows, kernel.dim))
+    value, energy, step, slope0 = (np.zeros(n_rows) for _ in range(4))
+    memory = _Memory(n_rows, n_slots)
+    live = list(range(n_rows))
+    searches: list[_LineSearch | None] = [None] * n_rows
+    traces, iterations = [[] for _ in range(n_rows)], [0] * n_rows
+    rows = tuple(kernel_rows)
+
+    while live:
+        new_states, new_energies, new_values, new_grads = _evaluate(kernel, rows, trial, config)
+        values, energies = new_values.tolist(), new_energies.tolist()
+        slopes = _rowdot(new_grads, direction).tolist()
+        moved, redirect, stopped = [], [], {}  # stopped: row -> converged
+        for r, search in enumerate(searches):
+            if search is None or search.update(values[r], slopes[r]):
+                moved.append(r)
+            elif math.isfinite(search.stp) and search.evaluations < LINE_SEARCH_EVALUATIONS:
+                search.evaluations += 1
+                step[r] = search.stp
+            elif memory.has_pairs(r):  # the line search failed: forget the pairs, restart along -g
+                memory.forget(r)
+                redirect.append(r)
+            else:
+                stopped[r] = False
+
+        if moved:
+            at = _rows(moved, len(live))
+            s = step[at, None] * direction[at]
+            y = new_grads[at] - grad[at]
+            sy, yy = _rowdot(s, y).tolist(), _rowdot(y, y).tolist()
+            norms = np.max(np.abs(new_grads[at]), axis=1, initial=0.0).tolist()
+            x[at], grad[at], states[at] = trial[at], new_grads[at], new_states[at]
+            updated = []
+            for k, r in enumerate(moved):
+                start = searches[r] is None
+                old, new = value[r], values[r]
+                value[r], energy[r] = new, energies[r]
+                iterations[r] += not start
+                traces[r].append((iterations[r], new, energies[r]))
+                if not start and iterations[r] >= max_iter:
+                    stopped[r] = False
+                elif norms[k] <= GRADIENT_TOL or (
+                    not start and old - new <= OBJECTIVE_TOL * max(abs(old), abs(new), 1.0)
+                ):
+                    stopped[r] = True
+                else:
+                    if not start and sy[k] > _EPS * -slope0[r] * step[r]:  # else skip the pair, as L-BFGS-B does
+                        updated.append(k)
+                    redirect.append(r)
+            if updated:
+                of = _rows(updated, len(moved))
+                memory.add(_rows([moved[k] for k in updated], len(live)), s[of], y[of],
+                           np.array([sy[k] for k in updated]), np.array([yy[k] for k in updated]))
+
+        if redirect:
+            redirect.sort()
+            at = _rows(redirect, len(live))
+            new_direction = memory.directions(at, grad[at])
+            descent = _rowdot(grad[at], new_direction).tolist()
+            for k, r in enumerate(redirect):
+                if descent[k] >= 0.0 and memory.has_pairs(r):  # not a descent direction: forget the pairs
+                    memory.forget(r)
+                    new_direction[k] = -grad[r]
+                    descent[k] = float(np.dot(grad[r], new_direction[k]))
+                if descent[k] >= 0.0:
+                    stopped[r] = False
+                    continue
+                # L-BFGS-B's first step is 1 / |d|, every later one starts at 1.
+                step[r] = 1.0 if iterations[r] else min(1.0 / math.sqrt(-descent[k]), MAX_STEP)
+                slope0[r] = descent[k]
+                searches[r] = _LineSearch(value[r], descent[k], step[r])
+            direction[at] = new_direction
+
+        if stopped:
+            for r, converged in stopped.items():
+                results[live[r]] = _single_run(
+                    x[r].copy(), states[r].copy(), energy[r], value[r], traces[r], converged, config
+                )
+            keep = [r for r in range(len(live)) if r not in stopped]
+            live, searches, traces, iterations = (
+                [items[r] for r in keep] for items in (live, searches, traces, iterations)
+            )
+            x, grad, direction, states, value, energy, step, slope0 = (
+                array[keep] for array in (x, grad, direction, states, value, energy, step, slope0)
+            )
+            memory.keep(keep)
+            rows = tuple(kernel_rows[i] for i in live)
+        trial = x + step[:, None] * direction
+    return results
+
+
+def _best(rows: list[tuple[VqeResult, float]]) -> VqeResult:
+    """The result of the lowest final objective, the earliest row on a tie."""
+    return rows[min(range(len(rows)), key=lambda k: (rows[k][1], k))][0]
 
 
 def minimize(ansatz, config: ObjectiveConfig, opt: OptimizerConfig, x0=None) -> VqeResult:
     """Best VQE result over restarts; deterministic for a given seed.
 
-    ``x0`` warm-starts a single run and bypasses the random restarts.
-    Exhausting the iteration budget is reported through converged=False,
-    not an exception.
+    The restarts run as one lockstep batch (minimize_rows). ``x0``
+    warm-starts a single run and bypasses the random restarts. Exhausting
+    the iteration budget is reported through converged=False, not an
+    exception.
     """
     circuit = _as_circuit(ansatz)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (circuit.n_slots,):
             raise ValueError(f"x0 length {x0.shape} does not match {circuit.n_slots} slots")
-        return _single_run(circuit, config, opt, x0)[0]
-
-    best = None
-    best_key = None
-    for restart in range(opt.restarts):
-        rng = np.random.default_rng((*opt.seed_tuple(), restart))
-        start = rng.uniform(-opt.init_scale, opt.init_scale, circuit.n_slots)
-        result, fun = _single_run(circuit, config, opt, start)
-        key = (fun, restart)
-        if best is None or key < best_key:
-            best, best_key = result, key
-    return best
+        starts = x0[None]
+    else:
+        starts = opt.starts(circuit.n_slots)
+    return _best(minimize_rows([circuit] * len(starts), config, opt.max_iter, starts))
 
 
 def excited_states(ansatz, hamiltonian, v_max: int, opt: OptimizerConfig):
@@ -208,4 +533,3 @@ def excited_states(ansatz, hamiltonian, v_max: int, opt: OptimizerConfig):
         beta = BETA_MARGIN * max(upper - result.energy, 1e-6)
         deflation.append((run(circuit, result.params), beta))
     return results
-

@@ -726,3 +726,21 @@ class TestColdStart:
         code = "from dvrvqe import cli\nassert cli.main(['run', 'run.ini']) == 0"
         assert scipy_modules_after(code, tmp_path) == []
         assert (tmp_path / "out" / "manifest").is_file()
+
+    def test_vqe_tasks_load_no_scipy_optimize(self, tmp_path):
+        """vqe, excited and search on the README Morse system optimize with
+        the in-repo L-BFGS."""
+        extras = {
+            "vqe": "blocks = 3\nrestarts = 2\n",
+            "excited": "entangler = linear\nblocks = 3\nv_max = 1\nrestarts = 2\n",
+            "search": "blocks = 2\nthresholds = 1.0 0.01\nrestarts = 3\n",
+        }
+        for task, extra in extras.items():
+            write_config(tmp_path, MORSE_BASE.format(task=task, extra=extra, outdir=task), name=f"{task}.ini")
+        code = "from dvrvqe import cli\n" + "".join(
+            f"assert cli.main(['run', '{task}.ini']) == 0\n" for task in extras
+        )
+        assert "scipy.optimize" not in scipy_modules_after(code, tmp_path)
+        for task in extras:
+            assert (tmp_path / task / "manifest").is_file()
+

@@ -84,7 +84,7 @@ def test_candidate_evaluation_inert_gate():
     config = ObjectiveConfig(h)
     incumbent = minimize(base, config, OptimizerConfig(max_iter=500, restarts=3, seed=2))
     assert incumbent.energy == pytest.approx(0.0, abs=1e-10)
-    energy, _ = candidate_evaluation(base, (0, 0, 1), incumbent.params, 500, config)
+    ((energy, _),) = candidate_evaluation(base, [(0, 0, 1)], [incumbent.params], 500, config)
     assert energy <= incumbent.energy + 1e-9
 
 
@@ -92,9 +92,25 @@ def test_candidate_evaluation_never_worse_morse(diatomic16):
     config = ObjectiveConfig(diatomic16.full)
     base = empty_ansatz(4, 2)
     incumbent = minimize(base, config, OptimizerConfig(max_iter=1500, restarts=3, seed=3))
-    for gate in ((0, 0, 1), (0, 2, 3), (1, 1, 2)):
-        energy, _ = candidate_evaluation(base, gate, incumbent.params, 400, config)
+    gates = ((0, 0, 1), (0, 2, 3), (1, 1, 2))
+    trials = candidate_evaluation(base, gates, [incumbent.params] * len(gates), 400, config)
+    assert len(trials) == len(gates)
+    for energy, _ in trials:
         assert energy <= incumbent.energy + 1e-9
+
+
+def test_candidates_in_one_batch_equal_each_alone(diatomic16):
+    """Candidates in different blocks lower to one op sequence, with identity
+    permutations for empty blocks; each gets the bits it gets alone."""
+    config = ObjectiveConfig(diatomic16.full)
+    base = empty_ansatz(4, 2).with_entangler(1, 0, 1)
+    gates = [(0, 0, 1), (0, 1, 3), (1, 2, 3), (1, 1, 2)]
+    warm = np.random.default_rng(6).uniform(-0.5, 0.5, (len(gates), base.n_params))
+    batched = candidate_evaluation(base, gates, warm, 60, config)
+    for gate, start, (energy, params) in zip(gates, warm, batched):
+        ((alone_energy, alone_params),) = candidate_evaluation(base, [gate], [start], 60, config)
+        assert energy == alone_energy
+        assert np.array_equal(params, alone_params)
 
 
 def test_max_entanglers_cap():

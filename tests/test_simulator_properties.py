@@ -13,7 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrvqe.circuits import Circuit, cnot, hadamard, pauli_x, ry
-from dvrvqe.simulator import _compile, _kernel, adjoint_gradient, analysis_rows, apply_circuit, run
+from dvrvqe.simulator import (
+    _compile,
+    _Kernel,
+    _kernel,
+    _rotations,
+    adjoint_gradient,
+    analysis_rows,
+    apply_circuit,
+    run,
+)
 from dvrvqe.vqe import ObjectiveConfig, gradient, objective
 
 from conftest import random_state
@@ -309,3 +318,79 @@ def test_gradient_bits_do_not_depend_on_memory_layout(seed):
     assert np.array_equal(adjoint_gradient(followed, params, big[0, ::2], big[1, ::2]), grad)
     big[:, ::2] = psi, lam
     assert np.array_equal(adjoint_gradient(alone, params, big[0, ::2], big[1, ::2]), grad)
+
+
+@st.composite
+def batches(draw):
+    """1-6 circuits on up to six qubits that share their RY and H gates and
+    differ in the CNOT/X runs between them, and batch rows that run them:
+    each row a circuit index, in any order and possibly repeated, with its
+    own parameters."""
+    n = draw(st.integers(1, 6))
+    n_slots = draw(st.integers(1, 3))
+    fixed = draw(st.lists(
+        st.tuples(st.sampled_from(("ry", "h")), st.integers(0, n - 1), st.integers(0, n_slots - 1)), max_size=10,
+    ))
+    circuits = []
+    for _ in range(draw(st.integers(1, 6))):
+        gates = []
+        for k in range(len(fixed) + 1):
+            for _ in range(draw(st.integers(0, 2))):
+                q = draw(st.integers(0, n - 1))
+                if n > 1 and draw(st.booleans()):
+                    t = draw(st.integers(0, n - 2))
+                    gates.append(cnot(q, t + (t >= q)))
+                else:
+                    gates.append(pauli_x(q))
+            if k < len(fixed):
+                kind, q, slot = fixed[k]
+                gates.append(ry(q, slot) if kind == "ry" else hadamard(q))
+        circuits.append(Circuit(n, tuple(gates), n_slots))
+    rows = tuple(draw(st.lists(st.integers(0, len(circuits) - 1), min_size=1, max_size=6)))
+    params = np.array(draw(st.lists(
+        st.floats(-np.pi, np.pi), min_size=len(rows) * n_slots, max_size=len(rows) * n_slots,
+    ))).reshape(len(rows), n_slots)
+    return circuits, rows, params
+
+
+@SETTINGS
+@given(batches(), st.integers(0, 2**32 - 1))
+def test_batched_rows_equal_each_row_alone(case, seed):
+    """Every row of a batched forward and backward pass, with identity
+    permutations where a circuit has no CNOT/X run, equals the row's circuit
+    run alone, bit for bit; so does a second, smaller batch on the same kernel."""
+    circuits, rows, params = case
+    kernel = _Kernel(tuple(circuits))
+    costates = np.random.default_rng(seed).standard_normal((len(rows), 2 ** circuits[0].n_qubits))
+    for batch in (list(range(len(rows))), list(range(len(rows)))[1::2]):
+        if not batch:
+            continue
+        rotations = _rotations(params[batch])
+        states = kernel.forward(tuple(rows[r] for r in batch), rotations)
+        grads = kernel.backward(tuple(rows[r] for r in batch), rotations, states, costates[batch])
+        for k, r in enumerate(batch):
+            circuit = circuits[rows[r]]
+            assert np.array_equal(states[k], run(circuit, params[r]))
+            assert np.array_equal(grads[k], adjoint_gradient(circuit, params[r], states[k], costates[r]))
+
+
+def test_batched_circuits_must_share_their_ry_and_h_gates():
+    with pytest.raises(ValueError, match="only in their CNOT and X gates"):
+        _Kernel((Circuit(2, (ry(0, 0), cnot(0, 1)), 1), Circuit(2, (ry(1, 0),), 1)))
+    with pytest.raises(ValueError, match="same qubit and slot counts"):
+        _Kernel((Circuit(2, (ry(0, 0),), 1), Circuit(2, (ry(0, 0),), 2)))
+
+
+def test_apply_circuit_makes_no_state_buffers():
+    """apply_circuit reads the ops cached on a fresh n=10 analysis circuit;
+    the kernel's 2^n rows come with the first forward pass, sized for it."""
+    n = 10
+    circuit = Circuit(n, tuple(hadamard(q) for q in range(n)) + (cnot(0, 1), cnot(3, 7), pauli_x(9)))
+    state = np.random.default_rng(24).standard_normal(2 ** n)
+    first = apply_circuit(circuit, state)
+    kernel = _kernel(circuit)
+    assert kernel._rows is None and kernel._pairs is None
+    assert np.array_equal(apply_circuit(circuit, state), first) and _kernel(circuit) is kernel
+    assert kernel._rows is None
+    run(circuit)
+    assert kernel._rows.shape == (2, 1, 2 ** n) and kernel._pairs is None

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.optimize
 
-from dvrvqe import classical_spectrum, simulator
+from dvrvqe import classical_spectrum, simulator, vqe
 from dvrvqe.ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
 from dvrvqe.circuits import Circuit, parse_circuit, ry
 from dvrvqe.constants import HARTREE_TO_INV_CM
@@ -17,6 +16,7 @@ from dvrvqe.vqe import (
     gershgorin_upper,
     gradient,
     minimize,
+    minimize_rows,
     objective,
 )
 
@@ -182,45 +182,34 @@ class TestMinimize:
 
 
 class TestWorkPerPoint:
-    """L-BFGS-B simulates each point once: the trace and the result reuse that state."""
+    """The optimizer simulates each point once: the trace and the result reuse that state."""
 
     @staticmethod
     def watch(monkeypatch, probe=False):
-        """Keep the slot rotations of every forward pass of a circuit kernel
-        (vqe's run calls and the forward passes of its evaluations) and every
-        scipy minimize call's x0, iterates and result.
+        """Keep the slot rotations of every row of every forward pass of a
+        circuit kernel, and every row the optimizer evaluates with its
+        parameters, objective and energy.
 
-        ``probe`` makes every objective call also evaluate a point off the
-        optimizer's path, so no iterate is the last point evaluated.
+        ``probe`` makes every evaluation also run a point off the optimizer's
+        path on the same kernel, so its buffers never hold an iterate.
         """
-        runs, calls = [], []
-        real_forward, real_minimize = simulator._Kernel.forward, scipy.optimize.minimize
+        forwarded, evaluated = [], []
+        real_forward, real_evaluate = simulator._Kernel.forward, vqe._evaluate
 
-        def counted_forward(kernel, rotations):
-            runs.append(rotations)
-            return real_forward(kernel, rotations)
+        def counted_forward(kernel, rows, rotations):
+            forwarded.extend(rotations.swapaxes(0, 1))
+            return real_forward(kernel, rows, rotations)
 
-        def watched_minimize(fun, x0, *args, callback, **kwargs):
-            call = {"x0": np.array(x0), "iterates": []}
+        def watched_evaluate(kernel, rows, params, config):
+            states, energies, values, grads = real_evaluate(kernel, rows, params, config)
+            evaluated.extend(zip(np.array(params), values.tolist(), energies.tolist()))
             if probe:
-                real_fun = fun
-
-                def fun(x, *fun_args):
-                    value = real_fun(x, *fun_args)
-                    real_fun(x + 0.5, *fun_args)
-                    return value
-
-            def watched_callback(xk):
-                call["iterates"].append(np.array(xk))
-                callback(xk)
-
-            call["result"] = real_minimize(fun, x0, *args, callback=watched_callback, **kwargs)
-            calls.append(call)
-            return call["result"]
+                real_evaluate(kernel, rows, params + 0.5, config)
+            return states, energies, values, grads
 
         monkeypatch.setattr(simulator._Kernel, "forward", counted_forward)
-        monkeypatch.setattr(scipy.optimize, "minimize", watched_minimize)
-        return runs, calls
+        monkeypatch.setattr(vqe, "_evaluate", watched_evaluate)
+        return forwarded, evaluated
 
     @staticmethod
     def problem(deflated):
@@ -231,14 +220,15 @@ class TestWorkPerPoint:
 
     @pytest.mark.parametrize("deflated", [False, True])
     def test_lbfgs_runs_at_most_nfev_plus_one(self, monkeypatch, deflated):
-        """x0 is simulated once for its trace row and L-BFGS-B's first call."""
+        """x0 is simulated once, for its trace row and the first evaluation."""
         circuit, config = self.problem(deflated)
-        runs, calls = self.watch(monkeypatch)
-        minimize(circuit, config, OptimizerConfig(max_iter=500, restarts=1, seed=18))
-        (call,) = calls
-        assert call["result"].nit >= 5
-        assert call["result"].nfev <= len(runs) <= call["result"].nfev + 1
-        assert sum(np.array_equal(rotations, _rotations(circuit, call["x0"])) for rotations in runs) == 1
+        forwarded, evaluated = self.watch(monkeypatch)
+        opt = OptimizerConfig(max_iter=500, restarts=1, seed=18)
+        result = minimize(circuit, config, opt)
+        assert len(result.trace) > 5
+        assert len(evaluated) <= len(forwarded) <= len(evaluated) + 1
+        x0 = opt.starts(circuit.n_slots)
+        assert sum(np.array_equal(rotations, _rotations(x0)[:, 0]) for rotations in forwarded) == 1
 
     @pytest.mark.parametrize(
         "deflated, probe", [(False, False), (True, False), (False, True)],
@@ -246,19 +236,41 @@ class TestWorkPerPoint:
     )
     def test_trace_and_result_are_bit_identical_to_fresh_runs(self, monkeypatch, deflated, probe):
         circuit, config = self.problem(deflated)
-        _, calls = self.watch(monkeypatch, probe)
+        _, evaluated = self.watch(monkeypatch, probe)
         opt = OptimizerConfig(max_iter=300, restarts=2, seed=19)
         result = minimize(circuit, config, opt)
-        assert len(calls) == 2
-        best = [c for c in calls if np.array_equal(c["result"].x, result.params)][0]
-        points = [best["x0"], *best["iterates"]]
-        assert len(result.trace) == len(points) > 5
-        for k, (x, row) in enumerate(zip(points, result.trace)):
-            energy, obj, _ = _values(run(circuit, x), config)
-            assert row == (k, obj, energy)
-        state = run(circuit, best["result"].x)
+        assert len(result.trace) > 5
+        points = {(obj, energy): x for x, obj, energy in evaluated}
+        for k, row in enumerate(result.trace):
+            energies, objectives, _ = _values(run(circuit, points[row[1:]])[None], config)
+            assert row == (k, objectives[0], energies[0])
+        assert any(np.array_equal(x, result.params) for x, _, _ in evaluated)
+        state = run(circuit, result.params)
         assert result.energy == energy_of(state, config.hamiltonian)
         assert result.overlaps == tuple(abs(np.vdot(ref, state)) ** 2 for ref, _ in config.deflation)
+
+
+class TestLockstep:
+    def test_restart_in_a_batch_equals_the_start_alone(self):
+        """Each restart gets the params, energy and trace of its start run
+        alone through x0, and minimize returns the lowest objective."""
+        circuit, config = TestWorkPerPoint.problem(True)
+        opt = OptimizerConfig(max_iter=300, restarts=4, seed=20)
+        starts = opt.starts(circuit.n_slots)
+        rows = minimize_rows([circuit] * len(starts), config, opt.max_iter, starts)
+        assert len({len(result.trace) for result, _ in rows}) > 1  # rows leave the batch at different rounds
+        for (result, fun), start in zip(rows, starts):
+            alone = minimize(circuit, config, opt, x0=start)
+            assert np.array_equal(alone.params, result.params)
+            assert (alone.energy, alone.trace, alone.converged) == (result.energy, result.trace, result.converged)
+            assert fun == result.trace[-1][1]
+        best = minimize(circuit, config, opt)
+        assert best.trace == min(rows, key=lambda row: row[1])[0].trace
+
+    def test_starts_must_fit_the_rows(self):
+        circuit = linear_ansatz(2, 1).circuit()
+        with pytest.raises(ValueError, match="do not fit"):
+            minimize_rows([circuit] * 2, ObjectiveConfig(np.eye(4)), 10, np.zeros((2, 3)))
 
 
 class TestExcitedStates:
