@@ -1,9 +1,9 @@
 """Greedy compositional search for entangler layouts.
 
 Starting from RY-only layers, every unused CNOT(q, p) in every block is
-trialled each step with a warm-started VQE run, all candidates of a step
-as one lockstep batch; the candidate with the lowest energy is committed
-(ties break lexicographically on (block, q, p)).
+trialled each step with a warm-started VQE run, the candidates of a step
+in lockstep (vqe.minimize_rows); the candidate with the lowest energy is
+committed (ties break lexicographically on (block, q, p)).
 Snapshots of the layout are taken the first time the ground-state error
 against the same-size classical spectrum drops below each threshold,
 yielding the C_1 / C_0.01 style circuits.
@@ -87,8 +87,8 @@ def candidate_evaluation(base_ansatz: AnsatzSpec, candidates, warm_params, budge
                          config: ObjectiveConfig) -> list[tuple[float, np.ndarray]]:
     """(energy, params) of each candidate (block, ctrl, tgt) CNOT appended
     to ``base_ansatz``, re-optimized from its row of ``warm_params`` for at
-    most ``budget`` iterations; the candidates run as one lockstep batch,
-    and each gets the result it gets alone.
+    most ``budget`` iterations; the candidates run in lockstep
+    (minimize_rows), and each gets the result it gets alone.
 
     The new gate adds no parameter slots, so the incumbent's parameters fit
     the trial as they are; greedy_search adds the warm start's jitter.
@@ -162,17 +162,16 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
             break
         ansatz = ansatz.with_entangler(*best_gate)
         used.add(best_gate)
-        # Full-budget re-optimization of the committed layout, as one batch:
+        # Full-budget re-optimization of the committed layout, in lockstep:
         # warm start from the winning candidate plus a few fresh restarts to
         # escape its basin.
         circuit = ansatz.circuit()
         fresh_starts = OptimizerConfig(restarts=COMMIT_RESTARTS, seed=(config.seed, step, 1)).starts(circuit.n_slots)
-        rows = minimize_rows(
+        # With no deflation each row's final objective is its energy, and a
+        # tie goes to the warm start, row 0.
+        incumbent = _best(minimize_rows(
             [circuit] * (1 + COMMIT_RESTARTS), objective_config, config.full_budget, [best_params, *fresh_starts]
-        )
-        incumbent, fresh = rows[0][0], _best(rows[1:])
-        if fresh.energy < incumbent.energy:
-            incumbent = fresh
+        ))
         record(step, best_gate, incumbent)
 
     return SearchResult(snapshots, trace, ansatz, incumbent)

@@ -78,7 +78,8 @@ def _rotations(params: np.ndarray) -> np.ndarray:
     batch of any size as alone.
     """
     rows, n_slots = params.shape
-    c, s = np.cos(0.5 * params), np.sin(0.5 * params)
+    half = 0.5 * params
+    c, s = np.cos(half), np.sin(half)
     matrices = np.concatenate([c, -s, s, c], axis=1).reshape(rows, 2, 2, n_slots)
     return matrices.transpose(3, 0, 1, 2)
 
@@ -148,6 +149,15 @@ class _Kernel:
         self.dim = 2 ** circuits[0].n_qubits
         self._rows = self._pairs = None
         self._forward = self._backward = (None, None)
+
+    def row_bytes(self) -> int:
+        """Bytes one batch row takes in a forward and a backward pass: its
+        two forward rows, its (psi, lambda) pair after every op from the
+        first RY gate on, and the gather index, J psi and lambda of every RY
+        term."""
+        ry_ops = [k for k, (kind, _, _) in enumerate(self.steps) if kind == "ry"]
+        depth = len(self.steps) - ry_ops[0] if ry_ops else 0
+        return 8 * self.dim * (2 + 2 * depth + 3 * len(ry_ops))
 
     def _forward_plan(self, rows):
         if self._forward[0] == rows:

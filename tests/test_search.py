@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dvrvqe import simulator, vqe
 from dvrvqe.ansatz import empty_ansatz
 from dvrvqe.search import (
     SearchConfig,
@@ -111,6 +112,30 @@ def test_candidates_in_one_batch_equal_each_alone(diatomic16):
         ((alone_energy, alone_params),) = candidate_evaluation(base, [gate], [start], 60, config)
         assert energy == alone_energy
         assert np.array_equal(params, alone_params)
+
+
+def test_batches_split_by_bytes_change_no_bit(diatomic16, monkeypatch):
+    """Candidates split into batches of at most two rows, by a BATCH_BYTES
+    of two kernel rows, get the bits they get in one batch."""
+    config = ObjectiveConfig(diatomic16.full)
+    base = empty_ansatz(4, 2).with_entangler(1, 0, 1)
+    gates = [(0, 0, 1), (0, 1, 3), (1, 2, 3), (1, 1, 2), (0, 2, 3)]
+    warm = np.random.default_rng(7).uniform(-0.5, 0.5, (len(gates), base.n_params))
+    whole = candidate_evaluation(base, gates, warm, 60, config)
+    kernel, _ = simulator._kernel_for([base.with_entangler(*gate).circuit() for gate in gates])
+    monkeypatch.setattr(vqe, "BATCH_BYTES", 2 * kernel.row_bytes() + 1)
+    batches, real_lockstep = [], vqe._lockstep
+
+    def counted_lockstep(kernel, kernel_rows, *args):
+        batches.append(kernel_rows)
+        return real_lockstep(kernel, kernel_rows, *args)
+
+    monkeypatch.setattr(vqe, "_lockstep", counted_lockstep)
+    split = candidate_evaluation(base, gates, warm, 60, config)
+    assert batches == [(0, 1), (2, 3), (4,)]
+    for (energy, params), (split_energy, split_params) in zip(whole, split):
+        assert energy == split_energy
+        assert np.array_equal(params, split_params)
 
 
 def test_max_entanglers_cap():

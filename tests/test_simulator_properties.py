@@ -394,3 +394,15 @@ def test_apply_circuit_makes_no_state_buffers():
     assert kernel._rows is None
     run(circuit)
     assert kernel._rows.shape == (2, 1, 2 ** n) and kernel._pairs is None
+
+
+def test_row_bytes_cover_the_buffers_of_a_batch():
+    """The forward rows, the backward pairs and the three per-term gathers
+    of an R-row pass take at most R * row_bytes()."""
+    circuit = Circuit(3, (ry(0, 0), cnot(0, 1), ry(1, 1), hadamard(2), ry(2, 0), pauli_x(1)), 2)
+    kernel, count = _kernel(circuit), 3
+    rotations = _rotations(np.random.default_rng(25).uniform(-1, 1, (count, circuit.n_slots)))
+    states = kernel.forward((0,) * count, rotations)
+    kernel.backward((0,) * count, rotations, states, states)
+    terms = 3 * count * 8 * 2 ** 3 * sum(kind == "ry" for kind, _, _ in kernel.steps)
+    assert kernel._rows.nbytes + kernel._pairs.nbytes + terms == count * kernel.row_bytes()

@@ -187,14 +187,15 @@ class TestWorkPerPoint:
     @staticmethod
     def watch(monkeypatch, probe=False):
         """Keep the slot rotations of every row of every forward pass of a
-        circuit kernel, and every row the optimizer evaluates with its
-        parameters, objective and energy.
+        circuit kernel, and, in call order, every optimizer evaluation as
+        (kernel rows, params, objectives, energies) and every line-search
+        update as whether it accepted its step.
 
         ``probe`` makes every evaluation also run a point off the optimizer's
         path on the same kernel, so its buffers never hold an iterate.
         """
-        forwarded, evaluated = [], []
-        real_forward, real_evaluate = simulator._Kernel.forward, vqe._evaluate
+        forwarded, events = [], []
+        real_forward, real_evaluate, real_update = simulator._Kernel.forward, vqe._evaluate, vqe._LineSearch.update
 
         def counted_forward(kernel, rows, rotations):
             forwarded.extend(rotations.swapaxes(0, 1))
@@ -202,14 +203,40 @@ class TestWorkPerPoint:
 
         def watched_evaluate(kernel, rows, params, config):
             states, energies, values, grads = real_evaluate(kernel, rows, params, config)
-            evaluated.extend(zip(np.array(params), values.tolist(), energies.tolist()))
+            events.append((rows, np.array(params), values.tolist(), energies.tolist()))
             if probe:
                 real_evaluate(kernel, rows, params + 0.5, config)
             return states, energies, values, grads
 
+        def watched_update(search, f, g):
+            accepted = real_update(search, f, g)
+            events.append(accepted)
+            return accepted
+
         monkeypatch.setattr(simulator._Kernel, "forward", counted_forward)
         monkeypatch.setattr(vqe, "_evaluate", watched_evaluate)
-        return forwarded, evaluated
+        monkeypatch.setattr(vqe._LineSearch, "update", watched_update)
+        return forwarded, events
+
+    @staticmethod
+    def evaluations(events) -> dict[int, list[list]]:
+        """Every evaluation of each kernel row, in order, as [x, objective,
+        energy, accepted]. A row's first evaluation, its x0, is accepted;
+        each later one is decided by the line-search update that follows
+        its round, one per live row in row order."""
+        points, undecided = {}, []
+        for event in events:
+            if isinstance(event, bool):
+                undecided.pop(0)[3] = event
+                continue
+            assert not undecided, "a round left an evaluation without its update"
+            for row, x, obj, energy in zip(*event):
+                point = [x, obj, energy, row not in points]
+                if row in points:
+                    undecided.append(point)
+                points.setdefault(row, []).append(point)
+        assert not undecided
+        return points
 
     @staticmethod
     def problem(deflated):
@@ -222,11 +249,12 @@ class TestWorkPerPoint:
     def test_lbfgs_runs_at_most_nfev_plus_one(self, monkeypatch, deflated):
         """x0 is simulated once, for its trace row and the first evaluation."""
         circuit, config = self.problem(deflated)
-        forwarded, evaluated = self.watch(monkeypatch)
+        forwarded, events = self.watch(monkeypatch)
         opt = OptimizerConfig(max_iter=500, restarts=1, seed=18)
         result = minimize(circuit, config, opt)
         assert len(result.trace) > 5
-        assert len(evaluated) <= len(forwarded) <= len(evaluated) + 1
+        evaluated = sum(len(event[0]) for event in events if not isinstance(event, bool))
+        assert evaluated <= len(forwarded) <= evaluated + 1
         x0 = opt.starts(circuit.n_slots)
         assert sum(np.array_equal(rotations, _rotations(x0)[:, 0]) for rotations in forwarded) == 1
 
@@ -235,19 +263,35 @@ class TestWorkPerPoint:
         ids=["lbfgs-False-False", "lbfgs-True-False", "lbfgs-False-True"],
     )
     def test_trace_and_result_are_bit_identical_to_fresh_runs(self, monkeypatch, deflated, probe):
+        """Each restart's trace is its x0 and then every accepted step, in
+        order; each trace row and the result are bit-identical to a fresh
+        run at that point; minimize returns the restart of the lowest final
+        objective."""
         circuit, config = self.problem(deflated)
-        _, evaluated = self.watch(monkeypatch, probe)
         opt = OptimizerConfig(max_iter=300, restarts=2, seed=19)
-        result = minimize(circuit, config, opt)
-        assert len(result.trace) > 5
-        points = {(obj, energy): x for x, obj, energy in evaluated}
-        for k, row in enumerate(result.trace):
-            energies, objectives, _ = _values(run(circuit, points[row[1:]])[None], config)
-            assert row == (k, objectives[0], energies[0])
-        assert any(np.array_equal(x, result.params) for x, _, _ in evaluated)
-        state = run(circuit, result.params)
-        assert result.energy == energy_of(state, config.hamiltonian)
-        assert result.overlaps == tuple(abs(np.vdot(ref, state)) ** 2 for ref, _ in config.deflation)
+        best = minimize(circuit, config, opt)
+        starts = opt.starts(circuit.n_slots)
+        _, events = self.watch(monkeypatch, probe)
+        # One circuit object per restart gives each restart its own kernel
+        # row, so every evaluation names its restart.
+        rows = minimize_rows([linear_ansatz(3, 2).circuit() for _ in starts], config, opt.max_iter, starts)
+        points = self.evaluations(events)
+        assert sorted(points) == list(range(len(starts)))
+        for restart, (result, fun) in enumerate(rows):
+            accepted = [point for point in points[restart] if point[3]]
+            assert np.array_equal(accepted[0][0], starts[restart])
+            assert len(accepted) < len(points[restart])  # some trials were rejected
+            assert result.trace == tuple((k, obj, energy) for k, (_, obj, energy, _) in enumerate(accepted))
+            assert len(result.trace) > 5 and fun == result.trace[-1][1]
+            for x, obj, energy, _ in accepted:
+                energies, objectives, _ = _values(run(circuit, x)[None], config)
+                assert (obj, energy) == (objectives[0], energies[0])
+            assert np.array_equal(result.params, accepted[-1][0])
+            state = run(circuit, result.params)
+            assert result.energy == energy_of(state, config.hamiltonian)
+            assert result.overlaps == tuple(abs(np.vdot(ref, state)) ** 2 for ref, _ in config.deflation)
+        lowest = min(rows, key=lambda row: row[1])[0]
+        assert np.array_equal(best.params, lowest.params) and best.trace == lowest.trace
 
 
 class TestLockstep:
