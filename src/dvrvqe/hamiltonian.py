@@ -1,17 +1,16 @@
 """DVR Hamiltonian assembly, band truncation and classical benchmarks.
 
 scipy is imported at first use, inside the functions that call it:
-``scipy.linalg`` in the eigensolves, ``scipy.fft`` in the matrix-free
-matvec and the coarse LOBPCG start, and ``scipy.sparse.linalg.lobpcg`` in
-``lowest_levels``. Importing them costs a fresh process several tenths of
-a second, more than most CLI tasks compute, and ``assemble``, ``truncate``
-and ``full`` need numpy alone.
+``scipy.linalg`` in the eigensolves and the LOBPCG preconditioner, and
+``scipy.fft`` in the matrix-free matvec and the coarse LOBPCG start.
+Importing them costs a fresh process several tenths of a second, more than
+most CLI tasks compute, and ``assemble``, ``truncate`` and ``full`` need
+numpy alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,11 +20,11 @@ from .grids import BandProfile, GridSpec, band_profile, build_grid, tail_sums
 from .potentials import potential_on_grid
 
 # lowest_levels runs LOBPCG on the FFT matvec from MATRIX_FREE_MIN_POINTS up
-# and dense eigvalsh below, or when more levels are asked for than the
-# crossover count 16 (N/1024)^1.5. Measured on one core with OpenBLAS, README
-# Morse H, dense against LOBPCG: at 1024 points 0.14 s against 0.14 s for 16
-# levels, at 2048 points 0.93 s against 0.55 s for 32 and 1.2 s for 64, at
-# 4096 points 7.3 s against 7.1 s for 128.
+# and dense eigvalsh below, or when more levels are asked for than
+# 16 (N/1024)^1.5. That count was the crossover for scipy's lobpcg; the
+# LOBPCG here beats dense on README Morse H well past it (README,
+# "Crossover") but loses on a random tabulated potential at 2048 points
+# and 120 levels, so the rule stays.
 MATRIX_FREE_MIN_POINTS = 1024
 # Band half-width s of the LOBPCG preconditioner, |i-j| < s.
 PRECONDITIONER_BANDS = 32
@@ -166,18 +165,14 @@ def lowest_levels(h: DvrHamiltonian, count: int) -> np.ndarray:
 
     Dense ``classical_spectrum`` on grids below MATRIX_FREE_MIN_POINTS or
     when ``count`` is above the crossover (see ``dense_is_faster``).
-    Otherwise LOBPCG (Knyazev 2001) on ``h.matmat``, which never forms H,
-    with a block of max(count + 4, 1.5 count) vectors and the
-    preconditioner of ``_band_preconditioner``. The first start is
-    ``_coarse_start``: the lowest eigenvectors of H on a coarse finite grid
-    of the same box, lifted to N points by DST-I and zero-padding, and
-    given LOBPCG_MAX_ITER // 8 iterations, so that an attempt that stalls
-    costs about what a random start does. A start that close to the answer
-    can break LOBPCG down, so when that attempt stops above the tolerance,
-    LOBPCG runs once more from seeded random vectors. A failed
-    factorization of the preconditioner or a residual left above
-    RESIDUAL_TOL * max|H| after LOBPCG_MAX_ITER iterations raises
-    LinAlgError.
+    Otherwise block LOBPCG (Knyazev 2001) on ``h.matmat``, which never
+    forms H: max(count + 4, 1.5 count) vectors from ``_coarse_start``, each
+    iteration adding the preconditioned residuals and the last directions
+    of the columns not yet converged (soft locking, Duersch et al. 2018),
+    orthonormalized by ``_orthonormalize``. It stops when the first
+    ``count`` residuals are below RESIDUAL_TOL * max|H|; a failed
+    factorization of ``_band_preconditioner``, or no convergence in
+    LOBPCG_MAX_ITER iterations, raises LinAlgError.
     """
     n_pts = h.n_points
     if not 1 <= count <= n_pts:
@@ -185,33 +180,51 @@ def lowest_levels(h: DvrHamiltonian, count: int) -> np.ndarray:
     if dense_is_faster(n_pts, count):
         return classical_spectrum(h.full, count)
 
-    from scipy.sparse.linalg import lobpcg
-
     tol = RESIDUAL_TOL * _max_entry_bound(h)
     size = max(count + 4, -(-3 * count // 2))
     preconditioner = _band_preconditioner(h)
-
-    def solve(start: np.ndarray, maxiter: int) -> tuple[np.ndarray, float]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # unconverged: checked by the caller
-            values, _, residuals = lobpcg(
-                h.matmat, start, M=preconditioner, tol=tol, maxiter=maxiter,
-                largest=False, retResidualNormsHistory=True,
-            )
-        return values[:count], float(np.max(residuals[-1][:count]))
-
-    try:
-        values, worst = solve(_coarse_start(h, size), LOBPCG_MAX_ITER // 8)
-    except ValueError:  # scipy's answer to a linearly dependent start block
-        worst = np.inf
-    if not worst <= tol:
-        values, worst = solve(np.random.default_rng(0).standard_normal((n_pts, size)), LOBPCG_MAX_ITER)
+    basis = _orthonormalize(_coarse_start(h, size), np.empty((n_pts, 0)))
+    products, directions = h.matmat(basis), basis[:, :0]
+    for iteration in range(LOBPCG_MAX_ITER + 1):
+        gram = basis.T @ products
+        values, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
+        values, vectors = values[:size], vectors[:, :size]
+        block, products = basis @ vectors, products @ vectors
+        residuals = products - block * values
+        norms = np.linalg.norm(residuals, axis=0)
+        worst = float(np.max(norms[:count]))
+        if worst <= tol or iteration == LOBPCG_MAX_ITER:
+            break
+        active = norms > tol
+        # On the first pass directions is empty and P is zero columns, which the SVQB drops.
+        steps = np.hstack([preconditioner(residuals[:, active]), directions @ vectors[size:, active]])
+        directions = _orthonormalize(steps, block)
+        basis = np.hstack([block, directions])
+        products = np.hstack([products, h.matmat(directions)])
     if not worst <= tol:
         raise np.linalg.LinAlgError(
             f"LOBPCG did not converge in {LOBPCG_MAX_ITER} iterations:"
             f" residual {worst:.3g} above the tolerance {tol:.3g}"
         )
-    return values
+    return values[:count]
+
+
+def _orthonormalize(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``block`` projected off the orthonormal columns of ``basis`` and
+    orthonormalized by SVQB (Stathopoulos & Wu 2002), in two passes. A pass
+    scales each column by its norm before the projection and maps the block
+    by the eigenvectors of its Gram matrix over the square roots of their
+    eigenvalues, dropping those below 1e-12 of the largest: the directions
+    that depend on the others or on ``basis``, zero columns among them. An
+    empty block comes back unchanged."""
+    for _ in range(2):
+        scale = 1.0 / np.sqrt(np.sum(block**2, axis=0) + np.finfo(float).tiny)
+        block = block - basis @ (basis.T @ block)
+        gram = block.T @ block
+        values, vectors = np.linalg.eigh(gram * scale * scale[:, None])
+        keep = values > 1e-12 * values.max(initial=0.0)
+        block = block @ (scale[:, None] * vectors[:, keep] / np.sqrt(values[keep]))
+    return block
 
 
 def _coarse_start(h: DvrHamiltonian, size: int) -> np.ndarray:

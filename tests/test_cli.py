@@ -727,6 +727,16 @@ class TestColdStart:
         assert scipy_modules_after(code, tmp_path) == []
         assert (tmp_path / "out" / "manifest").is_file()
 
+    def test_matrix_free_diag_loads_no_scipy_sparse(self, tmp_path):
+        """diag at 1024 points runs LOBPCG on the FFT matvec, with no scipy.sparse."""
+        text = MORSE_BASE.format(task="diag", extra="levels = 8\n", outdir="out").replace("n_qubits = 4", "n_qubits = 10")
+        write_config(tmp_path, text)
+        code = "from dvrvqe import cli\nassert cli.main(['run', 'run.ini']) == 0"
+        modules = scipy_modules_after(code, tmp_path)
+        assert "scipy.fft" in modules
+        assert not [m for m in modules if m.startswith("scipy.sparse")]
+        assert (tmp_path / "out" / "spectrum.csv").is_file()
+
     def test_vqe_tasks_load_no_scipy_optimize(self, tmp_path):
         """vqe, excited and search on the README Morse system optimize with
         the in-repo L-BFGS."""

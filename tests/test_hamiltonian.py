@@ -3,7 +3,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -191,20 +190,17 @@ def every_variant_and_kind(n):
     return decorate
 
 
-def record_lobpcg(monkeypatch):
-    """Wrap scipy's lobpcg; the returned list gets one entry per call, its
-    iteration count, or None when the call raised."""
-    iterations = []
-    lobpcg = scipy.sparse.linalg.lobpcg
+def record_matmat(monkeypatch):
+    """Record calls to DvrHamiltonian.matmat; the returned list gets each call's column count."""
+    calls = []
+    matmat = hamiltonian.DvrHamiltonian.matmat
 
-    def recorded(*args, **kwargs):
-        iterations.append(None)
-        out = lobpcg(*args, **kwargs)
-        iterations[-1] = len(out[-1]) - 2  # residual history: start, iterations, final
-        return out
+    def recorded(self, block):
+        calls.append(block.shape[1])
+        return matmat(self, block)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", recorded)
-    return iterations
+    monkeypatch.setattr(hamiltonian.DvrHamiltonian, "matmat", recorded)
+    return calls
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,6 +219,25 @@ def test_matmat_matches_dense(variant, kind, n, columns, seed):
     product = h.matmat(block)
     assert product.shape == block.shape
     assert np.max(np.abs(product - h.full @ block)) <= 1e-13 * np.max(np.abs(h.full))
+
+
+def test_orthonormalize_drops_dependent_directions():
+    rng = np.random.default_rng(7)
+    basis = np.linalg.qr(rng.standard_normal((64, 4)))[0]
+    fresh = rng.standard_normal((64, 4)) * [1e-9, 1.0, 1e6, 1e-5]
+    dependent = [np.zeros(64), 3.0 * basis[:, 1], fresh[:, :3] @ [1.0, 2.0, 3.0]]
+    # Mostly in the span of basis, so its fresh part carries rounding of about
+    # 1e-11 relative, and one projection would leave it that far off orthogonal.
+    nearly_in_basis = fresh[:, 3] + basis @ [1.0, 2.0, 3.0, 4.0]
+    block = np.column_stack([fresh[:, 0], *dependent, fresh[:, 1:3], nearly_in_basis])
+    out = hamiltonian._orthonormalize(block, basis)
+    assert out.shape == (64, 4)
+    assert np.max(np.abs(out.T @ out - np.eye(4))) <= 1e-14
+    assert np.max(np.abs(basis.T @ out)) <= 1e-14
+    projected = fresh - basis @ (basis.T @ fresh)
+    projected /= np.linalg.norm(projected, axis=0)
+    assert np.max(np.abs(projected - out @ (out.T @ projected))) <= 1e-10
+    assert hamiltonian._orthonormalize(np.empty((64, 0)), basis).shape == (64, 0)
 
 
 class TestLowestLevels:
@@ -255,22 +270,44 @@ class TestLowestLevels:
         expected = [MORSE.level(v, MASS) for v in range(8)]
         assert np.max(np.abs(levels - expected)) * HARTREE_TO_INV_CM < 0.01
 
-    def test_coarse_start_converges_in_one_short_call(self, monkeypatch):
-        iterations = record_lobpcg(monkeypatch)
+    def test_coarse_start_converges_in_one_iteration(self, monkeypatch):
+        """README Morse at 4096 points: the preconditioner's row sums, the start block and one iteration."""
+        calls = record_matmat(monkeypatch)
         h = assemble(build_grid("finite", {"a": 2.55, "b": 4.55}, 12, DIATOMIC_MASS), DIATOMIC_MORSE)
         lowest_levels(h, 8)
-        assert len(iterations) == 1
-        assert iterations[0] <= 20
+        assert len(calls) <= 3
         assert "full" not in vars(h)
 
-    def test_failed_coarse_start_falls_back_to_random_start(self, monkeypatch):
-        monkeypatch.setattr(hamiltonian, "_coarse_start", lambda h, size: np.ones((h.n_points, size)))
-        iterations = record_lobpcg(monkeypatch)
-        h = assemble(grid_on("finite", self.N_QUBITS), MORSE)
-        levels = lowest_levels(h, 8)
-        assert len(iterations) == 2
-        dense = classical_spectrum(h.full, 8)
+    @pytest.mark.parametrize(
+        "kind, seed, count",
+        [("tabulated", 180439260, 2), ("morse", 822985565, 14), ("harmonic", 74845286, 16)],
+        ids=["tabulated", "morse", "harmonic"],
+    )
+    def test_half_infinite_cases_converge_in_one_run(self, monkeypatch, kind, seed, count):
+        """Cases on which scipy's lobpcg stalled or broke down, from a random or the coarse start."""
+        calls = record_matmat(monkeypatch)
+        h = assemble(grid_on("half-infinite", 11), random_potential(kind, np.random.default_rng(seed)))
+        levels = lowest_levels(h, count)
+        assert len(calls) <= 16
+        dense = classical_spectrum(h.full, count)
         assert np.max(np.abs(levels - dense)) <= 1e-12 * np.max(np.abs(h.full))
+
+    @settings(max_examples=6, deadline=None)
+    @every_variant_and_kind(N_QUBITS)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        kind=st.sampled_from(POTENTIAL_KINDS),
+        n=st.integers(N_QUBITS, N_QUBITS + 1),
+        count=st.integers(1, MAX_COUNT),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coarse_start_columns_are_orthogonal(self, variant, kind, n, count, seed):
+        """So the start never has dependent columns that LOBPCG would have to refill."""
+        h = assemble(grid_on(variant, n), random_potential(kind, np.random.default_rng(seed)))
+        size = max(count + 4, -(-3 * count // 2))
+        start = hamiltonian._coarse_start(h, size)
+        unit = start / np.linalg.norm(start, axis=0)
+        assert np.max(np.abs(unit.T @ unit - np.eye(size))) <= 1e-12
 
     def test_crossover(self):
         assert dense_is_faster(MATRIX_FREE_MIN_POINTS // 2, 1)
