@@ -57,6 +57,8 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.n_qubits < 1:
             raise ValueError(f"a circuit needs at least one qubit, got {self.n_qubits}")
+        if self.n_slots < 0:
+            raise ValueError(f"a circuit needs a slot count >= 0, got {self.n_slots}")
         for g in self.gates:
             if not 0 <= g.qubit < self.n_qubits:
                 raise ValueError(f"gate {g} addresses qubit outside 0..{self.n_qubits - 1}")

@@ -26,6 +26,7 @@ from .constants import HARTREE_TO_INV_CM
 from .hamiltonian import DvrHamiltonian, assemble, lowest_levels, truncate
 from .measurement import (
     TruncationSpec,
+    basis_count_bound,
     evaluate_exact,
     evaluate_sampled,
     format_plan,
@@ -284,13 +285,14 @@ def _task_measure(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
             raise ConfigError(
                 f"[task] params file {params_path} has {params.size} values, the circuit {circuit.n_slots} slots"
             )
+        if not np.all(np.isfinite(params)):
+            raise ConfigError(f"[task] params file {params_path} holds a value that is not finite")
 
-    rebuilt = full_plan(h, spec)
-    plan = rebuilt if loaded is None else loaded
+    plan = full_plan(h, spec) if loaded is None else loaded
     state = run_circuit(circuit, params)
     exact = evaluate_exact(plan, state)
     sampled = evaluate_sampled(plan, state, shots, config.seed)
-    bound = rebuilt.bound_num_bases
+    bound = basis_count_bound(h, spec)
     ws.write_text("result.csv", _csv("quantity,value", [
         ("tau_exact", exact),
         ("tau_sampled", sampled.estimate),

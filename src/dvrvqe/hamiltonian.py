@@ -1,11 +1,9 @@
 """DVR Hamiltonian assembly, band truncation and classical benchmarks.
 
-scipy is imported at first use, inside the functions that call it:
-``scipy.linalg`` in the eigensolves and the LOBPCG preconditioner, and
-``scipy.fft`` in the matrix-free matvec and the coarse LOBPCG start.
-Importing them costs a fresh process several tenths of a second, more than
-most CLI tasks compute, and ``assemble``, ``truncate`` and ``full`` need
-numpy alone.
+The dense eigensolve runs on numpy. Only LOBPCG, from MATRIX_FREE_MIN_POINTS
+up, imports scipy, at first use: ``scipy.linalg`` in its coarse start and
+preconditioner, ``scipy.fft`` in the matvec and the coarse start. The imports
+cost a fresh process several tenths of a second, more than most tasks compute.
 """
 
 from __future__ import annotations
@@ -146,15 +144,15 @@ def truncation_error_bound(profile: BandProfile, s: int, r: int) -> float:
 
 def classical_spectrum(matrix: np.ndarray, count: int | None = None) -> np.ndarray:
     """Lowest ``count`` eigenvalues of a symmetric matrix, ascending."""
-    import scipy.linalg
-
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix must not contain infs or NaNs")
     scale = max(np.max(np.abs(matrix)), 1.0)
     if np.max(np.abs(matrix - matrix.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    vals = scipy.linalg.eigvalsh(matrix)
+    vals = np.linalg.eigvalsh(matrix)
     if count is not None:
         vals = vals[:count]
     return vals

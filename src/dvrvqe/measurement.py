@@ -73,15 +73,13 @@ class TruncationSpec:
             raise ValueError(f"s and r must be >= 1, got s={self.s}, r={self.r}")
 
     @classmethod
-    def from_epsilon(cls, epsilon, n_qubits, alpha=1.0, beta=1.0, streamlined=False):
-        """Derive s = ceil(eps^(-1/alpha)), r = ceil(eps^(-1/beta)), capped at 2^n;
-        alpha and beta are the decay exponents of the band and anti-diagonal tails."""
+    def from_epsilon(cls, epsilon, n_qubits, streamlined=False):
+        """Derive s = r = ceil(1/eps), capped at 2^n: every DVR tail decays with
+        exponent 1, f(k) and g(k) ~ 1/k^2 summing to about 1/s and 1/r."""
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        n_pts = 2 ** n_qubits
-        s = min(math.ceil(epsilon ** (-1.0 / alpha)), n_pts)
-        r = min(math.ceil(epsilon ** (-1.0 / beta)), n_pts)
-        return cls(s, r, streamlined, epsilon)
+        width = min(math.ceil(epsilon ** -1.0), 2 ** n_qubits)
+        return cls(width, width, streamlined, epsilon)
 
     @property
     def p(self) -> int:
@@ -110,7 +108,7 @@ class MeasBasis:
 @dataclass(frozen=True)
 class MeasurementPlan:
     """Analysis circuits with their weights; ``bound_num_bases`` is the
-    polynomial basis-count bound of the (h, spec) full_plan built it from."""
+    basis_count_bound of the (h, spec) full_plan built it from."""
 
     n_qubits: int
     bases: tuple[MeasBasis, ...]
@@ -123,14 +121,14 @@ class MeasurementPlan:
 
     @cached_property
     def compiled(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """(A, w, place), built on first use and kept, with R the number of
+        """(A, w, filled), built on first use and kept, with R the number of
         outcomes that carry a nonzero weight. A is the float64 CSR operator
         of shape (R, 2^n) whose rows are those outcomes' rows e_o^T V_b^dag,
         basis by basis in plan order and by outcome within a basis, and w
-        their R weights. place is the (B, K + 1) table, B = num_bases and K
-        the largest weighted-outcome count of any basis, whose row b lists
-        basis b's rows of A, padded with R; column K holds R too, the slot
-        of the basis's lumped remainder.
+        their R weights. filled is the boolean (B, K + 1) mask, B = num_bases
+        and K the largest weighted-outcome count of any basis, whose row b
+        marks one slot per row of A of basis b, in order, from the left;
+        column K, the slot of the basis's lumped remainder, stays False.
         """
         import scipy.sparse
 
@@ -150,17 +148,17 @@ class MeasurementPlan:
         )
         operator.sort_indices()
         weights = np.concatenate([basis.weights[o] for basis, o in zip(self.bases, outcomes)]).astype(float)
-        place = np.full((self.num_bases, counts.max(initial=0) + 1), n_rows)
-        place[np.arange(place.shape[1]) < counts[:, None]] = np.arange(n_rows)
-        return operator, weights, place
+        filled = np.arange(counts.max(initial=0) + 1) < counts[:, None]
+        return operator, weights, filled
 
     @cached_property
     def sample_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (B, K + 1) tables of the weights w and w^2 laid out as
-        ``compiled``'s place, with 0 in the padding and the remainder
-        column; built on first use by evaluate_sampled and kept."""
-        _, weights, place = self.compiled
-        table = np.append(weights, 0.0)[place]
+        """The (B, K + 1) tables of the weights w and w^2 laid out by
+        ``compiled``'s filled mask, with 0 in the other slots; built on
+        first use by evaluate_sampled and kept."""
+        _, weights, filled = self.compiled
+        table = np.zeros(filled.shape)
+        table[filled] = weights
         return table, table**2
 
 
@@ -233,6 +231,18 @@ def antidiag_plan(g: np.ndarray, r: int, n: int, streamlined: bool = False) -> l
     return bases
 
 
+def basis_count_bound(h: DvrHamiltonian, spec: TruncationSpec) -> int:
+    """The polynomial bound on full_plan's basis count: 1 (the diagonal)
+    plus min(2^l - k + (n-l)k, 2^n - k) per retained band k, l =
+    band_width_l(k), plus 2^p when g is nonzero, p = ceil(log2 r)."""
+    n, n_pts = h.n_qubits, h.n_points
+    bound = 1 + (2 ** spec.p if np.any(h.profile.g != 0.0) else 0)
+    for k in range(1, min(spec.s, n_pts)):
+        l = band_width_l(k)
+        bound += min(2 ** l - k + (n - l) * k, n_pts - k)
+    return bound
+
+
 def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
     """Plan whose weighted reconstruction equals truncate(h, s, r).
 
@@ -242,9 +252,7 @@ def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
     Bases are keyed by circuit, so every term measured by the same
     analysis circuit (the anti-diagonal mask 0 and the diagonal, a
     single-bit mask in several bands and the anti-diagonals) adds its
-    weights to one basis. The stored bound is 1 (the diagonal) plus
-    min(2^l - k + (n-l)k, 2^n - k) per retained band plus 2^p when g is
-    nonzero, p = ceil(log2 r).
+    weights to one basis.
     """
     n = h.n_qubits
     n_pts = h.n_points
@@ -257,10 +265,7 @@ def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
             merged = weights.setdefault(basis.circuit, np.zeros(n_pts))
             merged += scale * basis.weights
 
-    bound = 1
     for k in range(1, min(spec.s, n_pts)):
-        l = band_width_l(k)
-        bound += min(2 ** l - k + (n - l) * k, n_pts - k)
         f_k = profile.f[k]
         if f_k != 0.0:
             bases, q_vec = band_plan(k, n)
@@ -268,14 +273,13 @@ def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
             add(bases, f_k)
 
     if np.any(profile.g != 0.0):
-        bound += 2 ** spec.p
         retained = retained_antidiagonals(n, spec.r, spec.streamlined)
         even = 2 * np.arange(n_pts)
         diag -= np.where(retained[even], profile.g[even], 0.0)
         add(antidiag_plan(profile.g, spec.r, n, spec.streamlined))
 
     bases = tuple(MeasBasis(circuit, w) for circuit, w in weights.items())
-    return MeasurementPlan(n, bases, bound)
+    return MeasurementPlan(n, bases, basis_count_bound(h, spec))
 
 
 def plan_to_matrix(plan: MeasurementPlan) -> np.ndarray:
@@ -345,9 +349,10 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
-    place = plan.compiled[2]
+    filled = plan.compiled[2]
     weights, squares = plan.sample_weights
-    probs = np.append(_probabilities(plan, state), 0.0)[place]
+    probs = np.zeros(filled.shape)
+    probs[filled] = _probabilities(plan, state)
     norm = float(np.vdot(state, state).real)
     if not norm > 0:
         raise ValueError("cannot sample a zero-norm state")
@@ -385,8 +390,8 @@ def parse_plan(text: str) -> MeasurementPlan:
 
     Raises ValueError for a plan with no blocks, a block index out of
     sequence, a circuit with parameter slots or a qubit count other than
-    block 0's, a weight outcome outside [0, 2^n) and an outcome repeated
-    within a block.
+    block 0's, a weight outcome outside [0, 2^n), an outcome repeated
+    within a block and a weight that is not a finite number.
     """
     blocks: list[tuple[list[str], dict[int, float]]] = []
     for line in text.splitlines():
@@ -403,6 +408,8 @@ def parse_plan(text: str) -> MeasurementPlan:
             if len(head) != 3:
                 raise ValueError(f"bad weight line {line!r}; expected 'w <outcome> <weight>'")
             outcome, weight = int(head[1]), float(head[2])
+            if not math.isfinite(weight):
+                raise ValueError(f"basis {len(blocks) - 1} outcome {outcome} weight {head[2]!r} is not finite")
             if outcome in blocks[-1][1]:
                 raise ValueError(f"basis {len(blocks) - 1} repeats outcome {outcome}")
             blocks[-1][1][outcome] = weight

@@ -57,6 +57,8 @@ class TabulatedPotential:
         v = np.asarray(self.v, dtype=float)
         if x.ndim != 1 or x.shape != v.shape or x.size < 2:
             raise ValueError("tabulated potential needs matching 1D x and V arrays with >= 2 samples")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise ValueError("tabulated x and V values must be finite")
         if not np.all(np.diff(x) > 0):
             raise ValueError("tabulated x values must be strictly increasing")
         x.setflags(write=False)

@@ -43,6 +43,7 @@ from .simulator import _kernel, _kernel_for, _param_row, _rotations, overlap_sq,
 GRADIENT_TOL = 1e-8    # stop when max |gradient| <= this (L-BFGS-B pgtol)
 OBJECTIVE_TOL = 1e-12  # stop when an iteration lowers the objective by at most this, relative (L-BFGS-B ftol)
 BETA_MARGIN = 1.1      # deflation weight over the Gershgorin gap bound
+INIT_SCALE = 0.1       # restarts start uniformly in [-INIT_SCALE, INIT_SCALE] per slot
 MEMORY = 10            # L-BFGS correction pairs per row
 BATCH_BYTES = 2 ** 23  # kernel buffers of one lockstep batch (_Kernel.row_bytes per row)
 LINE_SEARCH_EVALUATIONS = 20  # a line search that needs more is abandoned
@@ -67,13 +68,12 @@ class ObjectiveConfig:
 @dataclass(frozen=True)
 class OptimizerConfig:
     """L-BFGS on adjoint gradients for at most ``max_iter`` iterations, from
-    ``restarts`` seeded uniform starts in [-init_scale, init_scale] that
+    ``restarts`` seeded uniform starts in [-INIT_SCALE, INIT_SCALE] that
     run as one lockstep batch."""
 
     max_iter: int = 2000
     restarts: int = 5
     seed: tuple[int, ...] | int = 0
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if self.max_iter < 1 or self.restarts < 1:
@@ -85,7 +85,7 @@ class OptimizerConfig:
     def starts(self, n_slots: int) -> np.ndarray:
         """The (restarts, n_slots) start points; restart k draws from seed (*seed, k)."""
         return np.array([
-            np.random.default_rng((*self.seed_tuple(), restart)).uniform(-self.init_scale, self.init_scale, n_slots)
+            np.random.default_rng((*self.seed_tuple(), restart)).uniform(-INIT_SCALE, INIT_SCALE, n_slots)
             for restart in range(self.restarts)
         ]).reshape(self.restarts, n_slots)
 
@@ -511,22 +511,15 @@ def _best(rows: list[tuple[VqeResult, float]]) -> VqeResult:
     return rows[min(range(len(rows)), key=lambda k: (rows[k][1], k))][0]
 
 
-def minimize(ansatz, config: ObjectiveConfig, opt: OptimizerConfig, x0=None) -> VqeResult:
+def minimize(ansatz, config: ObjectiveConfig, opt: OptimizerConfig) -> VqeResult:
     """Best VQE result over restarts; deterministic for a given seed.
 
-    The restarts run as one lockstep batch (minimize_rows). ``x0``
-    warm-starts a single run and bypasses the random restarts. Exhausting
-    the iteration budget is reported through converged=False, not an
-    exception.
+    The restarts run as one lockstep batch (minimize_rows), which also
+    takes chosen starts. Exhausting the iteration budget is reported
+    through converged=False, not an exception.
     """
     circuit = _as_circuit(ansatz)
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (circuit.n_slots,):
-            raise ValueError(f"x0 length {x0.shape} does not match {circuit.n_slots} slots")
-        starts = x0[None]
-    else:
-        starts = opt.starts(circuit.n_slots)
+    starts = opt.starts(circuit.n_slots)
     return _best(minimize_rows([circuit] * len(starts), config, opt.max_iter, starts))
 
 

@@ -224,8 +224,12 @@ class TestBadNumbers:
         ("decompose", "tol = -1\n", None, None, "[task] key 'tol' must be >= 0, got -1.0"),
         ("search", "thresholds = nan 0.01\n", None, None,
          "[task] key 'thresholds' must be finite numbers, got 'nan 0.01'"),
-    ], ids=["r-above-grid", "epsilon-zero", "epsilon-nan", "well-depth-nan", "tol-negative", "threshold-nan"])
+        ("diag", "", "type = morse", "type = tabulated\nfile = nan_pot.dat",
+         "[potential] tabulated x and V values must be finite"),
+    ], ids=["r-above-grid", "epsilon-zero", "epsilon-nan", "well-depth-nan", "tol-negative", "threshold-nan",
+            "tabulated-nan"])
     def test_bad_number_exit_2(self, tmp_path, capsys, task, extra, old, new, message):
+        (tmp_path / "nan_pot.dat").write_text("2.0 0.0\n3.0 nan\n5.0 1.0\n")
         text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / "out")
         if old is not None:
             text = text.replace(old, new)
@@ -529,7 +533,8 @@ class TestPlanTasks:
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         assert message in capsys.readouterr().err
 
-    def test_measure_reports_loaded_plan_count(self, tmp_path):
+    def test_measure_reports_loaded_plan_count(self, tmp_path, monkeypatch):
+        """A measure with a plan file reads that plan's count and builds no plan."""
         plan_cfg = write_config(
             tmp_path, MORSE_BASE.format(task="plan", extra="s = 4\nr = 2\n", outdir=tmp_path / "plan"),
             name="plan.ini",
@@ -545,11 +550,16 @@ class TestPlanTasks:
         split = lines[: start + 1] + circuit + weights[:1] + [f"basis {last + 1}"] + circuit + weights[1:]
         (tmp_path / "split.txt").write_text("\n".join(split) + "\n")
 
+        builds = []
+        monkeypatch.setattr(cli, "full_plan", lambda *args: builds.append(args))
         whole = measure_report(tmp_path, tmp_path / "plan" / "plan.txt", "whole")
         parted = measure_report(tmp_path, tmp_path / "split.txt", "parted")
         assert int(whole["num_bases"]) == last + 1
         assert int(parted["num_bases"]) == last + 2
+        assert builds == []
         assert parted["bound_num_bases"] == whole["bound_num_bases"]
+        header, row = (tmp_path / "plan" / "result.csv").read_text().splitlines()
+        assert whole["bound_num_bases"] == dict(zip(header.split(","), row.split(",")))["bound_num_bases"]
         assert float(parted["tau_exact"]) == pytest.approx(float(whole["tau_exact"]), rel=1e-12)
         per_basis = (tmp_path / "parted" / "measure_bases.csv").read_text().splitlines()
         assert [row.split(",")[:2] for row in per_basis[1:]] == [[str(b), "100"] for b in range(last + 2)]
@@ -590,13 +600,23 @@ class TestTaskInputs:
         ("plan", "", "needs 'epsilon' or explicit 's' and 'r'"),
         ("measure", "s = 4\nr = 2\n", "measure needs a 'circuit' file for the state"),
         ("measure", "s = 4\nr = 2\ncircuit = state.circuit\n", "measure needs a 'params' file for the circuit's slots"),
+        ("measure", "s = 4\nr = 2\nplan = nan_plan.txt\ncircuit = state.circuit\nparams = params.txt\n",
+         "outcome 0 weight 'nan' is not finite"),
+        ("verify-plan", "s = 4\nr = 2\nplan = nan_plan.txt\n", "outcome 0 weight 'nan' is not finite"),
+        ("measure", "s = 4\nr = 2\ncircuit = state.circuit\nparams = inf.txt\n", "holds a value that is not finite"),
+        ("measure", "s = 4\nr = 2\ncircuit = negative.circuit\n", "slot count >= 0, got -1"),
+        ("vqe", "entangler = negative.circuit\n", "slot count >= 0, got -1"),
     ], ids=["missing-circuit", "malformed-plan", "params-count", "shots-above-int64", "threshold-names-clash",
-            "s-without-r", "no-truncation", "no-circuit", "no-params"])
+            "s-without-r", "no-truncation", "no-circuit", "no-params", "plan-weight-nan", "verify-plan-weight-nan",
+            "params-inf", "measure-negative-slots", "entangler-negative-slots"])
     def test_config_error_leaves_no_output(self, tmp_path, capsys, task, extra, message):
         save_circuit(tmp_path / "state.circuit", linear_ansatz(4, 1).circuit())
         (tmp_path / "params.txt").write_text("0.05\n" * 8)
         (tmp_path / "short.txt").write_text("0.1\n0.2\n")
+        (tmp_path / "inf.txt").write_text("0.05\n" * 7 + "inf\n")
         (tmp_path / "bad_plan.txt").write_text("basis 0\nqubits 4 slots 0\nw 0 1.0\nw 0 2.0\n")
+        (tmp_path / "nan_plan.txt").write_text("basis 0\nqubits 4 slots 0\nw 0 nan\n")
+        (tmp_path / "negative.circuit").write_text("qubits 4 slots -1\nh 0\n")
         text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         assert message in capsys.readouterr().err
@@ -720,7 +740,14 @@ class TestColdStart:
     def test_import_loads_no_scipy(self, tmp_path):
         assert scipy_modules_after("import dvrvqe, dvrvqe.cli", tmp_path) == []
 
-    @pytest.mark.parametrize("task, extra", [("decompose", ""), ("plan", "s = 4\nr = 2\n")], ids=["decompose", "plan"])
+    @pytest.mark.parametrize("task, extra", [
+        ("decompose", ""),
+        ("plan", "s = 4\nr = 2\n"),
+        ("diag", ""),
+        ("vqe", "blocks = 3\nrestarts = 2\n"),
+        ("excited", "entangler = linear\nblocks = 3\nv_max = 1\nrestarts = 2\n"),
+        ("search", "blocks = 2\nthresholds = 1.0 0.01\nrestarts = 3\n"),
+    ], ids=["decompose", "plan", "diag", "vqe", "excited", "search"])
     def test_numpy_only_task_loads_no_scipy(self, tmp_path, task, extra):
         write_config(tmp_path, MORSE_BASE.format(task=task, extra=extra, outdir="out"))
         code = "from dvrvqe import cli\nassert cli.main(['run', 'run.ini']) == 0"
@@ -736,21 +763,3 @@ class TestColdStart:
         assert "scipy.fft" in modules
         assert not [m for m in modules if m.startswith("scipy.sparse")]
         assert (tmp_path / "out" / "spectrum.csv").is_file()
-
-    def test_vqe_tasks_load_no_scipy_optimize(self, tmp_path):
-        """vqe, excited and search on the README Morse system optimize with
-        the in-repo L-BFGS."""
-        extras = {
-            "vqe": "blocks = 3\nrestarts = 2\n",
-            "excited": "entangler = linear\nblocks = 3\nv_max = 1\nrestarts = 2\n",
-            "search": "blocks = 2\nthresholds = 1.0 0.01\nrestarts = 3\n",
-        }
-        for task, extra in extras.items():
-            write_config(tmp_path, MORSE_BASE.format(task=task, extra=extra, outdir=task), name=f"{task}.ini")
-        code = "from dvrvqe import cli\n" + "".join(
-            f"assert cli.main(['run', '{task}.ini']) == 0\n" for task in extras
-        )
-        assert "scipy.optimize" not in scipy_modules_after(code, tmp_path)
-        for task in extras:
-            assert (tmp_path / task / "manifest").is_file()
-

@@ -18,6 +18,7 @@ from dvrvqe.measurement import (
     band_operator,
     band_plan,
     band_width_l,
+    basis_count_bound,
     evaluate_exact,
     evaluate_sampled,
     format_plan,
@@ -323,10 +324,6 @@ class TestTruncationSpecType:
     def test_epsilon_capped_at_register(self):
         spec = TruncationSpec.from_epsilon(1e-6, 3)
         assert spec.s == 8 and spec.r == 8 and spec.p <= 3
-
-    def test_alpha_beta_exponents(self):
-        spec = TruncationSpec.from_epsilon(0.01, 10, alpha=2.0, beta=1.0)
-        assert spec.s == 10 and spec.r == 100
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -642,6 +639,7 @@ class TestPlanProperties:
     def test_matrix_matches_truncation_and_oracle(self, system):
         h, spec = system
         plan = full_plan(h, spec)
+        assert plan.bound_num_bases == basis_count_bound(h, spec)
         assert len({basis.circuit for basis in plan.bases}) == plan.num_bases <= plan.bound_num_bases
         matrix = plan_to_matrix(plan)
         scale = np.max(np.abs(h.full))
@@ -653,20 +651,20 @@ class TestPlanProperties:
     def test_compiled_operator_matches_circuits(self, system, seed):
         """A row is stored exactly for each outcome with a nonzero weight, in
         basis and outcome order, and equals that row of the analysis circuit
-        bit for bit; the placement table lists each basis's rows."""
+        bit for bit; the filled mask marks each basis's first slots, one per row."""
         h, spec = system
         plan = full_plan(h, spec)
-        operator, weights, place = plan.compiled
+        operator, weights, filled = plan.compiled
         n_pts = h.n_points
         outcomes = [np.flatnonzero(basis.weights) for basis in plan.bases]
         n_rows = sum(o.size for o in outcomes)
         assert operator.shape == (n_rows, n_pts) and weights.shape == (n_rows,)
-        assert place.shape == (plan.num_bases, max(o.size for o in outcomes) + 1)
+        assert filled.dtype == bool and filled.shape == (plan.num_bases, max(o.size for o in outcomes) + 1)
         identity = np.eye(n_pts)
         start = 0
-        for basis, o, slots in zip(plan.bases, outcomes, place):
+        for basis, o, slots in zip(plan.bases, outcomes, filled):
             stored = np.arange(start, start + o.size)
-            assert np.array_equal(slots, np.concatenate([stored, np.full(place.shape[1] - o.size, n_rows)]))
+            assert np.array_equal(slots, np.arange(filled.shape[1]) < o.size)
             assert np.array_equal(operator[stored].toarray(), apply_circuit(basis.circuit, identity)[o])
             assert np.array_equal(weights[stored], basis.weights[o])
             start += o.size

@@ -173,12 +173,9 @@ class TestMinimize:
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
     def test_x0_warm_start(self):
-        result = minimize(
-            RY1, ObjectiveConfig(Z1),
-            OptimizerConfig(max_iter=100, restarts=1, seed=0),
-            x0=np.array([3.0]),
-        )
+        [(result, _)] = minimize_rows([RY1], ObjectiveConfig(Z1), 100, [[3.0]])
         assert result.energy == pytest.approx(-1.0, abs=1e-10)
+        assert result.trace[0][2] == pytest.approx(np.cos(3.0))
 
 
 class TestWorkPerPoint:
@@ -297,14 +294,14 @@ class TestWorkPerPoint:
 class TestLockstep:
     def test_restart_in_a_batch_equals_the_start_alone(self):
         """Each restart gets the params, energy and trace of its start run
-        alone through x0, and minimize returns the lowest objective."""
+        alone as a one-row batch, and minimize returns the lowest objective."""
         circuit, config = TestWorkPerPoint.problem(True)
         opt = OptimizerConfig(max_iter=300, restarts=4, seed=20)
         starts = opt.starts(circuit.n_slots)
         rows = minimize_rows([circuit] * len(starts), config, opt.max_iter, starts)
         assert len({len(result.trace) for result, _ in rows}) > 1  # rows leave the batch at different rounds
         for (result, fun), start in zip(rows, starts):
-            alone = minimize(circuit, config, opt, x0=start)
+            [(alone, _)] = minimize_rows([circuit], config, opt.max_iter, start[None])
             assert np.array_equal(alone.params, result.params)
             assert (alone.energy, alone.trace, alone.converged) == (result.energy, result.trace, result.converged)
             assert fun == result.trace[-1][1]
