@@ -151,16 +151,6 @@ class MeasurementPlan:
         filled = np.arange(counts.max(initial=0) + 1) < counts[:, None]
         return operator, weights, filled
 
-    @cached_property
-    def sample_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (B, K + 1) tables of the weights w and w^2 laid out by
-        ``compiled``'s filled mask, with 0 in the other slots; built on
-        first use by evaluate_sampled and kept."""
-        _, weights, filled = self.compiled
-        table = np.zeros(filled.shape)
-        table[filled] = weights
-        return table, table**2
-
 
 def _mask_qubits(mask: int, n: int) -> list[int]:
     return [q for q in range(n) if (mask >> (n - 1 - q)) & 1]
@@ -349,8 +339,7 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     """
     if shots_per_basis < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
-    filled = plan.compiled[2]
-    weights, squares = plan.sample_weights
+    _, weights, filled = plan.compiled
     probs = np.zeros(filled.shape)
     probs[filled] = _probabilities(plan, state)
     norm = float(np.vdot(state, state).real)
@@ -358,11 +347,15 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
         raise ValueError("cannot sample a zero-norm state")
     probs[:, -1] = np.maximum(norm - probs.sum(axis=1), 0.0)
     probs /= norm
-    counts = np.random.default_rng(seed).multinomial(shots_per_basis, probs)
+    counts = np.random.default_rng(seed).multinomial(shots_per_basis, probs)[filled]
 
-    # The drawn probabilities are spent; their table holds each product in turn.
-    mean = np.sum(np.multiply(counts, weights, out=probs), axis=1) / shots_per_basis
-    second = np.sum(np.multiply(counts, squares, out=probs), axis=1) / shots_per_basis
+    # The drawn probabilities are spent; with the weight-0 remainder column
+    # zeroed, their table holds each product in turn in its filled slots.
+    probs[:, -1] = 0.0
+    probs[filled] = counts * weights
+    mean = np.sum(probs, axis=1) / shots_per_basis
+    probs[filled] = counts * weights**2
+    second = np.sum(probs, axis=1) / shots_per_basis
     var = np.maximum(second - mean * mean, 0.0)
     if shots_per_basis > 1:
         var *= shots_per_basis / (shots_per_basis - 1)

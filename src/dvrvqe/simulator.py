@@ -1,24 +1,26 @@
 """Exact statevector simulation of the {RY, CNOT, H, X} gate set.
 
-Qubit 0 is the most significant index bit (circuits.py). Each circuit is
-compiled once into ops on the flat state, kept in its kernel (_Kernel): RY
-and H act as 2x2 matrices on the (2^q, 2, 2^(n-q-1)) view, and each run of
-consecutive CNOT and X gates acts as one index permutation. Every gate
-is real: ``run`` returns float64 amplitudes, ``adjoint_gradient`` takes
-float64 states, and ``apply_circuit`` and ``sample_counts`` keep complex
-input complex and turn any other input into float64. ``apply_circuit``
-also takes a (2^n, k) batch of column states. ``analysis_rows`` gives
-chosen rows of a parameter-free circuit's matrix as float64 row lists,
-each pushed backward through the gates.
+Qubit 0 is the most significant index bit (circuits.py). A circuit batch
+is lowered once, in one pass (_lower), into the steps of its kernel
+(_Kernel) on the flat state: RY and H act as 2x2 matrices on the
+(2^q, 2, 2^(n-q-1)) view, and each run of consecutive CNOT and X gates
+acts as one index permutation; ``apply_circuit`` reads the same steps.
+Every gate is real: ``run`` returns float64 amplitudes,
+``adjoint_gradient`` takes float64 states, and ``apply_circuit`` and
+``sample_counts`` keep complex input complex and turn any other input
+into float64. ``apply_circuit`` also takes a (2^n, k) batch of column
+states. ``analysis_rows`` gives chosen rows of a parameter-free
+circuit's matrix as float64 row lists, each pushed backward through the
+gates.
 
 ``run`` and ``adjoint_gradient`` go through a kernel built once per
 circuit object and kept on it (_Kernel), which runs a block of rows: one
 circuit under several parameter rows, or several circuits that differ
 only in their CNOT/X runs, each row with the bits it gets alone. Its
-ops are lowered onto views of float64 buffers made at the first pass,
+steps are bound to views of float64 buffers made at the first pass,
 so a forward pass writes every gate in place and allocates only the
 states it returns. The backward pass keeps the (psi, lambda) pairs after
-every op from the first RY gate on and then takes all RY terms of all
+every step from the first RY gate on and then takes all RY terms of all
 rows in one einsum. The buffers belong to the kernel, so one circuit
 object must not be run from two threads at once; distinct circuit
 objects, even equal ones, share nothing.
@@ -32,30 +34,6 @@ from .circuits import Circuit
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
-
-
-def _compile(circuit: Circuit) -> tuple[tuple, ...]:
-    """Ops (kind, arg, slot): ('ry', view shape, slot), ('h', view shape, -1)
-    or ('perm', (forward, inverse), -1).
-
-    A permutation maps new[i] = old[forward[i]]; it is the product of one
-    run of consecutive CNOT and X gates, so it is in general not its own
-    inverse, and old[i] = new[inverse[i]] undoes it. _Kernel keeps the
-    ops it is built from as ``ops``.
-    """
-    n = circuit.n_qubits
-    index = np.arange(2 ** n)
-    ops = []
-    for g in circuit.gates:
-        bit = 1 << (n - 1 - g.qubit)
-        if g.kind in ("ry", "h"):
-            ops.append((g.kind, (2 ** g.qubit, 2, bit), g.other))
-            continue
-        flip = bit if g.kind == "x" else np.where(index & bit, 1 << (n - 1 - g.other), 0)
-        if not ops or ops[-1][0] != "perm":
-            ops.append(("perm", index, -1))
-        ops[-1] = ("perm", ops[-1][1][index ^ flip], -1)
-    return tuple((kind, (arg, np.argsort(arg)) if kind == "perm" else arg, slot) for kind, arg, slot in ops)
 
 
 def _param_row(circuit: Circuit, params) -> np.ndarray:
@@ -84,45 +62,52 @@ def _rotations(params: np.ndarray) -> np.ndarray:
     return matrices.transpose(3, 0, 1, 2)
 
 
-def _align(circuits, compiled) -> tuple[tuple, ...]:
-    """One op sequence for circuits whose ops agree but for their CNOT/X runs.
+def _lower(circuits) -> tuple[tuple, ...]:
+    """Steps (kind, arg, slot) of circuits whose gates agree but for their
+    CNOT/X runs: ('ry', view shape, slot) and ('h', view shape, -1) shared
+    as they are, and ('perm', (forwards, inverses), -1) with one
+    permutation per circuit where any circuit has a run of consecutive CNOT
+    and X gates, the identity for a circuit without a run there.
 
-    An RY or H op is shared as it is. Where any circuit has a run, the
-    sequence has ('perm', (forwards, inverses), -1) with one permutation
-    per circuit, the identity for a circuit without a run there.
+    A permutation maps new[i] = old[forward[i]]; it is the product of one
+    run, so it is in general not its own inverse, and old[i] =
+    new[inverse[i]] undoes it.
     """
-    shape = (circuits[0].n_qubits, circuits[0].n_slots)
-    if any((c.n_qubits, c.n_slots) != shape for c in circuits):
+    n, n_slots = circuits[0].n_qubits, circuits[0].n_slots
+    if any((c.n_qubits, c.n_slots) != (n, n_slots) for c in circuits):
         raise ValueError("circuits of one batch need the same qubit and slot counts")
-    fixed, gaps = [], []
-    for ops in compiled:
+    index = np.arange(2 ** n)
+    shared, gaps = None, []
+    for circuit in circuits:
         gates, runs = [], [None]
-        for kind, arg, slot in ops:
-            if kind == "perm":
-                runs[-1] = arg
-            else:
-                gates.append((kind, arg, slot))
+        for g in circuit.gates:
+            bit = 1 << (n - 1 - g.qubit)
+            if g.kind in ("ry", "h"):
+                gates.append((g.kind, (2 ** g.qubit, 2, bit), g.other))
                 runs.append(None)
-        fixed.append(gates)
+                continue
+            flip = bit if g.kind == "x" else np.where(index & bit, 1 << (n - 1 - g.other), 0)
+            runs[-1] = (index if runs[-1] is None else runs[-1])[index ^ flip]
+        if shared is None:
+            shared = gates
+        elif gates != shared:
+            raise ValueError("circuits of one batch may differ only in their CNOT and X gates")
         gaps.append(runs)
-    if any(gates != fixed[0] for gates in fixed):
-        raise ValueError("circuits of one batch may differ only in their CNOT and X gates")
-    identity = np.arange(2 ** shape[0])
     steps = []
-    for k in range(len(fixed[0]) + 1):
-        runs = [gap[k] for gap in gaps]
+    for k, runs in enumerate(zip(*gaps)):
         if any(run is not None for run in runs):
-            steps.append(("perm", tuple(zip(*((identity, identity) if r is None else r for r in runs))), -1))
-        if k < len(fixed[0]):
-            steps.append(fixed[0][k])
+            pairs = ((index, index) if run is None else (run, np.argsort(run)) for run in runs)
+            steps.append(("perm", tuple(zip(*pairs)), -1))
+        if k < len(shared):
+            steps.append(shared[k])
     return tuple(steps)
 
 
 class _Kernel:
-    """Ops of one or more circuits, run on a block of float64 rows, one per
-    state of a batch.
+    """Steps of one or more circuits (_lower), run on a block of float64
+    rows, one per state of a batch.
 
-    The circuits agree in their RY and H gates (_align); batch row r runs
+    The circuits agree in their RY and H gates (_lower); batch row r runs
     circuit ``rows[r]`` with its own rotations. RY is one stacked matmul
     with a matrix per row, each CNOT/X run one flat ``np.take`` with a
     permutation per row, H the (a+b)·√½, (a−b)·√½ arithmetic of
@@ -130,21 +115,18 @@ class _Kernel:
     changes no bit of any row, and a one-row ``forward`` equals
     apply_circuit on |0...0> bit for bit. A one-row batch drops the batch
     axis from its views, which saves numpy a broadcast loop per gate.
-    ``ops`` are the first circuit's ops, as _compile gives them.
 
     The buffers are made on the first ``forward`` and ``backward``, sized
     for that batch and grown for a larger one. The views of the last batch
     (its ``rows``) are kept. Forward steps ping-pong between two row
-    blocks: op k reads block k % 2 and writes block (k + 1) % 2. The
-    backward buffer holds (psi, lambda) per row after op first + d in its
-    depth d, with ``first`` the first RY op, so nothing before that op is
-    un-applied.
+    blocks: step k reads block k % 2 and writes block (k + 1) % 2. The
+    backward buffer holds (psi, lambda) per row after step first + d in its
+    depth d, with ``first`` the first RY step, so nothing before that step
+    is un-applied.
     """
 
     def __init__(self, circuits):
-        compiled = [_compile(c) for c in circuits]
-        self.ops = compiled[0]
-        self.steps = _align(circuits, compiled)
+        self.steps = _lower(circuits)
         self.n_slots = circuits[0].n_slots
         self.dim = 2 ** circuits[0].n_qubits
         self._rows = self._pairs = None
@@ -152,7 +134,7 @@ class _Kernel:
 
     def row_bytes(self) -> int:
         """Bytes one batch row takes in a forward and a backward pass: its
-        two forward rows, its (psi, lambda) pair after every op from the
+        two forward rows, its (psi, lambda) pair after every step from the
         first RY gate on, and the gather index, J psi and lambda of every RY
         term."""
         ry_ops = [k for k, (kind, _, _) in enumerate(self.steps) if kind == "ry"]
@@ -308,9 +290,9 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
             f"state dimension {state.shape} does not match {circuit.n_qubits} qubits"
         )
     rotations = _rotations(_param_row(circuit, params))
-    for kind, arg, slot in _kernel(circuit).ops:
+    for kind, arg, slot in _kernel(circuit).steps:
         if kind == "perm":
-            state = state[arg[0]]
+            state = state[arg[0][0]]
         elif kind == "ry":
             state = (rotations[slot, 0] @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
         else:

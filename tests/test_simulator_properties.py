@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from dvrvqe.circuits import Circuit, cnot, hadamard, pauli_x, ry
 from dvrvqe.simulator import (
-    _compile,
     _Kernel,
     _kernel,
     _rotations,
@@ -225,7 +224,7 @@ def test_analysis_rows_reject_slots():
         analysis_rows(Circuit(2, (hadamard(0), ry(1, 0)), 1))
 
 
-# cnot(0, 1) cnot(1, 0) x(2) cnot(2, 0) compiles to one permutation that is
+# cnot(0, 1) cnot(1, 0) x(2) cnot(2, 0) lowers to one permutation that is
 # not its own inverse, so a backward pass that undid it with the forward
 # permutation would give a wrong gradient.
 PERMUTATION_RUN = (cnot(0, 1), cnot(1, 0), pauli_x(2), cnot(2, 0))
@@ -237,9 +236,9 @@ def ry_layer(first_slot):
 
 def test_fused_permutation_run_matches_dense_and_differences():
     circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
-    ops = _compile(circuit)
-    assert [kind for kind, _, _ in ops] == ["ry"] * 3 + ["perm"] + ["ry"] * 3
-    forward, inverse = ops[3][1]
+    steps = _kernel(circuit).steps
+    assert [kind for kind, _, _ in steps] == ["ry"] * 3 + ["perm"] + ["ry"] * 3
+    (forward,), (inverse,) = steps[3][1]
     assert not np.array_equal(forward[forward], np.arange(8))
     assert np.array_equal(forward[inverse], np.arange(8))
 
@@ -263,15 +262,15 @@ def test_fused_permutation_run_matches_dense_and_differences():
 
 
 def test_compile_once_per_circuit_object():
-    """One kernel per circuit object, holding the circuit's only ops."""
+    """One kernel per circuit object, holding the circuit's only steps."""
     circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
     twin = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
     kernel = _kernel(circuit)
-    ops = kernel.ops
+    steps = kernel.steps
     for params in np.random.default_rng(22).uniform(-1, 1, (3, 6)):
         run(circuit, params)
         apply_circuit(circuit, np.eye(8), params)
-        assert _kernel(circuit) is kernel and kernel.ops is ops
+        assert _kernel(circuit) is kernel and kernel.steps is steps
     assert set(vars(circuit)) - set(vars(twin)) == {"_kernel"}
     assert circuit == twin and hash(circuit) == hash(twin) and repr(circuit) == repr(twin)
     assert _kernel(twin) is not kernel
@@ -382,7 +381,7 @@ def test_batched_circuits_must_share_their_ry_and_h_gates():
 
 
 def test_apply_circuit_makes_no_state_buffers():
-    """apply_circuit reads the ops cached on a fresh n=10 analysis circuit;
+    """apply_circuit reads the steps cached on a fresh n=10 analysis circuit;
     the kernel's 2^n rows come with the first forward pass, sized for it."""
     n = 10
     circuit = Circuit(n, tuple(hadamard(q) for q in range(n)) + (cnot(0, 1), cnot(3, 7), pauli_x(9)))
