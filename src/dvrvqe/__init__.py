@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .constants import HARTREE_TO_INV_CM, AMU_TO_ELECTRON_MASS
-from .grids import GridSpec, BandProfile, build_grid, band_profile, tail_sums
+from .grids import GridSpec, BandProfile, build_grid, band_profile, retained_antidiagonals, tail_sums
 from .potentials import (
     HarmonicPotential,
     MorsePotential,
@@ -16,7 +16,6 @@ from .hamiltonian import (
     assemble,
     classical_spectrum,
     lowest_levels,
-    retained_antidiagonals,
     truncate,
     truncation_error_bound,
 )

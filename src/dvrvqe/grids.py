@@ -12,7 +12,8 @@ n-qubit computational basis states (number encoding).
 
 Off-diagonal kinetic elements take the form f(|i-j|) + g(i+j) with
 0-based matrix indices; ``BandProfile`` stores d, f, g with the kinetic
-scale E_T = hbar^2/(2 m dx^2) already folded in.
+scale E_T = hbar^2/(2 m dx^2) already folded in; ``BandProfile.truncated``
+defines what an (s, r) truncation keeps.
 
 This module needs numpy alone: ``BandProfile.to_matrix`` gathers its
 Toeplitz part from a window view, so ``assemble``, ``decompose`` and
@@ -22,6 +23,7 @@ process more time than most tasks compute.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +76,31 @@ class BandProfile:
         mat += window(self.g, n_pts)
         np.fill_diagonal(mat, self.d if diagonal is None else diagonal)
         return mat
+
+    def truncated(self, s: int, r: int, streamlined: bool = False) -> BandProfile:
+        """The profile of T^(s,r): f(k) kept for k < s, g(k) on the
+        anti-diagonals ``retained_antidiagonals`` keeps, and 0 elsewhere;
+        d and kinetic_scale are unchanged. Needs s >= 0 and 0 <= r <= 2^n."""
+        n_pts = 2 ** self.n_qubits
+        if s < 0 or not 0 <= r <= n_pts:
+            raise ValueError(f"need s >= 0 and r in [0, {n_pts}], got s={s}, r={r}")
+        return dataclasses.replace(
+            self,
+            f=np.where(np.arange(n_pts) < s, self.f, 0.0),
+            g=np.where(retained_antidiagonals(self.n_qubits, r, streamlined), self.g, 0.0),
+        )
+
+
+def retained_antidiagonals(n_qubits: int, r: int, streamlined: bool = False) -> np.ndarray:
+    """Boolean mask over k = i+j of the anti-diagonals a width-r truncation keeps:
+    the first r (k < r, the top-left corner) and, unless streamlined, the
+    mirrored last r (k > 2^(n+1)-2-r, the bottom-right corner)."""
+    n_pts = 2 ** n_qubits
+    kept = np.zeros(2 * n_pts - 1, dtype=bool)
+    kept[:r] = True
+    if not streamlined:
+        kept[2 * n_pts - 1 - r :] = True
+    return kept
 
 
 def build_grid(variant, params, n_qubits, mass) -> GridSpec:
@@ -151,18 +178,11 @@ def band_profile(grid: GridSpec) -> BandProfile:
 
 
 def tail_sums(profile: BandProfile, s: int, r: int) -> tuple[float, float]:
-    """Exact tail sums (F_s, G_r) of the band profile.
-
-    F_s sums |f(k)| over k = s..2^n-1. G_r sums |g(k)| over the dropped
-    anti-diagonals k = r..2^(n+1)-2-r, i.e. everything outside retention
-    windows of width r at the two corners.
-    """
+    """Exact tail sums (F_s, G_r), s in [1, 2^n]: the sums of |f(k)| and
+    |g(k)| that ``profile.truncated(s, r)`` drops. They cover the two-corner
+    truncation only; a streamlined one also drops the bottom-right corner."""
     n_pts = 2 ** profile.n_qubits
     if not 1 <= s <= n_pts:
         raise ValueError(f"s must be in [1, {n_pts}], got {s}")
-    if not 0 <= r <= n_pts:
-        raise ValueError(f"r must be in [0, {n_pts}], got {r}")
-    f_tail = float(np.sum(np.abs(profile.f[s:])))
-    lo, hi = r, 2 * n_pts - 2 - r
-    g_tail = float(np.sum(np.abs(profile.g[lo : hi + 1]))) if lo <= hi else 0.0
-    return f_tail, g_tail
+    kept = profile.truncated(s, r)
+    return float(np.sum(np.abs(profile.f - kept.f))), float(np.sum(np.abs(profile.g - kept.g)))

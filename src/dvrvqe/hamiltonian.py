@@ -1,5 +1,7 @@
 """DVR Hamiltonian assembly, band truncation and classical benchmarks.
 
+``truncate`` is the dense form of ``BandProfile.truncated``, the definition.
+
 The dense eigensolve runs on numpy. Only LOBPCG, from MATRIX_FREE_MIN_POINTS
 up, imports scipy, at first use: ``scipy.linalg`` in its coarse start and
 preconditioner, ``scipy.fft`` in the matvec and the coarse start. The imports
@@ -8,13 +10,13 @@ cost a fresh process several tenths of a second, more than most tasks compute.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grids import BandProfile, GridSpec, band_profile, build_grid, tail_sums
+# retained_antidiagonals is imported here for callers that read it from this module.
+from .grids import BandProfile, GridSpec, band_profile, build_grid, retained_antidiagonals, tail_sums
 from .potentials import potential_on_grid
 
 # lowest_levels runs LOBPCG on the FFT matvec from MATRIX_FREE_MIN_POINTS up
@@ -100,44 +102,17 @@ def assemble(grid: GridSpec, potential=None) -> DvrHamiltonian:
     return DvrHamiltonian(grid, v, profile)
 
 
-def retained_antidiagonals(n_qubits: int, r: int, streamlined: bool = False) -> np.ndarray:
-    """Indices k = i+j of the anti-diagonals kept by a width-r truncation.
-
-    Keeps the first r anti-diagonals (k = 0..r-1) and, unless streamlined,
-    the mirrored last r (k = 2^(n+1)-1-r .. 2^(n+1)-2).
-    """
-    n_pts = 2 ** n_qubits
-    kept = np.zeros(2 * n_pts - 1, dtype=bool)
-    r = min(r, 2 * n_pts - 1)
-    kept[:r] = True
-    if not streamlined and r > 0:
-        kept[2 * n_pts - 1 - r :] = True
-    return kept
-
-
 def truncate(h: DvrHamiltonian, s: int, r: int, streamlined: bool = False) -> np.ndarray:
-    """Kinetic truncation T^(s,r) + diag(V).
-
-    The band part f(|i-j|) is kept for |i-j| < s and the anti-diagonal
-    part g(i+j) where i+j falls in the retained window of width r; the
-    two conditions act on their own terms, matching the band/anti-diagonal
-    operator decomposition a measurement plan assembles. The diagonal
-    (including the potential) is always kept; s=1, r=0 degenerates to a
-    diagonal-only kinetic part.
-    """
-    if s < 0 or r < 0:
-        raise ValueError(f"s and r must be non-negative, got s={s}, r={r}")
-    profile = h.profile
-    kept = dataclasses.replace(
-        profile,
-        f=np.where(np.arange(h.n_points) < s, profile.f, 0.0),
-        g=np.where(retained_antidiagonals(h.n_qubits, r, streamlined), profile.g, 0.0),
-    )
-    return kept.to_matrix(h.diagonal)
+    """Kinetic truncation T^(s,r) + diag(V): the dense matrix of
+    ``h.profile.truncated(s, r, streamlined)`` with the diagonal d + V, which
+    is always kept; s=1, r=0 leaves a diagonal-only kinetic part."""
+    return h.profile.truncated(s, r, streamlined).to_matrix(h.diagonal)
 
 
 def truncation_error_bound(profile: BandProfile, s: int, r: int) -> float:
-    """Upper bound 2*F_s + G_r on |<psi|(T - T^(s,r))|psi>| for unit psi."""
+    """Upper bound 2*F_s + G_r on |<psi|(T - T^(s,r))|psi>| for unit psi and
+    the two-corner truncation. A streamlined one can exceed it: 1.16e-4 against
+    1.04e-4 hartree on the finite README Morse grid at n=3, s=8, r=4."""
     f_tail, g_tail = tail_sums(profile, s, r)
     return 2.0 * f_tail + g_tail
 

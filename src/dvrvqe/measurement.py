@@ -1,5 +1,7 @@
 """Measurement plans for truncated DVR Hamiltonians.
 
+``full_plan`` measures the terms kept by ``BandProfile.truncated``, the definition.
+
 A plan is a list of bases, each an analysis circuit V^dag (appended to
 the state before a Z-basis measurement) with a dense weight per outcome.
 It reconstructs the truncated operator as
@@ -50,7 +52,8 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import Circuit, cnot, format_circuit, hadamard, parse_circuit
-from .hamiltonian import DvrHamiltonian, retained_antidiagonals
+from .grids import retained_antidiagonals
+from .hamiltonian import DvrHamiltonian
 from .simulator import analysis_rows
 
 
@@ -224,10 +227,11 @@ def antidiag_plan(g: np.ndarray, r: int, n: int, streamlined: bool = False) -> l
 def basis_count_bound(h: DvrHamiltonian, spec: TruncationSpec) -> int:
     """The polynomial bound on full_plan's basis count: 1 (the diagonal)
     plus min(2^l - k + (n-l)k, 2^n - k) per retained band k, l =
-    band_width_l(k), plus 2^p when g is nonzero, p = ceil(log2 r)."""
+    band_width_l(k), plus 2^p when a retained g is nonzero, p = ceil(log2 r)."""
     n, n_pts = h.n_qubits, h.n_points
-    bound = 1 + (2 ** spec.p if np.any(h.profile.g != 0.0) else 0)
-    for k in range(1, min(spec.s, n_pts)):
+    kept = h.profile.truncated(spec.s, spec.r, spec.streamlined)
+    bound = 1 + (2 ** spec.p if np.any(kept.g) else 0)
+    for k in np.flatnonzero(kept.f).tolist():
         l = band_width_l(k)
         bound += min(2 ** l - k + (n - l) * k, n_pts - k)
     return bound
@@ -246,7 +250,7 @@ def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
     """
     n = h.n_qubits
     n_pts = h.n_points
-    profile = h.profile
+    kept = h.profile.truncated(spec.s, spec.r, spec.streamlined)
     diag = h.diagonal
     weights: dict[Circuit, np.ndarray] = {Circuit(n): diag}
 
@@ -255,18 +259,14 @@ def full_plan(h: DvrHamiltonian, spec: TruncationSpec) -> MeasurementPlan:
             merged = weights.setdefault(basis.circuit, np.zeros(n_pts))
             merged += scale * basis.weights
 
-    for k in range(1, min(spec.s, n_pts)):
-        f_k = profile.f[k]
-        if f_k != 0.0:
-            bases, q_vec = band_plan(k, n)
-            diag -= f_k * q_vec
-            add(bases, f_k)
+    for k in np.flatnonzero(kept.f).tolist():
+        bases, q_vec = band_plan(k, n)
+        diag -= kept.f[k] * q_vec
+        add(bases, kept.f[k])
 
-    if np.any(profile.g != 0.0):
-        retained = retained_antidiagonals(n, spec.r, spec.streamlined)
-        even = 2 * np.arange(n_pts)
-        diag -= np.where(retained[even], profile.g[even], 0.0)
-        add(antidiag_plan(profile.g, spec.r, n, spec.streamlined))
+    if np.any(kept.g):
+        diag -= kept.g[::2]
+        add(antidiag_plan(kept.g, spec.r, n, spec.streamlined))
 
     bases = tuple(MeasBasis(circuit, w) for circuit, w in weights.items())
     return MeasurementPlan(n, bases, basis_count_bound(h, spec))

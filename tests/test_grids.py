@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -238,14 +240,41 @@ class TestTailSums:
         for r in range(0, 17):
             assert tail_sums(profile, 1, r)[1] == 0.0
 
-    def test_out_of_range_rejected(self):
-        profile = band_profile(build_grid("infinite", {"x_min": 0.0, "dx": 1.0}, 3, 0.5))
-        with pytest.raises(ValueError):
-            tail_sums(profile, 0, 1)
-        with pytest.raises(ValueError):
-            tail_sums(profile, 9, 1)
-        with pytest.raises(ValueError):
-            tail_sums(profile, 1, 9)
+
+class TestTruncated:
+    @pytest.mark.parametrize("variant,params", [
+        ("infinite", {"x_min": 0.0, "dx": 1.0}),
+        ("half-infinite", {"dx": 0.17}),
+        ("finite", {"a": 0.3, "b": 2.9}),
+    ])
+    def test_window_and_tail_sums(self, variant, params):
+        """Every (s, r, streamlined) keeps f(k) for k < s and g(k) for k < r,
+        and unless streamlined for k > 2N-2-r, bit for bit, with 0 elsewhere;
+        tail_sums adds up the rest, against the slice sums of the dropped
+        terms. Out-of-range s or r is rejected."""
+        for n in range(1, 7):
+            profile = band_profile(build_grid(variant, params, n, 0.5))
+            n_pts = 2**n
+            k_band, k_anti = np.arange(n_pts), np.arange(2 * n_pts - 1)
+            for s, r, streamlined in product(range(n_pts + 2), range(n_pts + 1), (False, True)):
+                kept = profile.truncated(s, r, streamlined)
+                assert kept.d is profile.d and kept.kinetic_scale == profile.kinetic_scale
+                band = k_band < s
+                anti = (k_anti < r) | (not streamlined and k_anti > 2 * n_pts - 2 - r)
+                assert np.array_equal(kept.f[band], profile.f[band]) and np.all(kept.f[~band] == 0.0)
+                assert np.array_equal(kept.g[anti], profile.g[anti]) and np.all(kept.g[~anti] == 0.0)
+                if 1 <= s <= n_pts and not streamlined:
+                    f_tail, g_tail = tail_sums(profile, s, r)
+                    f_oracle = np.sum(np.abs(profile.f[s:]))
+                    g_oracle = np.sum(np.abs(profile.g[r : 2 * n_pts - 1 - r]))
+                    assert abs(f_tail - f_oracle) <= 1e-14 * f_oracle
+                    assert abs(g_tail - g_oracle) <= 1e-14 * g_oracle
+            for s, r in ((-1, 1), (1, -1), (1, n_pts + 1)):
+                with pytest.raises(ValueError):
+                    profile.truncated(s, r)
+            for s, r in ((0, 1), (n_pts + 1, 1), (1, -1), (1, n_pts + 1)):
+                with pytest.raises(ValueError):
+                    tail_sums(profile, s, r)
 
 
 class TestDecayBounds:

@@ -282,6 +282,19 @@ class TestFullPlan:
             assert set(basis.weights[basis.weights != 0.0]) == {2.0 * h.profile.f[1]}
         assert np.max(np.abs(plan_to_matrix(plan) - truncate(h, 2, 1))) < 1e-12
 
+    @pytest.mark.parametrize("variant,params", [
+        ("infinite", {"x_min": 0.0, "dx": 0.4}),
+        ("half-infinite", {"dx": 0.4}),
+        ("finite", {"a": 0.3, "b": 2.9}),
+    ])
+    def test_r_above_grid_rejected(self, variant, params):
+        """r > 2^n is an error on every variant, the infinite one with g = 0 too."""
+        h = assemble(build_grid(variant, params, 3, MASS), MORSE)
+        spec = TruncationSpec(2, 9)
+        for call in (lambda: truncate(h, 2, 9), lambda: full_plan(h, spec), lambda: basis_count_bound(h, spec)):
+            with pytest.raises(ValueError, match=r"r in \[0, 8\], got s=2, r=9"):
+                call()
+
     @pytest.mark.parametrize("s", [1, 2, 4, 16])
     @pytest.mark.parametrize("r", [1, 2, 3, 16])
     @pytest.mark.parametrize("streamlined", [False, True])
