@@ -23,7 +23,7 @@ from .ansatz import linear_ansatz
 from .circuits import format_circuit, load_circuit
 from .config import ConfigError, RunConfig, load_config
 from .constants import HARTREE_TO_INV_CM
-from .hamiltonian import DvrHamiltonian, assemble, lowest_levels, truncate
+from .hamiltonian import DvrHamiltonian, lowest_levels, truncate
 from .measurement import (
     TruncationSpec,
     basis_count_bound,
@@ -106,7 +106,7 @@ def _truncation_spec(config: RunConfig) -> TruncationSpec:
     epsilon = config.opt("epsilon")
     if epsilon is None:
         raise ConfigError("[task] needs 'epsilon' or explicit 's' and 'r'")
-    return TruncationSpec.from_epsilon(epsilon, config.grid.n_qubits, streamlined=streamlined)
+    return TruncationSpec.from_epsilon(epsilon, config.hamiltonian.n_qubits, streamlined=streamlined)
 
 
 def _task_file(config: RunConfig, kind: str, path):
@@ -116,9 +116,9 @@ def _task_file(config: RunConfig, kind: str, path):
         loaded = load(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"[task] cannot read {kind} file {path}: {exc}") from exc
-    if loaded.n_qubits != config.grid.n_qubits:
+    if loaded.n_qubits != config.hamiltonian.n_qubits:
         raise ConfigError(
-            f"[task] {kind} file {path} has {loaded.n_qubits} qubits, the grid {config.grid.n_qubits}"
+            f"[task] {kind} file {path} has {loaded.n_qubits} qubits, the grid {config.hamiltonian.n_qubits}"
         )
     return loaded
 
@@ -127,7 +127,7 @@ def _ansatz_for(config: RunConfig, h: DvrHamiltonian):
     """Resolve the [task] entangler choice into a circuit to optimize."""
     choice = config.opt("entangler", "linear")
     if choice == "linear":
-        return linear_ansatz(config.grid.n_qubits, config.opt("blocks", DEFAULT_BLOCKS)).circuit()
+        return linear_ansatz(config.hamiltonian.n_qubits, config.opt("blocks", DEFAULT_BLOCKS)).circuit()
     if choice == "search":
         search_config = _search_config(config)
         result = greedy_search(h.full, search_config)
@@ -216,7 +216,7 @@ def _task_search(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     result = greedy_search(h.full, search_config)
     ws.write_text("search_trace.csv", _csv(
         "step,block,ctrl,tgt,energy_hartree,error_cm1",
-        ((s.step, s.block, s.ctrl, s.tgt, s.energy, s.error_cm1) for s in result.trace.steps),
+        ((s.step, s.block, s.ctrl, s.tgt, s.energy, s.error_cm1) for s in result.steps),
     ))
 
     rows = []
@@ -226,14 +226,14 @@ def _task_search(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
             row.update({
                 "entanglers": snap.ansatz.n_entanglers,
                 "energy_hartree": float(snap.energy),
-                "error_cm1": float((snap.energy - result.trace.reference_energy) * HARTREE_TO_INV_CM),
+                "error_cm1": float((snap.energy - result.reference_energy) * HARTREE_TO_INV_CM),
             })
             ws.write_text(names[threshold], format_circuit(snap.ansatz.circuit()))
         else:
             row.update({"entanglers": -1, "energy_hartree": float("nan"), "error_cm1": float("nan")})
         rows.append(row)
     ws.write_text("result.csv", _result_csv(rows))
-    ws.write_text("spectrum.csv", _spectrum_csv([result.trace.reference_energy]))
+    ws.write_text("spectrum.csv", _spectrum_csv([result.reference_energy]))
 
 
 def _task_plan(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
@@ -324,7 +324,7 @@ _TASK_RUNNERS = {
 
 def run_config(config: RunConfig) -> Path:
     ws = _Workspace(config.outdir)
-    _TASK_RUNNERS[config.task](config, assemble(config.grid, config.potential), ws)
+    _TASK_RUNNERS[config.task](config, config.hamiltonian, ws)
     ws.finish()
     return ws.outdir / "manifest"
 

@@ -2,7 +2,8 @@
 
 Unknown sections or keys are hard errors so that a typo cannot silently
 change a run. The exact schema is documented in the README; every task
-draws its randomness from the single [task] seed key.
+draws its randomness from the single [task] seed key. The grid and V are
+built here, so a grid or a V that is not finite is a config error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .constants import amu_to_me
-from .grids import GridSpec, build_grid
+from .grids import build_grid
+from .hamiltonian import DvrHamiltonian, assemble
 from .potentials import HarmonicPotential, MorsePotential, load_tabulated
 
 TASKS = ("diag", "decompose", "vqe", "excited", "search", "plan", "verify-plan", "measure")
@@ -48,8 +50,7 @@ _OUTPUT_KEYS = {"directory"}
 
 @dataclass
 class RunConfig:
-    grid: GridSpec
-    potential: object | None
+    hamiltonian: DvrHamiltonian  # H = T + V on the grid, V evaluated at every point
     task: str
     seed: int
     outdir: Path
@@ -145,13 +146,16 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
                 raise ConfigError(f"[potential] file not found: {file_path}")
             try:
                 potential = load_tabulated(file_path)
-                potential(grid.points[[0, -1]])  # the table must cover the grid
             except ValueError as exc:
                 raise ConfigError(f"[potential] {exc}") from exc
         elif ptype == "none":
             potential = None
         else:
             raise ConfigError(f"[potential] unknown type {ptype!r}")
+    try:
+        hamiltonian = assemble(grid, potential)
+    except ValueError as exc:
+        raise ConfigError(f"[potential] {exc}") from exc
 
     seed = seed_override if seed_override is not None else _get(parser, "task", "seed", int, default=0)
     if seed < 0:
@@ -202,4 +206,4 @@ def load_config(path, task_override: str | None = None, seed_override: int | Non
         directory = _get(parser, "output", "directory", str, default="out")
     outdir = Path(outdir_override) if outdir_override is not None else path.parent / directory
 
-    return RunConfig(grid, potential, task, seed, outdir, options)
+    return RunConfig(hamiltonian, task, seed, outdir, options)

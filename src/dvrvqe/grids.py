@@ -24,6 +24,7 @@ process more time than most tasks compute.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,8 @@ def build_grid(variant, params, n_qubits, mass) -> GridSpec:
 
     ``params`` holds the variant-specific geometry: {'a','b'} for finite,
     {'x_min','dx'} for infinite, {'dx'} for half-infinite. Mass is in
-    electron masses.
+    electron masses. Raises ValueError unless dx > 0 and E_T and every
+    grid point are finite.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown grid variant {variant!r}; expected one of {VARIANTS}")
@@ -126,17 +128,18 @@ def build_grid(variant, params, n_qubits, mass) -> GridSpec:
         points = a + dx * np.arange(1, n_pts + 1)
     elif variant == "half-infinite":
         dx = float(params["dx"])
-        if dx <= 0:
-            raise ValueError(f"grid spacing must be positive, got dx={dx}")
         points = dx * np.arange(1, n_pts + 1)
     else:
         dx = float(params["dx"])
-        if dx <= 0:
-            raise ValueError(f"grid spacing must be positive, got dx={dx}")
-        x_min = float(params["x_min"])
-        points = x_min + dx * np.arange(n_pts)
-
-    e_t = 1.0 / (2.0 * mass * dx * dx)
+        points = float(params["x_min"]) + dx * np.arange(n_pts)
+    if not dx > 0:
+        raise ValueError(f"grid spacing must be positive, got dx={dx}")
+    denominator = 2.0 * mass * dx * dx  # 0 where m dx^2 underflows
+    e_t = 1.0 / denominator if denominator else math.inf
+    if math.isinf(e_t):
+        raise ValueError(f"kinetic scale E_T = 1 / (2 m dx^2) overflows for m={mass}, dx={dx}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"grid points overflow for dx={dx}")
     points.setflags(write=False)
     return GridSpec(variant, n_qubits, float(mass), points, dx, e_t)
 

@@ -2,8 +2,9 @@
 
 Starting from RY-only layers, every unused CNOT(q, p) in every block is
 trialled each step with a warm-started VQE run, the candidates of a step
-in lockstep (vqe.minimize_rows); the candidate with the lowest energy is
-committed (ties break lexicographically on (block, q, p)).
+in lockstep on a kernel that lives for that call (vqe.minimize_rows); the
+candidate with the lowest energy is committed (ties break
+lexicographically on (block, q, p)).
 Snapshots of the layout are taken the first time the ground-state error
 against the same-size classical spectrum drops below each threshold,
 yielding the C_1 / C_0.01 style circuits.
@@ -11,7 +12,7 @@ yielding the C_1 / C_0.01 style circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,22 +66,14 @@ class SearchStep:
 class Snapshot:
     ansatz: AnsatzSpec
     energy: float
-    params: np.ndarray
-    step: int
-
-
-@dataclass
-class SearchTrace:
-    reference_energy: float
-    steps: list[SearchStep] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class SearchResult:
     snapshots: dict[float, Snapshot | None]
-    trace: SearchTrace
+    reference_energy: float             # lowest eigenvalue of H
+    steps: tuple[SearchStep, ...]       # the start (step 0), then one per commit
     final_ansatz: AnsatzSpec
-    final: VqeResult
 
 
 def candidate_evaluation(base_ansatz: AnsatzSpec, candidates, warm_params, budget: int,
@@ -117,7 +110,7 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
             seed=(config.seed, 0),
         ),
     )
-    trace = SearchTrace(reference)
+    steps: list[SearchStep] = []
     snapshots: dict[float, Snapshot | None] = {t: None for t in config.thresholds}
 
     def error_cm1(energy: float) -> float:
@@ -126,10 +119,10 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
     def record(step: int, gate, result: VqeResult):
         block, ctrl, tgt = gate if gate else (-1, -1, -1)
         err = error_cm1(result.energy)
-        trace.steps.append(SearchStep(step, block, ctrl, tgt, result.energy, err))
+        steps.append(SearchStep(step, block, ctrl, tgt, result.energy, err))
         for threshold in config.thresholds:
             if snapshots[threshold] is None and err < threshold:
-                snapshots[threshold] = Snapshot(ansatz, result.energy, result.params, step)
+                snapshots[threshold] = Snapshot(ansatz, result.energy)
 
     record(0, None, incumbent)
     used: set[tuple[int, int, int]] = set()
@@ -174,5 +167,5 @@ def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
         ))
         record(step, best_gate, incumbent)
 
-    return SearchResult(snapshots, trace, ansatz, incumbent)
+    return SearchResult(snapshots, reference, tuple(steps), ansatz)
 

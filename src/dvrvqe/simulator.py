@@ -13,17 +13,17 @@ states. ``analysis_rows`` gives chosen rows of a parameter-free
 circuit's matrix as float64 row lists, each pushed backward through the
 gates.
 
-``run`` and ``adjoint_gradient`` go through a kernel built once per
-circuit object and kept on it (_Kernel), which runs a block of rows: one
-circuit under several parameter rows, or several circuits that differ
-only in their CNOT/X runs, each row with the bits it gets alone. Its
-steps are bound to views of float64 buffers made at the first pass,
-so a forward pass writes every gate in place and allocates only the
-states it returns. The backward pass keeps the (psi, lambda) pairs after
-every step from the first RY gate on and then takes all RY terms of all
-rows in one einsum. The buffers belong to the kernel, so one circuit
-object must not be run from two threads at once; distinct circuit
-objects, even equal ones, share nothing.
+A kernel (_Kernel) runs a block of rows, one per circuit of circuits
+that differ only in their CNOT/X runs, each row with the bits it gets
+alone. Its steps are bound to views of float64 buffers made at the
+first pass, so a forward pass writes every gate in place and allocates
+only the states it returns. The backward pass keeps the (psi, lambda)
+pairs after every step from the first RY gate on and then takes all RY
+terms of all rows in one einsum. ``run`` and ``adjoint_gradient`` go
+through a one-row kernel built once per circuit object and kept on it,
+so one circuit object must not be run from two threads at once; distinct
+circuit objects, even equal ones, share nothing. The batch kernel of
+vqe.minimize_rows belongs to that call alone.
 """
 
 from __future__ import annotations
@@ -256,16 +256,6 @@ def _kernel(circuit: Circuit) -> _Kernel:
     if kernel is None:
         kernel = circuit.__dict__["_kernel"] = _Kernel((circuit,))
     return kernel
-
-
-def _kernel_for(circuits) -> tuple[_Kernel, tuple[int, ...]]:
-    """A kernel that runs ``circuits``, one batch row each, and the rows'
-    circuit indices: the circuit's own kernel when every row runs one
-    circuit object, else a new kernel over them all."""
-    first = circuits[0]
-    if all(c is first for c in circuits):
-        return _kernel(first), (0,) * len(circuits)
-    return _Kernel(tuple(circuits)), tuple(range(len(circuits)))
 
 
 def run(circuit: Circuit, params=None) -> np.ndarray:

@@ -23,10 +23,14 @@ stops leaves the batch. Rows run in batches whose kernel buffers fit in
 BATCH_BYTES: one batch for every call at n = 4, batches of 4 rows for
 the 135 candidates of a 3-block search step at n = 10. Each row gets
 the bits it would get alone, in any batch. The trace and the result of
-a row reuse the state of the iterate they report, so no point is
-simulated twice. The kernel buffers belong to the circuit object (or to
-the batch), so one circuit object must not be optimized from two
-threads at once.
+a row reuse the state of the iterate they report, and excited_states
+deflates with the result's state, so no point is simulated twice. Each
+``minimize_rows`` call lowers its circuits into a kernel that lives for
+that call, so the optimizer writes no buffer of a circuit object and one
+circuit object may be optimized from several threads at once.
+``objective`` and ``gradient`` run on the circuit's own kernel, as
+simulator.run does, so one circuit object must not be passed to them
+from two threads at once.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
-from .simulator import _kernel, _kernel_for, _param_row, _rotations, overlap_sq, run
+from .simulator import _Kernel, _kernel, _param_row, _rotations, overlap_sq, run
 
 GRADIENT_TOL = 1e-8    # stop when max |gradient| <= this (L-BFGS-B pgtol)
 OBJECTIVE_TOL = 1e-12  # stop when an iteration lowers the objective by at most this, relative (L-BFGS-B ftol)
@@ -94,6 +98,7 @@ class OptimizerConfig:
 class VqeResult:
     energy: float
     params: np.ndarray
+    state: np.ndarray                              # run(circuit, params), bit for bit
     trace: tuple[tuple[int, float, float], ...]   # (iteration, objective, energy)
     converged: bool
     overlaps: tuple[float, ...] = ()
@@ -375,7 +380,7 @@ def _single_run(params, state, energy, value, trace, converged, config) -> tuple
     """One optimizer row's result and its final objective; ``state`` is
     the one simulated at ``params``."""
     overlaps = tuple(overlap_sq(ref, state) for ref, _ in config.deflation)
-    return VqeResult(float(energy), params, tuple(trace), converged, overlaps), float(value)
+    return VqeResult(float(energy), params, state, tuple(trace), converged, overlaps), float(value)
 
 
 def minimize_rows(circuits, config: ObjectiveConfig, max_iter: int, starts) -> list[tuple[VqeResult, float]]:
@@ -391,10 +396,11 @@ def minimize_rows(circuits, config: ObjectiveConfig, max_iter: int, starts) -> l
     without memory the row stops, not converged. The circuits must differ
     in their CNOT and X gates only.
 
+    The circuits are lowered into one kernel that lives for this call.
     Rows run in consecutive batches whose kernel buffers fit in
     BATCH_BYTES; each row gets the same bits in any batch.
     """
-    kernel, kernel_rows = _kernel_for(circuits)
+    kernel, kernel_rows = _Kernel(tuple(circuits)), tuple(range(len(circuits)))
     starts = np.array(starts, dtype=float)
     if starts.shape != (len(circuits), kernel.n_slots):
         raise ValueError(f"starts of shape {starts.shape} do not fit {len(circuits)} rows of {kernel.n_slots} slots")
@@ -542,5 +548,5 @@ def excited_states(ansatz, hamiltonian, v_max: int, opt: OptimizerConfig):
         result = minimize(circuit, config, replace(opt, seed=(*opt.seed_tuple(), v)))
         results.append(result)
         beta = BETA_MARGIN * max(upper - result.energy, 1e-6)
-        deflation.append((run(circuit, result.params), beta))
+        deflation.append((result.state, beta))
     return results

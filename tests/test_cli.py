@@ -13,9 +13,8 @@ from dvrvqe import cli
 from dvrvqe.cli import main
 from dvrvqe.config import ConfigError, load_config
 from dvrvqe.constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INV_CM
-from dvrvqe.circuits import save_circuit
-from dvrvqe.ansatz import linear_ansatz
-from dvrvqe.hamiltonian import assemble
+from dvrvqe.circuits import format_circuit, save_circuit
+from dvrvqe.ansatz import empty_ansatz, linear_ansatz
 from dvrvqe.pauli import DEFAULT_TOL, decompose, format_pauli
 from dvrvqe.potentials import HarmonicPotential, MorsePotential
 from dvrvqe.search import SearchConfig, greedy_search
@@ -226,8 +225,13 @@ class TestBadNumbers:
          "[task] key 'thresholds' must be finite numbers, got 'nan 0.01'"),
         ("diag", "", "type = morse", "type = tabulated\nfile = nan_pot.dat",
          "[potential] tabulated x and V values must be finite"),
+        ("diag", "", "mass_amu = 26.0", "mass_amu = 1e-310", "[system]: kinetic scale E_T = 1 / (2 m dx^2) overflows"),
+        ("diag", "", "a = 2.55\nb = 4.55", "a = 0\nb = 1e-300", "[system]: kinetic scale E_T = 1 / (2 m dx^2) overflows"),
+        ("diag", "", "variant = finite\na = 2.55\nb = 4.55", "variant = infinite\nx_min = -1e306\ndx = 1e306",
+         "[potential] V is not finite at grid point x=-1e+306"),
     ], ids=["r-above-grid", "epsilon-zero", "epsilon-nan", "well-depth-nan", "tol-negative", "threshold-nan",
-            "tabulated-nan"])
+            "tabulated-nan", "mass-tiny", "box-tiny", "potential-overflows"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_bad_number_exit_2(self, tmp_path, capsys, task, extra, old, new, message):
         (tmp_path / "nan_pot.dat").write_text("2.0 0.0\n3.0 nan\n5.0 1.0\n")
         text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / "out")
@@ -285,7 +289,7 @@ class TestTaskDefaults:
         path = write_config(tmp_path, MORSE_BASE.format(task="decompose", extra=extra, outdir=tmp_path / "out"))
         assert main(["run", str(path)]) == 0
         config = load_config(path)
-        expected = format_pauli(decompose(assemble(config.grid, config.potential).full, tol=tol))
+        expected = format_pauli(decompose(config.hamiltonian.full, tol=tol))
         assert (tmp_path / "out" / "pauli.txt").read_text() == expected
 
 
@@ -712,6 +716,23 @@ class TestSearchTaskSmall:
         rows = (out / "result.csv").read_text().splitlines()
         assert [row.split(",")[:2] for row in rows[1:]] == [["1", "1"], ["0.10000000000000001", "1"]]
         assert "c01.circuit" in (out / "manifest").read_text()
+
+    def test_unreached_threshold_row_and_no_circuit_file(self, tmp_path):
+        """With no entangler allowed, the best product state misses the ground
+        level by about 1.3 1/cm: 1e5 is reached at step 0 and 1 never."""
+        config_text = SMALL_SEARCH.format(thresholds="1e5 1.0", outdir=tmp_path / "out")
+        config_text = config_text.replace("max_iter = 800\n", "max_iter = 800\nmax_entanglers = 0\n")
+        assert main(["run", str(write_config(tmp_path, config_text))]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.glob("*.circuit")) == ["c100000.circuit"]
+        assert (out / "c100000.circuit").read_text() == format_circuit(empty_ansatz(2, 2).circuit())
+        header, reached, missed = (row.split(",") for row in (out / "result.csv").read_text().splitlines())
+        assert header == ["threshold_cm1", "found", "entanglers", "energy_hartree", "error_cm1"]
+        assert reached[:3] == ["100000", "1", "0"] and 1.0 < float(reached[4]) < 2.0
+        assert missed == ["1", "0", "-1", "nan", "nan"]
+        assert len((out / "search_trace.csv").read_text().splitlines()) == 2
+        listed = [line.split()[1] for line in (out / "manifest").read_text().splitlines()]
+        assert listed == ["c100000.circuit", "result.csv", "search_trace.csv", "spectrum.csv"]
 
     @pytest.mark.parametrize("thresholds, message", [
         ("25 2.5", "share a circuit file name"),

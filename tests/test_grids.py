@@ -84,6 +84,17 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(variant, params, 3, 1.0)
 
+    @pytest.mark.parametrize("variant, params, mass, message", [
+        ("finite", {"a": 0.0, "b": 5e-324}, 1.0, "grid spacing must be positive, got dx=0.0"),
+        ("finite", {"a": 0.0, "b": 1e-300}, 1.0, "kinetic scale E_T"),
+        ("half-infinite", {"dx": 0.1}, 1e-307, "kinetic scale E_T"),
+        ("infinite", {"x_min": 1e308, "dx": 1e308}, 1.0, "grid points overflow"),
+    ], ids=["spacing-underflows", "e_t-divides-by-zero", "e_t-overflows", "points-overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_grid_rejected(self, variant, params, mass, message):
+        with pytest.raises(ValueError, match=message):
+            build_grid(variant, params, 2, mass)
+
     def test_bad_mass_and_qubits(self):
         with pytest.raises(ValueError):
             build_grid("infinite", {"x_min": 0.0, "dx": 1.0}, 3, 0.0)

@@ -87,6 +87,12 @@ def test_classical_spectrum_tiny_cases():
         classical_spectrum(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_classical_spectrum_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        classical_spectrum(np.array([[0.0, bad], [bad, 0.0]]))
+
+
 class TestTruncate:
     def test_full_retention_is_identity(self, morse16_radial):
         h = morse16_radial

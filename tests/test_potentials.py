@@ -46,6 +46,13 @@ def test_potential_on_grid_matches_pointwise():
     assert np.allclose(values, [morse(x) for x in grid.points])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_potential_rejected():
+    grid = build_grid("infinite", {"x_min": -1e306, "dx": 1e306}, 2, 1000.0)
+    with pytest.raises(ValueError, match="V is not finite at grid point x=-1e[+]306"):
+        potential_on_grid(MorsePotential(0.07, 1.35, 3.2), grid)
+
+
 def test_grid_point_outside_tabulation_rejected():
     grid = build_grid("finite", {"a": 0.0, "b": 4.0}, 3, 1000.0)
     pot = TabulatedPotential(np.array([1.0, 2.0]), np.array([0.0, 1.0]))

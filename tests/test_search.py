@@ -62,9 +62,9 @@ def test_snapshot_nesting(diatomic_search):
 
 def test_trace_monotone_and_unique_gates(diatomic_search):
     result = diatomic_search
-    energies = [step.energy for step in result.trace.steps]
+    energies = [step.energy for step in result.steps]
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
-    gates = [(s.block, s.ctrl, s.tgt) for s in result.trace.steps if s.block >= 0]
+    gates = [(s.block, s.ctrl, s.tgt) for s in result.steps if s.block >= 0]
     assert len(gates) == len(set(gates))
 
 
@@ -72,7 +72,7 @@ def test_determinism(bell_hamiltonian):
     config = SearchConfig(n_blocks=2, thresholds=(1.0,), seed=42)
     r1 = greedy_search(bell_hamiltonian, config)
     r2 = greedy_search(bell_hamiltonian, config)
-    assert [s.energy for s in r1.trace.steps] == [s.energy for s in r2.trace.steps]
+    assert [s.energy for s in r1.steps] == [s.energy for s in r2.steps]
     assert r1.final_ansatz == r2.final_ansatz
 
 
@@ -120,7 +120,7 @@ def test_batches_split_by_bytes_change_no_bit(diatomic16, monkeypatch):
     gates = [(0, 0, 1), (0, 1, 3), (1, 2, 3), (1, 1, 2), (0, 2, 3)]
     warm = np.random.default_rng(7).uniform(-0.5, 0.5, (len(gates), base.n_params))
     whole = candidate_evaluation(base, gates, warm, 60, config)
-    kernel, _ = simulator._kernel_for([base.with_entangler(*gate).circuit() for gate in gates])
+    kernel = simulator._Kernel(tuple(base.with_entangler(*gate).circuit() for gate in gates))
     monkeypatch.setattr(vqe, "BATCH_BYTES", 2 * kernel.row_bytes() + 1)
     batches, real_lockstep = [], vqe._lockstep
 
@@ -134,6 +134,29 @@ def test_batches_split_by_bytes_change_no_bit(diatomic16, monkeypatch):
     for (energy, params), (split_energy, split_params) in zip(whole, split):
         assert energy == split_energy
         assert np.array_equal(params, split_params)
+
+
+def test_plateau_stops_without_a_commit():
+    """The product ground state of a diagonal H leaves the error just above
+    0, over a 1e-30 threshold, and no CNOT can lower it."""
+    result = greedy_search(np.diag([0.0, 3.0, 1.0, 2.0]), SearchConfig(n_blocks=1, thresholds=(1e-30,), seed=5))
+    assert [step.step for step in result.steps] == [0]
+    assert 1e-30 <= result.steps[0].error_cm1 < 1e-6  # so the search tried the CNOT
+    assert result.final_ansatz.n_entanglers == 0
+    assert result.snapshots == {1e-30: None}
+
+
+def test_runs_out_of_candidates(bell_hamiltonian):
+    """Two qubits in one block have one CNOT to try. With one iteration per
+    optimization the commit stays far from the Bell energy, so the search
+    goes on and finds no candidate left."""
+    config = SearchConfig(n_blocks=1, thresholds=(1.0,), full_budget=1, candidate_budget=1, seed=0)
+    result = greedy_search(bell_hamiltonian, config)
+    assert [(s.step, s.block, s.ctrl, s.tgt) for s in result.steps] == [(0, -1, -1, -1), (1, 0, 0, 1)]
+    assert result.steps[1].energy < result.steps[0].energy - 0.5
+    assert result.steps[1].error_cm1 > 1000.0
+    assert result.final_ansatz.n_entanglers == 1
+    assert result.snapshots == {1.0: None}
 
 
 def test_max_entanglers_cap():

@@ -1,10 +1,15 @@
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from dvrvqe import classical_spectrum, simulator, vqe
+from dvrvqe import assemble, build_grid, classical_spectrum, simulator, vqe
 from dvrvqe.ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
 from dvrvqe.circuits import Circuit, parse_circuit, ry
 from dvrvqe.constants import HARTREE_TO_INV_CM
+from dvrvqe.search import SearchConfig, greedy_search
 from dvrvqe.simulator import _rotations, run
 from dvrvqe.vqe import (
     BETA_MARGIN,
@@ -19,6 +24,8 @@ from dvrvqe.vqe import (
     minimize_rows,
     objective,
 )
+
+from conftest import DIATOMIC_MASS, DIATOMIC_MORSE
 
 Z1 = np.diag([1.0, -1.0])
 RY1 = Circuit(1, (ry(0, 0),), 1)
@@ -269,9 +276,8 @@ class TestWorkPerPoint:
         best = minimize(circuit, config, opt)
         starts = opt.starts(circuit.n_slots)
         _, events = self.watch(monkeypatch, probe)
-        # One circuit object per restart gives each restart its own kernel
-        # row, so every evaluation names its restart.
-        rows = minimize_rows([linear_ansatz(3, 2).circuit() for _ in starts], config, opt.max_iter, starts)
+        # Each restart has its own kernel row, so every evaluation names its restart.
+        rows = minimize_rows([circuit] * len(starts), config, opt.max_iter, starts)
         points = self.evaluations(events)
         assert sorted(points) == list(range(len(starts)))
         for restart, (result, fun) in enumerate(rows):
@@ -285,6 +291,7 @@ class TestWorkPerPoint:
                 assert (obj, energy) == (objectives[0], energies[0])
             assert np.array_equal(result.params, accepted[-1][0])
             state = run(circuit, result.params)
+            assert np.array_equal(result.state, state)
             assert result.energy == energy_of(state, config.hamiltonian)
             assert result.overlaps == tuple(abs(np.vdot(ref, state)) ** 2 for ref, _ in config.deflation)
         lowest = min(rows, key=lambda row: row[1])[0]
@@ -312,6 +319,107 @@ class TestLockstep:
         circuit = linear_ansatz(2, 1).circuit()
         with pytest.raises(ValueError, match="do not fit"):
             minimize_rows([circuit] * 2, ObjectiveConfig(np.eye(4)), 10, np.zeros((2, 3)))
+
+
+class TestRecovery:
+    """What the optimizer does when a line search fails or a direction does
+    not descend, and the L-BFGS memory it then clears."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Every forgotten memory row and every new line search, in order."""
+        events = []
+        real_forget, real_init = vqe._Memory.forget, vqe._LineSearch.__init__
+
+        def forget(memory, r):
+            events.append("forget")
+            real_forget(memory, r)
+
+        def start_search(search, f0, g0, stp):
+            events.append("search")
+            real_init(search, f0, g0, stp)
+
+        monkeypatch.setattr(vqe._Memory, "forget", forget)
+        monkeypatch.setattr(vqe._LineSearch, "__init__", start_search)
+        return events
+
+    def test_failed_search_without_memory_stops(self, monkeypatch):
+        """From 0.05 the first step, 1/|d| = 20, overshoots the curvature
+        condition, and one evaluation per search leaves no second try."""
+        monkeypatch.setattr(vqe, "LINE_SEARCH_EVALUATIONS", 1)
+        [(result, _)] = minimize_rows([RY1], ObjectiveConfig(Z1), 100, [[0.05]])
+        assert result.converged is False
+        assert len(result.trace) == 1 and result.trace[0][1] == pytest.approx(np.cos(0.05))
+
+    def test_failed_search_forgets_and_restarts_along_the_gradient(self, monkeypatch):
+        monkeypatch.setattr(vqe, "LINE_SEARCH_EVALUATIONS", 1)
+        events = self.watch(monkeypatch)
+        h = random_symmetric(np.random.default_rng(1), 8)
+        circuit = linear_ansatz(3, 1).circuit()
+        start = np.random.default_rng(4).uniform(-1, 1, (1, circuit.n_slots))
+        [(result, _)] = minimize_rows([circuit], ObjectiveConfig(h), 200, start)
+        forgets = [k for k, event in enumerate(events) if event == "forget"]
+        assert len(forgets) == 2
+        assert all(events[k + 1] == "search" for k in forgets)  # a new search from the same iterate
+        assert events.count("search") > 4 and len(result.trace) > 4
+        assert result.converged is False  # the last search fails with its memory gone
+
+    def test_ascent_direction_forgets_and_descends(self, monkeypatch):
+        """Directions turned uphill whenever a row has pairs: each is replaced
+        by -g and the run still converges, as steepest descent."""
+        events = self.watch(monkeypatch)
+        real_directions = vqe._Memory.directions
+
+        def uphill(memory, at, grads):
+            directions = real_directions(memory, at, grads)
+            return np.where(memory.rho[at, :1] != 0.0, -directions, directions)
+
+        monkeypatch.setattr(vqe._Memory, "directions", uphill)
+        [(result, _)] = minimize_rows([RY1], ObjectiveConfig(Z1), 200, [[3.0]])
+        assert events.count("forget") >= 1
+        assert events[events.index("forget") + 1] == "search"
+        assert result.converged is True
+        assert result.energy == pytest.approx(-1.0, abs=1e-10)
+
+    def test_no_descent_without_memory_stops(self, monkeypatch):
+        monkeypatch.setattr(vqe._Memory, "directions", lambda memory, at, grads: np.zeros_like(grads))
+        [(result, _)] = minimize_rows([RY1], ObjectiveConfig(Z1), 200, [[3.0]])
+        assert result.converged is False
+        assert len(result.trace) == 1 and result.trace[0][1] == pytest.approx(np.cos(3.0))
+
+    def test_forget_clears_one_row(self):
+        """A forgotten row steps along -g and, given new pairs, acts as a
+        fresh memory with those pairs; the other row keeps its pairs."""
+        rng = np.random.default_rng(3)
+
+        def add(memory, at, rows):
+            s = rng.standard_normal((rows, 3))
+            y = s + 0.1 * rng.standard_normal((rows, 3))  # s.y > 0
+            memory.add(at, s, y, np.einsum("ij,ij->i", s, y), np.einsum("ij,ij->i", y, y))
+            return s, y
+
+        memory = vqe._Memory(2, 3)
+        for _ in range(3):
+            add(memory, slice(None), 2)
+        grads = rng.standard_normal((2, 3))
+        before = memory.directions(slice(None), grads)
+        assert memory.has_pairs(0) and memory.has_pairs(1)
+        memory.forget(0)
+        assert not memory.has_pairs(0) and memory.has_pairs(1)
+        after = memory.directions(slice(None), grads)
+        assert np.array_equal(after[0], -grads[0]) and np.array_equal(after[1], before[1])
+        fresh = vqe._Memory(1, 3)
+        for _ in range(3):
+            s, y = add(memory, np.array([0]), 1)
+            fresh.add(slice(None), s, y, np.einsum("ij,ij->i", s, y), np.einsum("ij,ij->i", y, y))
+            assert np.array_equal(memory.directions(np.array([0]), grads[:1]), fresh.directions(slice(None), grads[:1]))
+
+    def test_dcstep_nan_step_where_interpolation_breaks_down(self):
+        """A trial at the best step itself divides by stp - stx = 0: the step
+        is NaN and the interval is left as it was."""
+        ends = (1.0, 0.5, -1.0, 0.0, 1.0, -2.0)
+        *kept, stp, brackt = vqe._dcstep(*ends, 1.0, 0.7, 0.3, False, 0.0, 5.0)
+        assert tuple(kept) == ends and math.isnan(stp) and brackt is False
 
 
 class TestExcitedStates:
@@ -353,6 +461,53 @@ class TestExcitedStates:
     def test_negative_v_max(self):
         with pytest.raises(ValueError):
             excited_states(RY1, Z1, -1, OptimizerConfig())
+
+
+class TestSharedCircuit:
+    """The optimizer keeps its buffers in a kernel of its own call, never on
+    the circuit object it is given."""
+
+    def test_threads_sharing_one_circuit_match_sequential_calls(self):
+        """A scan over four box widths from four threads on one circuit object,
+        with the interpreter switching threads every microsecond, gives the
+        bits of the same calls made one after another."""
+        hamiltonians = [
+            assemble(build_grid("finite", {"a": 2.55, "b": b}, 4, DIATOMIC_MASS), DIATOMIC_MORSE).full
+            for b in (4.3, 4.55, 4.8, 5.05)
+        ]
+        circuit = linear_ansatz(4, 2).circuit()
+        opt = OptimizerConfig(max_iter=200, restarts=2, seed=3)
+
+        def scan(h):
+            results = [minimize(circuit, ObjectiveConfig(h), opt), *excited_states(circuit, h, 1, opt)]
+            return [(result.energy, result.params) for result in results]
+
+        sequential = [scan(h) for h in hamiltonians]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(scan, h) for h in hamiltonians]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for alone, together in zip(sequential, threaded):
+            for (energy, params), (energy_t, params_t) in zip(alone, together):
+                assert energy == energy_t and np.array_equal(params, params_t)
+
+    def test_optimizer_never_builds_a_circuit_kernel(self, monkeypatch):
+        def forbidden(circuit):
+            pytest.fail("the optimizer used a circuit object's own kernel")
+
+        monkeypatch.setattr(simulator, "_kernel", forbidden)
+        monkeypatch.setattr(vqe, "_kernel", forbidden)
+        circuit = linear_ansatz(2, 1).circuit()
+        h = random_symmetric(np.random.default_rng(21), 4)
+        opt = OptimizerConfig(max_iter=50, restarts=2, seed=4)
+        minimize(circuit, ObjectiveConfig(h), opt)
+        excited_states(circuit, h, 1, opt)
+        greedy_search(h, SearchConfig(n_blocks=1, thresholds=(1e-30,), max_entanglers=1, full_budget=50))
+        assert "_kernel" not in vars(circuit)
 
 
 def test_gershgorin_upper_bounds_spectrum():
