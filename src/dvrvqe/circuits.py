@@ -69,13 +69,6 @@ class Circuit:
                 if not 0 <= g.other < self.n_slots:
                     raise ValueError(f"ry slot {g.other} outside 0..{self.n_slots - 1}")
 
-    def inverse(self) -> "Circuit":
-        """Reversed gate order; valid for parameter-free circuits (H, X, CNOT
-        are self-inverse)."""
-        if any(g.kind == "ry" for g in self.gates):
-            raise ValueError("cannot invert a circuit containing ry gates")
-        return Circuit(self.n_qubits, tuple(reversed(self.gates)), 0)
-
 
 def format_circuit(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.n_qubits} slots {circuit.n_slots}"]

@@ -109,14 +109,15 @@ def build_grid(variant, params, n_qubits, mass) -> GridSpec:
 
     ``params`` holds the variant-specific geometry: {'a','b'} for finite,
     {'x_min','dx'} for infinite, {'dx'} for half-infinite. Mass is in
-    electron masses. Raises ValueError unless dx > 0 and E_T and every
-    grid point are finite.
+    electron masses. Raises ValueError unless dx > 0, E_T is finite and
+    > 0, and every grid point is finite; what overflows on the way warns
+    nothing, since these checks reject it.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown grid variant {variant!r}; expected one of {VARIANTS}")
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if mass <= 0:
+    if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
 
     n_pts = 2 ** n_qubits
@@ -124,20 +125,20 @@ def build_grid(variant, params, n_qubits, mass) -> GridSpec:
         a, b = float(params["a"]), float(params["b"])
         if b <= a:
             raise ValueError(f"finite grid needs b > a, got a={a}, b={b}")
-        dx = (b - a) / (n_pts + 1)
-        points = a + dx * np.arange(1, n_pts + 1)
-    elif variant == "half-infinite":
-        dx = float(params["dx"])
-        points = dx * np.arange(1, n_pts + 1)
+        origin, dx, first = a, (b - a) / (n_pts + 1), 1
     else:
         dx = float(params["dx"])
-        points = float(params["x_min"]) + dx * np.arange(n_pts)
+        origin, first = (0.0, 1) if variant == "half-infinite" else (float(params["x_min"]), 0)
     if not dx > 0:
         raise ValueError(f"grid spacing must be positive, got dx={dx}")
-    denominator = 2.0 * mass * dx * dx  # 0 where m dx^2 underflows
-    e_t = 1.0 / denominator if denominator else math.inf
-    if math.isinf(e_t):
-        raise ValueError(f"kinetic scale E_T = 1 / (2 m dx^2) overflows for m={mass}, dx={dx}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = origin + dx * np.arange(first, first + n_pts)
+        denominator = 2.0 * mass * dx * dx  # 0 where m dx^2 underflows, inf where it overflows
+        e_t = 1.0 / denominator if denominator else math.inf
+    if not 0.0 < e_t < math.inf:
+        raise ValueError(
+            f"kinetic scale E_T = 1 / (2 m dx^2) {'overflows' if e_t else 'underflows to 0'} for m={mass}, dx={dx}"
+        )
     if not np.all(np.isfinite(points)):
         raise ValueError(f"grid points overflow for dx={dx}")
     points.setflags(write=False)

@@ -98,8 +98,10 @@ def load_tabulated(path) -> TabulatedPotential:
 
 
 def potential_on_grid(potential, grid) -> np.ndarray:
-    """V(x_i) over the grid points; raises ValueError where V is not finite."""
-    values = np.asarray(potential(grid.points), dtype=float)
+    """V(x_i) over the grid points; raises ValueError where V is not
+    finite, and an overflow on the way warns nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(potential(grid.points), dtype=float)
     bad = ~np.isfinite(values)
     if np.any(bad):
         raise ValueError(f"V is not finite at grid point x={float(grid.points[bad][0])!r}")

@@ -1,29 +1,23 @@
 """Exact statevector simulation of the {RY, CNOT, H, X} gate set.
 
 Qubit 0 is the most significant index bit (circuits.py). A circuit batch
-is lowered once, in one pass (_lower), into the steps of its kernel
-(_Kernel) on the flat state: RY and H act as 2x2 matrices on the
-(2^q, 2, 2^(n-q-1)) view, and each run of consecutive CNOT and X gates
-acts as one index permutation; ``apply_circuit`` reads the same steps.
-Every gate is real: ``run`` returns float64 amplitudes,
-``adjoint_gradient`` takes float64 states, and ``apply_circuit`` and
-``sample_counts`` keep complex input complex and turn any other input
-into float64. ``apply_circuit`` also takes a (2^n, k) batch of column
-states. ``analysis_rows`` gives chosen rows of a parameter-free
-circuit's matrix as float64 row lists, each pushed backward through the
-gates.
+is lowered once, in one pass (_lower), into steps on the flat state: RY
+and H act as 2x2 matrices on the (2^q, 2, 2^(n-q-1)) view, and each run
+of consecutive CNOT and X gates acts as one index permutation. Every
+gate is real: ``run`` returns float64 amplitudes, ``adjoint_gradient``
+takes float64 states, and ``apply_circuit`` and ``sample_counts`` keep
+complex input complex and turn any other input into float64.
+``apply_circuit`` also takes a (2^n, k) batch of column states.
+``analysis_rows`` gives chosen rows of a parameter-free circuit's matrix
+as float64 row lists, each pushed backward through the gates.
 
-A kernel (_Kernel) runs a block of rows, one per circuit of circuits
-that differ only in their CNOT/X runs, each row with the bits it gets
-alone. Its steps are bound to views of float64 buffers made at the
-first pass, so a forward pass writes every gate in place and allocates
-only the states it returns. The backward pass keeps the (psi, lambda)
-pairs after every step from the first RY gate on and then takes all RY
-terms of all rows in one einsum. ``run`` and ``adjoint_gradient`` go
-through a one-row kernel built once per circuit object and kept on it,
-so one circuit object must not be run from two threads at once; distinct
-circuit objects, even equal ones, share nothing. The batch kernel of
-vqe.minimize_rows belongs to that call alone.
+A circuit object keeps only its own lowered steps, written once and then
+only read, so threads may share it. ``run`` and ``apply_circuit`` are one
+step loop (_apply). A kernel (_Kernel) runs a block of rows, one per
+circuit of circuits that differ only in their CNOT/X runs, each row with
+the bits it gets alone; it writes every gate in place into float64
+buffers of its own and belongs to the one call that builds it:
+``adjoint_gradient`` and each vqe.gradient or vqe.minimize_rows call.
 """
 
 from __future__ import annotations
@@ -104,15 +98,15 @@ def _lower(circuits) -> tuple[tuple, ...]:
 
 
 class _Kernel:
-    """Steps of one or more circuits (_lower), run on a block of float64
-    rows, one per state of a batch.
+    """Steps of one or more circuits (_lower; one circuit brings its own,
+    _steps), run on a block of float64 rows, one per state of a batch.
 
     The circuits agree in their RY and H gates (_lower); batch row r runs
     circuit ``rows[r]`` with its own rotations. RY is one stacked matmul
     with a matrix per row, each CNOT/X run one flat ``np.take`` with a
     permutation per row, H the (a+b)·√½, (a−b)·√½ arithmetic of
     apply_circuit. Every row gets the arithmetic it gets alone, so a batch
-    changes no bit of any row, and a one-row ``forward`` equals
+    changes no bit of any row, and a one-row ``forward`` equals run and
     apply_circuit on |0...0> bit for bit. A one-row batch drops the batch
     axis from its views, which saves numpy a broadcast loop per gate.
 
@@ -126,7 +120,7 @@ class _Kernel:
     """
 
     def __init__(self, circuits):
-        self.steps = _lower(circuits)
+        self.steps = _steps(circuits[0]) if len(circuits) == 1 else _lower(circuits)
         self.n_slots = circuits[0].n_slots
         self.dim = 2 ** circuits[0].n_qubits
         self._rows = self._pairs = None
@@ -248,20 +242,38 @@ class _Kernel:
         return np.bincount(bins, weights=terms, minlength=count * self.n_slots).reshape(count, self.n_slots)
 
 
-def _kernel(circuit: Circuit) -> _Kernel:
-    """The circuit's kernel, built on the first call and stored in its
-    ``__dict__``, which the frozen dataclass allows and which leaves its
-    fields, equality and hash as they are; no call hashes the gates."""
-    kernel = circuit.__dict__.get("_kernel")
-    if kernel is None:
-        kernel = circuit.__dict__["_kernel"] = _Kernel((circuit,))
-    return kernel
+def _steps(circuit: Circuit) -> tuple[tuple, ...]:
+    """The circuit's steps, _lower((circuit,)), made on the first call and
+    stored in its ``__dict__``, which the frozen dataclass allows and which
+    leaves its fields, equality and hash as they are. No call writes the
+    steps, so threads may share them."""
+    steps = circuit.__dict__.get("_steps")
+    if steps is None:
+        steps = circuit.__dict__["_steps"] = _lower((circuit,))
+    return steps
+
+
+def _apply(steps, rotations: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """The steps of one circuit applied to a state or a batch of column
+    states, with the rotations of a one-row parameter block."""
+    for kind, arg, slot in steps:
+        if kind == "perm":
+            state = state[arg[0][0]]
+        elif kind == "ry":
+            state = (rotations[slot, 0] @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
+        else:
+            view = state.reshape(arg[0], 2, -1)
+            pair = np.stack([view[:, 0] + view[:, 1], view[:, 0] - view[:, 1]], axis=1)
+            state = (_SQRT_HALF * pair).reshape(state.shape)
+    return state
 
 
 def run(circuit: Circuit, params=None) -> np.ndarray:
     """Apply the circuit to |0...0> and return the final float64 amplitudes
     as a new array."""
-    return _kernel(circuit).forward((0,), _rotations(_param_row(circuit, params)))[0]
+    state = np.zeros(2 ** circuit.n_qubits)
+    state[0] = 1.0
+    return _apply(_steps(circuit), _rotations(_param_row(circuit, params)), state)
 
 
 def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarray:
@@ -279,17 +291,7 @@ def apply_circuit(circuit: Circuit, state: np.ndarray, params=None) -> np.ndarra
         raise ValueError(
             f"state dimension {state.shape} does not match {circuit.n_qubits} qubits"
         )
-    rotations = _rotations(_param_row(circuit, params))
-    for kind, arg, slot in _kernel(circuit).steps:
-        if kind == "perm":
-            state = state[arg[0][0]]
-        elif kind == "ry":
-            state = (rotations[slot, 0] @ state.reshape(arg[0], 2, -1)).reshape(state.shape)
-        else:
-            view = state.reshape(arg[0], 2, -1)
-            pair = np.stack([view[:, 0] + view[:, 1], view[:, 0] - view[:, 1]], axis=1)
-            state = (_SQRT_HALF * pair).reshape(state.shape)
-    return state
+    return _apply(_steps(circuit), _rotations(_param_row(circuit, params)), state)
 
 
 def analysis_rows(circuit: Circuit, outcomes=None) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +355,7 @@ def adjoint_gradient(circuit: Circuit, params, state: np.ndarray, costate: np.nd
     their terms, added last gate first.
     """
     rotations = _rotations(_param_row(circuit, params))
-    return _kernel(circuit).backward((0,), rotations, state, costate)[0]
+    return _Kernel((circuit,)).backward((0,), rotations, state, costate)[0]
 
 
 def overlap_sq(s1: np.ndarray, s2: np.ndarray) -> float:

@@ -24,13 +24,11 @@ BATCH_BYTES: one batch for every call at n = 4, batches of 4 rows for
 the 135 candidates of a 3-block search step at n = 10. Each row gets
 the bits it would get alone, in any batch. The trace and the result of
 a row reuse the state of the iterate they report, and excited_states
-deflates with the result's state, so no point is simulated twice. Each
-``minimize_rows`` call lowers its circuits into a kernel that lives for
-that call, so the optimizer writes no buffer of a circuit object and one
-circuit object may be optimized from several threads at once.
-``objective`` and ``gradient`` run on the circuit's own kernel, as
-simulator.run does, so one circuit object must not be passed to them
-from two threads at once.
+deflates with the result's state, so no point is simulated twice. A
+kernel belongs to the one ``minimize_rows`` or ``gradient`` call that
+builds it, and a circuit object keeps only its lowered steps, which no
+call changes, so threads may share one circuit object in every function
+here.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
-from .simulator import _Kernel, _kernel, _param_row, _rotations, overlap_sq, run
+from .simulator import _Kernel, _param_row, _rotations, overlap_sq, run
 
 GRADIENT_TOL = 1e-8    # stop when max |gradient| <= this (L-BFGS-B pgtol)
 OBJECTIVE_TOL = 1e-12  # stop when an iteration lowers the objective by at most this, relative (L-BFGS-B ftol)
@@ -149,7 +147,7 @@ def _evaluate(kernel, rows, params: np.ndarray, config: ObjectiveConfig):
 
 def gradient(params, circuit: Circuit, config: ObjectiveConfig) -> np.ndarray:
     """Adjoint gradient of the objective."""
-    return _evaluate(_kernel(circuit), (0,), _param_row(circuit, params), config)[3][0]
+    return _evaluate(_Kernel((circuit,)), (0,), _param_row(circuit, params), config)[3][0]
 
 
 def gershgorin_upper(matrix: np.ndarray) -> float:
@@ -396,11 +394,14 @@ def minimize_rows(circuits, config: ObjectiveConfig, max_iter: int, starts) -> l
     without memory the row stops, not converged. The circuits must differ
     in their CNOT and X gates only.
 
-    The circuits are lowered into one kernel that lives for this call.
+    Each distinct circuit object is lowered once, into one kernel that
+    lives for this call, and every row runs its circuit's kernel row.
     Rows run in consecutive batches whose kernel buffers fit in
     BATCH_BYTES; each row gets the same bits in any batch.
     """
-    kernel, kernel_rows = _Kernel(tuple(circuits)), tuple(range(len(circuits)))
+    row_of = {}  # id of each distinct circuit -> its kernel row, in first-seen order
+    kernel_rows = tuple(row_of.setdefault(id(c), len(row_of)) for c in circuits)
+    kernel = _Kernel(tuple({id(c): c for c in circuits}.values()))
     starts = np.array(starts, dtype=float)
     if starts.shape != (len(circuits), kernel.n_slots):
         raise ValueError(f"starts of shape {starts.shape} do not fit {len(circuits)} rows of {kernel.n_slots} slots")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dvrvqe import assemble, build_grid
+from dvrvqe import assemble, build_grid, simulator
 from dvrvqe.constants import AMU_TO_ELECTRON_MASS
 from dvrvqe.potentials import MorsePotential
 
@@ -62,3 +62,12 @@ def random_state(rng, dim, complex_valued=True):
     if complex_valued:
         vec = vec + 1j * rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
+
+
+@pytest.fixture
+def lowered(monkeypatch):
+    """Every circuit batch passed to simulator._lower, in call order; the
+    list keeps the circuits alive, so their ids stay distinct."""
+    batches, real_lower = [], simulator._lower
+    monkeypatch.setattr(simulator, "_lower", lambda circuits: batches.append(circuits) or real_lower(circuits))
+    return batches

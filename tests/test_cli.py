@@ -227,11 +227,13 @@ class TestBadNumbers:
          "[potential] tabulated x and V values must be finite"),
         ("diag", "", "mass_amu = 26.0", "mass_amu = 1e-310", "[system]: kinetic scale E_T = 1 / (2 m dx^2) overflows"),
         ("diag", "", "a = 2.55\nb = 4.55", "a = 0\nb = 1e-300", "[system]: kinetic scale E_T = 1 / (2 m dx^2) overflows"),
-        ("diag", "", "variant = finite\na = 2.55\nb = 4.55", "variant = infinite\nx_min = -1e306\ndx = 1e306",
-         "[potential] V is not finite at grid point x=-1e+306"),
+        ("diag", "", "variant = finite\na = 2.55\nb = 4.55", "variant = infinite\nx_min = 0\ndx = 1e200",
+         "[system]: kinetic scale E_T = 1 / (2 m dx^2) underflows to 0"),
+        ("diag", "", "variant = finite\na = 2.55\nb = 4.55", "variant = infinite\nx_min = -1000\ndx = 1",
+         "[potential] V is not finite at grid point x=-1000.0"),
     ], ids=["r-above-grid", "epsilon-zero", "epsilon-nan", "well-depth-nan", "tol-negative", "threshold-nan",
-            "tabulated-nan", "mass-tiny", "box-tiny", "potential-overflows"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+            "tabulated-nan", "mass-tiny", "box-tiny", "e_t-underflows", "potential-overflows"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_number_exit_2(self, tmp_path, capsys, task, extra, old, new, message):
         (tmp_path / "nan_pot.dat").write_text("2.0 0.0\n3.0 nan\n5.0 1.0\n")
         text = MORSE_BASE.format(task=task, extra=extra, outdir=tmp_path / "out")

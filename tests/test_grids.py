@@ -88,9 +88,10 @@ class TestBuildGrid:
         ("finite", {"a": 0.0, "b": 5e-324}, 1.0, "grid spacing must be positive, got dx=0.0"),
         ("finite", {"a": 0.0, "b": 1e-300}, 1.0, "kinetic scale E_T"),
         ("half-infinite", {"dx": 0.1}, 1e-307, "kinetic scale E_T"),
-        ("infinite", {"x_min": 1e308, "dx": 1e308}, 1.0, "grid points overflow"),
-    ], ids=["spacing-underflows", "e_t-divides-by-zero", "e_t-overflows", "points-overflow"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+        ("infinite", {"x_min": 0.0, "dx": 1e200}, 1.0, "kinetic scale E_T .* underflows to 0"),
+        ("infinite", {"x_min": 0.0, "dx": 1e308}, 1e-320, "grid points overflow"),
+    ], ids=["spacing-underflows", "e_t-divides-by-zero", "e_t-overflows", "e_t-underflows", "points-overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_grid_rejected(self, variant, params, mass, message):
         with pytest.raises(ValueError, match=message):
             build_grid(variant, params, 2, mass)

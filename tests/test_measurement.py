@@ -39,7 +39,7 @@ def dense_from_bases(bases, n):
     """Brute-force projector assembly sum_o w (V|o><o|V^dag)."""
     out = np.zeros((2**n, 2**n), dtype=complex)
     for basis in bases:
-        prep = basis.circuit.inverse()
+        prep = Circuit(n, basis.circuit.gates[::-1])  # H, CNOT and X are their own inverses
         for o in np.flatnonzero(basis.weights):
             col = np.zeros(2**n, dtype=complex)
             col[o] = 1.0

@@ -5,6 +5,7 @@ where no dense matrix is built). The ``shared`` strategy lets several RY
 gates use one slot; the unshared one gives every RY gate its own slot.
 """
 
+from dataclasses import fields
 from functools import reduce
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from dvrvqe.circuits import Circuit, cnot, hadamard, pauli_x, ry
 from dvrvqe.simulator import (
     _Kernel,
-    _kernel,
     _rotations,
+    _steps,
     adjoint_gradient,
     analysis_rows,
     apply_circuit,
@@ -139,11 +140,14 @@ def test_run_and_apply_match_dense_product(case, seed):
 @SETTINGS
 @given(circuits(max_qubits=6, max_gates=24))
 def test_run_equals_apply_circuit_bit_for_bit(case):
-    """The buffered kernel does apply_circuit's arithmetic on |0...0>."""
+    """A one-row kernel's forward pass does the arithmetic of run and of
+    apply_circuit on |0...0>; VqeResult.state relies on it."""
     circuit, params = case
     zero = np.zeros(2 ** circuit.n_qubits)
     zero[0] = 1.0
-    assert np.array_equal(run(circuit, params), apply_circuit(circuit, zero, params))
+    state = run(circuit, params)
+    assert np.array_equal(state, apply_circuit(circuit, zero, params))
+    assert np.array_equal(_Kernel((circuit,)).forward((0,), _rotations(params[None]))[0], state)
 
 
 @SETTINGS
@@ -236,7 +240,7 @@ def ry_layer(first_slot):
 
 def test_fused_permutation_run_matches_dense_and_differences():
     circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
-    steps = _kernel(circuit).steps
+    steps = _steps(circuit)
     assert [kind for kind, _, _ in steps] == ["ry"] * 3 + ["perm"] + ["ry"] * 3
     (forward,), (inverse,) = steps[3][1]
     assert not np.array_equal(forward[forward], np.arange(8))
@@ -261,19 +265,25 @@ def test_fused_permutation_run_matches_dense_and_differences():
     assert np.allclose(matrix, dense_unitary(analysis, []), rtol=0, atol=1e-12)
 
 
-def test_compile_once_per_circuit_object():
-    """One kernel per circuit object, holding the circuit's only steps."""
+def test_compile_once_per_circuit_object(lowered):
+    """A circuit object is lowered once, on its first call, and keeps its
+    steps and nothing else; run, apply_circuit, adjoint_gradient, objective
+    and gradient all read them."""
     circuit = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
     twin = Circuit(3, ry_layer(0) + PERMUTATION_RUN + ry_layer(3), 6)
-    kernel = _kernel(circuit)
-    steps = kernel.steps
-    for params in np.random.default_rng(22).uniform(-1, 1, (3, 6)):
-        run(circuit, params)
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((8, 8))
+    config = ObjectiveConfig(a + a.T)
+    for params in rng.uniform(-1, 1, (3, 6)):
+        state = run(circuit, params)
         apply_circuit(circuit, np.eye(8), params)
-        assert _kernel(circuit) is kernel and kernel.steps is steps
-    assert set(vars(circuit)) - set(vars(twin)) == {"_kernel"}
+        adjoint_gradient(circuit, params, state, state)
+        objective(params, circuit, config)
+        gradient(params, circuit, config)
+    assert [[id(c) for c in batch] for batch in lowered] == [[id(circuit)]]
+    assert set(vars(circuit)) - {f.name for f in fields(Circuit)} == {"_steps"}
     assert circuit == twin and hash(circuit) == hash(twin) and repr(circuit) == repr(twin)
-    assert _kernel(twin) is not kernel
+    assert _steps(twin) is not _steps(circuit) and len(lowered) == 2
 
 
 def test_kernel_buffers_alias_no_result_or_input():
@@ -381,25 +391,25 @@ def test_batched_circuits_must_share_their_ry_and_h_gates():
 
 
 def test_apply_circuit_makes_no_state_buffers():
-    """apply_circuit reads the steps cached on a fresh n=10 analysis circuit;
-    the kernel's 2^n rows come with the first forward pass, sized for it."""
+    """apply_circuit and run leave a fresh n=10 analysis circuit nothing but
+    its steps, which hold integer permutations and no float buffer."""
     n = 10
     circuit = Circuit(n, tuple(hadamard(q) for q in range(n)) + (cnot(0, 1), cnot(3, 7), pauli_x(9)))
     state = np.random.default_rng(24).standard_normal(2 ** n)
     first = apply_circuit(circuit, state)
-    kernel = _kernel(circuit)
-    assert kernel._rows is None and kernel._pairs is None
-    assert np.array_equal(apply_circuit(circuit, state), first) and _kernel(circuit) is kernel
-    assert kernel._rows is None
+    steps = _steps(circuit)
     run(circuit)
-    assert kernel._rows.shape == (2, 1, 2 ** n) and kernel._pairs is None
+    assert np.array_equal(apply_circuit(circuit, state), first) and _steps(circuit) is steps
+    assert set(vars(circuit)) - {f.name for f in fields(Circuit)} == {"_steps"}
+    arrays = [array for kind, arg, _ in steps if kind == "perm" for half in arg for array in half]
+    assert arrays and all(array.dtype.kind == "i" for array in arrays)
 
 
 def test_row_bytes_cover_the_buffers_of_a_batch():
     """The forward rows, the backward pairs and the three per-term gathers
     of an R-row pass take at most R * row_bytes()."""
     circuit = Circuit(3, (ry(0, 0), cnot(0, 1), ry(1, 1), hadamard(2), ry(2, 0), pauli_x(1)), 2)
-    kernel, count = _kernel(circuit), 3
+    kernel, count = _Kernel((circuit,)), 3
     rotations = _rotations(np.random.default_rng(25).uniform(-1, 1, (count, circuit.n_slots)))
     states = kernel.forward((0,) * count, rotations)
     kernel.backward((0,) * count, rotations, states, states)

@@ -36,13 +36,6 @@ class TestCircuitContainer:
         with pytest.raises(ValueError, match="control and target must differ"):
             parse_circuit("qubits 2 slots 0\nx 0\ncnot 1 1\n")
 
-    def test_inverse_reverses_gates(self):
-        circuit = Circuit(2, (hadamard(0), cnot(0, 1), pauli_x(1)), 0)
-        inverse = circuit.inverse()
-        assert [g.kind for g in inverse.gates] == ["x", "cnot", "h"]
-        with pytest.raises(ValueError):
-            Circuit(1, (ry(0, 0),), 1).inverse()
-
 
 class TestRun:
     def test_empty_circuit(self):

@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dvrvqe.ansatz import AnsatzSpec, empty_ansatz, linear_ansatz
 from dvrvqe.circuits import Circuit, parse_circuit, ry
 from dvrvqe.constants import HARTREE_TO_INV_CM
 from dvrvqe.search import SearchConfig, greedy_search
-from dvrvqe.simulator import _rotations, run
+from dvrvqe.simulator import _rotations, adjoint_gradient, apply_circuit, run
 from dvrvqe.vqe import (
     BETA_MARGIN,
     ObjectiveConfig,
@@ -25,7 +26,7 @@ from dvrvqe.vqe import (
     objective,
 )
 
-from conftest import DIATOMIC_MASS, DIATOMIC_MORSE
+from conftest import DIATOMIC_MASS, DIATOMIC_MORSE, random_state
 
 Z1 = np.diag([1.0, -1.0])
 RY1 = Circuit(1, (ry(0, 0),), 1)
@@ -276,8 +277,10 @@ class TestWorkPerPoint:
         best = minimize(circuit, config, opt)
         starts = opt.starts(circuit.n_slots)
         _, events = self.watch(monkeypatch, probe)
-        # Each restart has its own kernel row, so every evaluation names its restart.
-        rows = minimize_rows([circuit] * len(starts), config, opt.max_iter, starts)
+        # Each restart runs its own circuit object and so its own kernel row,
+        # so every evaluation names its restart.
+        circuits = [linear_ansatz(3, 2).circuit() for _ in starts]
+        rows = minimize_rows(circuits, config, opt.max_iter, starts)
         points = self.evaluations(events)
         assert sorted(points) == list(range(len(starts)))
         for restart, (result, fun) in enumerate(rows):
@@ -464,8 +467,8 @@ class TestExcitedStates:
 
 
 class TestSharedCircuit:
-    """The optimizer keeps its buffers in a kernel of its own call, never on
-    the circuit object it is given."""
+    """A kernel belongs to the call that builds it, and a circuit object
+    keeps only its lowered steps, so threads may share one."""
 
     def test_threads_sharing_one_circuit_match_sequential_calls(self):
         """A scan over four box widths from four threads on one circuit object,
@@ -495,19 +498,71 @@ class TestSharedCircuit:
             for (energy, params), (energy_t, params_t) in zip(alone, together):
                 assert energy == energy_t and np.array_equal(params, params_t)
 
-    def test_optimizer_never_builds_a_circuit_kernel(self, monkeypatch):
-        def forbidden(circuit):
-            pytest.fail("the optimizer used a circuit object's own kernel")
+    def test_threads_share_one_circuit_in_run_and_gradients(self):
+        """run, objective, gradient and adjoint_gradient from four threads on
+        one circuit object, with the interpreter switching threads every
+        microsecond, give the bits of the same calls made one after another."""
+        circuit = linear_ansatz(6, 3).circuit()
+        rng = np.random.default_rng(26)
+        h = random_symmetric(rng, 64)
+        config = ObjectiveConfig(h, ((random_state(rng, 64, complex_valued=False), 0.5),))
+        blocks = rng.uniform(-np.pi, np.pi, (4, 50, circuit.n_slots))
 
-        monkeypatch.setattr(simulator, "_kernel", forbidden)
-        monkeypatch.setattr(vqe, "_kernel", forbidden)
+        def scan(block):
+            results = []
+            for params in block:
+                state = run(circuit, params)
+                results += [state, objective(params, circuit, config), gradient(params, circuit, config),
+                            adjoint_gradient(circuit, params, state, h @ state)]
+            return results
+
+        sequential = [scan(block) for block in blocks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(scan, block) for block in blocks]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for alone, together in zip(sequential, threaded):
+            assert all(np.array_equal(a, b) for a, b in zip(alone, together))
+
+    def test_each_circuit_object_is_lowered_once(self, lowered):
+        """minimize with 5 restarts lowers its circuit object once, and a
+        search step with its commit lowers every circuit object once: rows
+        on one object run one kernel row."""
+        h = random_symmetric(np.random.default_rng(27), 8)
+        circuit = linear_ansatz(3, 2).circuit()
+        minimize(circuit, ObjectiveConfig(h), OptimizerConfig(max_iter=50, restarts=5))
+        assert [[id(c) for c in batch] for batch in lowered] == [[id(circuit)]]
+        lowered.clear()
+        result = greedy_search(h, SearchConfig(n_blocks=1, thresholds=(1e-30,), max_entanglers=1, full_budget=50))
+        assert len(result.steps) == 2
+        ids = [id(c) for batch in lowered for c in batch]
+        assert len(ids) == 5 and len(set(ids)) == 5
+
+    def test_optimizer_never_builds_a_circuit_kernel(self, lowered):
+        """Every circuit object that run, apply_circuit, objective, gradient,
+        adjoint_gradient, minimize, excited_states and greedy_search lower
+        keeps its steps and nothing else."""
         circuit = linear_ansatz(2, 1).circuit()
         h = random_symmetric(np.random.default_rng(21), 4)
+        params = np.linspace(-1.0, 1.0, circuit.n_slots)
+        state = run(circuit, params)
+        apply_circuit(circuit, state, params)
+        objective(params, circuit, ObjectiveConfig(h))
+        gradient(params, circuit, ObjectiveConfig(h))
+        adjoint_gradient(circuit, params, state, h @ state)
         opt = OptimizerConfig(max_iter=50, restarts=2, seed=4)
         minimize(circuit, ObjectiveConfig(h), opt)
         excited_states(circuit, h, 1, opt)
         greedy_search(h, SearchConfig(n_blocks=1, thresholds=(1e-30,), max_entanglers=1, full_budget=50))
-        assert "_kernel" not in vars(circuit)
+        circuits = {id(c): c for batch in lowered for c in batch}
+        assert id(circuit) in circuits and len(circuits) > 2
+        names = {f.name for f in fields(Circuit)}
+        assert all(set(vars(c)) - names <= {"_steps"} for c in circuits.values())
+        assert set(vars(circuit)) - names == {"_steps"}
 
 
 def test_gershgorin_upper_bounds_spectrum():
