@@ -48,18 +48,11 @@ class AnsatzSpec:
         return AnsatzSpec(self.n_qubits, self.n_blocks, tuple(tuple(b) for b in blocks))
 
     def circuit(self) -> Circuit:
-        gates = []
-        slot = 0
-        for block in self.entanglers:
-            for q in range(self.n_qubits):
-                gates.append(ry(q, slot))
-                slot += 1
-            for ctrl, tgt in block:
-                gates.append(cnot(ctrl, tgt))
-        for q in range(self.n_qubits):
-            gates.append(ry(q, slot))
-            slot += 1
-        return Circuit(self.n_qubits, tuple(gates), slot)
+        gates, n = [], self.n_qubits
+        for k, block in enumerate((*self.entanglers, ())):  # the final RY layer has no entanglers
+            gates += [ry(q, k * n + q) for q in range(n)]
+            gates += [cnot(ctrl, tgt) for ctrl, tgt in block]
+        return Circuit(n, tuple(gates), self.n_params)
 
 
 def empty_ansatz(n_qubits: int, n_blocks: int) -> AnsatzSpec:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+_ARITY = {"ry": 2, "cnot": 2, "h": 1, "x": 1}  # integer arguments of a gate line
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -25,7 +27,7 @@ class Gate:
     other: int = -1           # CNOT target, or RY slot index
 
     def __post_init__(self):
-        if self.kind not in ("ry", "cnot", "h", "x"):
+        if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind == "cnot" and self.other == self.qubit:
             raise ValueError(f"cnot control and target must differ, got {self.qubit}")
@@ -62,24 +64,15 @@ class Circuit:
         for g in self.gates:
             if not 0 <= g.qubit < self.n_qubits:
                 raise ValueError(f"gate {g} addresses qubit outside 0..{self.n_qubits - 1}")
-            if g.kind == "cnot":
-                if not 0 <= g.other < self.n_qubits:
-                    raise ValueError(f"cnot target {g.other} outside 0..{self.n_qubits - 1}")
-            elif g.kind == "ry":
-                if not 0 <= g.other < self.n_slots:
-                    raise ValueError(f"ry slot {g.other} outside 0..{self.n_slots - 1}")
+            if g.kind == "cnot" and not 0 <= g.other < self.n_qubits:
+                raise ValueError(f"cnot target {g.other} outside 0..{self.n_qubits - 1}")
+            if g.kind == "ry" and not 0 <= g.other < self.n_slots:
+                raise ValueError(f"ry slot {g.other} outside 0..{self.n_slots - 1}")
 
 
 def format_circuit(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.n_qubits} slots {circuit.n_slots}"]
-    for g in circuit.gates:
-        if g.kind == "ry":
-            lines.append(f"ry {g.qubit} {g.other}")
-        elif g.kind == "cnot":
-            lines.append(f"cnot {g.qubit} {g.other}")
-        else:
-            lines.append(f"{g.kind} {g.qubit}")
-    return "\n".join(lines) + "\n"
+    gates = (" ".join(map(str, (g.kind, g.qubit, g.other)[: 1 + _ARITY[g.kind]])) for g in circuit.gates)
+    return "\n".join([f"qubits {circuit.n_qubits} slots {circuit.n_slots}", *gates]) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -93,18 +86,12 @@ def parse_circuit(text: str) -> Circuit:
     n_qubits, n_slots = int(head[1]), int(head[3])
     gates = []
     for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        if kind in ("ry", "cnot"):
-            if len(parts) != 3:
-                raise ValueError(f"bad gate line {ln!r}")
-            gates.append(Gate(kind, int(parts[1]), int(parts[2])))
-        elif kind in ("h", "x"):
-            if len(parts) != 2:
-                raise ValueError(f"bad gate line {ln!r}")
-            gates.append(Gate(kind, int(parts[1])))
-        else:
+        kind, *args = ln.split()
+        if kind not in _ARITY:
             raise ValueError(f"unknown gate {kind!r} in line {ln!r}")
+        if len(args) != _ARITY[kind]:
+            raise ValueError(f"bad gate line {ln!r}")
+        gates.append(Gate(kind, *map(int, args)))
     return Circuit(n_qubits, tuple(gates), n_slots)
 
 

@@ -163,6 +163,18 @@ def _task_decompose(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> Non
     ws.write_text("pauli.txt", format_pauli(psum))
 
 
+def _level_columns(v: int, energy: float, reference: float) -> dict:
+    """The result.csv columns of level v: its energy in hartree and cm^-1,
+    the classical reference and the error, both in cm^-1."""
+    return {
+        "v": v,
+        "energy_hartree": float(energy),
+        "energy_cm1": float(energy * HARTREE_TO_INV_CM),
+        "reference_cm1": float(reference * HARTREE_TO_INV_CM),
+        "error_cm1": float((energy - reference) * HARTREE_TO_INV_CM),
+    }
+
+
 def _task_vqe(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     circuit = _ansatz_for(config, h)
     reference = lowest_levels(h, 1)[0]
@@ -172,15 +184,9 @@ def _task_vqe(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
         "iter,objective,energy_hartree,energy_cm1",
         ((iteration, obj, energy, energy * HARTREE_TO_INV_CM) for iteration, obj, energy in result.trace),
     ))
-    error_cm1 = (result.energy - reference) * HARTREE_TO_INV_CM
-    ws.write_text("result.csv", _result_csv([{
-        "v": 0,
-        "energy_hartree": float(result.energy),
-        "energy_cm1": float(result.energy * HARTREE_TO_INV_CM),
-        "reference_cm1": float(reference * HARTREE_TO_INV_CM),
-        "error_cm1": float(error_cm1),
-        "converged": int(result.converged),
-    }]))
+    ws.write_text("result.csv", _result_csv([
+        {**_level_columns(0, result.energy, reference), "converged": int(result.converged)},
+    ]))
 
 
 def _task_excited(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
@@ -189,17 +195,10 @@ def _task_excited(config: RunConfig, h: DvrHamiltonian, ws: _Workspace) -> None:
     reference = lowest_levels(h, v_max + 1)
     results = excited_states(circuit, h.full, v_max, _optimizer_config(config))
     ws.write_text("spectrum.csv", _spectrum_csv(reference))
-    rows = []
-    for v, result in enumerate(results):
-        rows.append({
-            "v": v,
-            "energy_hartree": float(result.energy),
-            "energy_cm1": float(result.energy * HARTREE_TO_INV_CM),
-            "reference_cm1": float(reference[v] * HARTREE_TO_INV_CM),
-            "error_cm1": float((result.energy - reference[v]) * HARTREE_TO_INV_CM),
-            "max_overlap": float(max(result.overlaps, default=0.0)),
-        })
-    ws.write_text("result.csv", _result_csv(rows))
+    ws.write_text("result.csv", _result_csv([
+        {**_level_columns(v, result.energy, reference[v]), "max_overlap": float(max(result.overlaps, default=0.0))}
+        for v, result in enumerate(results)
+    ]))
 
 
 def _circuit_names(thresholds) -> dict[float, str]:

@@ -2,6 +2,10 @@
 
 ``truncate`` is the dense form of ``BandProfile.truncated``, the definition.
 
+A dense Hamiltonian matrix is square, finite and symmetric within 1e-12
+max(max|M|, 1). ``_symmetric_matrix`` checks it for classical_spectrum,
+pauli.decompose, search.greedy_search, vqe.excited_states and vqe.ObjectiveConfig.
+
 The dense eigensolve runs on numpy. Only LOBPCG, from MATRIX_FREE_MIN_POINTS
 up, imports scipy, at first use: ``scipy.linalg`` in its coarse start and
 preconditioner, ``scipy.fft`` in the matvec and the coarse start. The imports
@@ -117,20 +121,26 @@ def truncation_error_bound(profile: BandProfile, s: int, r: int) -> float:
     return 2.0 * f_tail + g_tail
 
 
-def classical_spectrum(matrix: np.ndarray, count: int | None = None) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of a symmetric matrix, ascending."""
+def _symmetric_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a float64 dense Hamiltonian, or ValueError if it is not
+    square, else not finite (max|M| is then inf or NaN), else not symmetric.
+    Each check reads 64-row panels, so no N x N temporary is made."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
+    panels = [slice(i, i + 64) for i in range(0, len(matrix), 64)]
+    peak = np.max([np.max(np.abs(matrix[rows])) for rows in panels], initial=0.0)
+    if not np.isfinite(peak):
         raise ValueError("matrix must not contain infs or NaNs")
-    scale = max(np.max(np.abs(matrix)), 1.0)
-    if np.max(np.abs(matrix - matrix.T)) > 1e-12 * scale:
+    tol = 1e-12 * max(peak, 1.0)
+    if any(np.max(np.abs(matrix[rows, rows.start:] - matrix[rows.start:, rows].T)) > tol for rows in panels):
         raise ValueError("matrix is not symmetric")
-    vals = np.linalg.eigvalsh(matrix)
-    if count is not None:
-        vals = vals[:count]
-    return vals
+    return matrix
+
+
+def classical_spectrum(matrix: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of a real symmetric matrix, ascending."""
+    return np.linalg.eigvalsh(_symmetric_matrix(matrix))[:count]
 
 
 def lowest_levels(h: DvrHamiltonian, count: int) -> np.ndarray:

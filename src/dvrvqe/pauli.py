@@ -10,7 +10,8 @@ transform (Hantzko, Binkowski & Gupta 2023; Jones 2024): the row and
 column bits of H are interleaved into one base-4 digit per qubit, and a
 4x4 map per qubit turns the entries (r, c) of that qubit into its
 I, X, iY, Z components, O(n 4^n) in all. ``reconstruct`` runs the same
-transform backwards.
+transform backwards. ``decompose`` takes a dense Hamiltonian matrix, in
+the sense of the hamiltonian module, of size 2^n.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .hamiltonian import _symmetric_matrix
 
 DEFAULT_TOL = 1e-12
 
@@ -68,15 +71,12 @@ def decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> PauliSum:
     of Y letters have exactly zero coefficient for symmetric input and
     are dropped whatever ``tol`` is.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    dim = matrix.shape[0]
-    if matrix.ndim != 2 or matrix.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
+    matrix = _symmetric_matrix(matrix)
+    dim = len(matrix)
+    if dim < 1 or dim & (dim - 1):
         raise ValueError(f"expected a square 2^n x 2^n matrix, got shape {matrix.shape}")
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    scale = max(np.max(np.abs(matrix)), 1.0)
-    if np.max(np.abs(matrix - matrix.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
     n = dim.bit_length() - 1
 
     # Axes r_0..r_{n-1}, c_0..c_{n-1} (qubit 0 most significant), reordered

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, empty_ansatz
 from .constants import HARTREE_TO_INV_CM
-from .hamiltonian import classical_spectrum
+from .hamiltonian import _symmetric_matrix, classical_spectrum
 from .vqe import ObjectiveConfig, OptimizerConfig, VqeResult, _best, minimize, minimize_rows
 
 PLATEAU_IMPROVEMENT = 1e-10  # hartree; stop when a full sweep gains less
@@ -91,8 +91,8 @@ def candidate_evaluation(base_ansatz: AnsatzSpec, candidates, warm_params, budge
 
 
 def greedy_search(h_matrix: np.ndarray, config: SearchConfig) -> SearchResult:
-    h_matrix = np.asarray(h_matrix, dtype=float)
-    n_pts = h_matrix.shape[0]
+    h_matrix = _symmetric_matrix(h_matrix)
+    n_pts = len(h_matrix)
     n_qubits = n_pts.bit_length() - 1
     if 2 ** n_qubits != n_pts:
         raise ValueError(f"Hamiltonian dimension {n_pts} is not a power of two")

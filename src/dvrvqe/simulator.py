@@ -313,12 +313,14 @@ def analysis_rows(circuit: Circuit, outcomes=None) -> tuple[np.ndarray, np.ndarr
     pair merges into the one column where it does not cancel, halving w.
     Columns never repeat, w stays at most 2^n, and every value is exactly
     the one apply_circuit gives. Raises ValueError for a circuit with RY
-    slots.
+    slots and for an outcome outside [0, 2^n).
     """
     if any(g.kind == "ry" for g in circuit.gates):
         raise ValueError("an analysis circuit has no ry gates")
     n = circuit.n_qubits
     outcomes = np.arange(2 ** n) if outcomes is None else np.asarray(outcomes, dtype=np.intp)
+    if not 0 <= outcomes.min(initial=0) <= outcomes.max(initial=0) < 2 ** n:
+        raise ValueError(f"outcomes must lie in [0, {2 ** n}) for {n} qubits")
     cols = outcomes[:, None]
     vals = np.ones(cols.shape)
     if not outcomes.size:

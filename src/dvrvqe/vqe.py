@@ -6,6 +6,8 @@ beta weights come from the Gershgorin upper bound of H so that
 beta_i >= E_{i+1} - E_i always holds.
 
 The objective is <psi|M|psi> with M = H + sum_i beta_i |psi_i><psi_i|.
+ObjectiveConfig checks that H is a dense Hamiltonian (hamiltonian module), as
+the exact adjoint gradient needs; each call checks that H fits its circuit.
 Its gradient is the adjoint gradient of simulator.adjoint_gradient: one
 forward simulation gives psi and M psi, one backward pass gives every
 slot's derivative, exactly, for any number of gates per slot. Every
@@ -40,6 +42,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
+from .hamiltonian import _symmetric_matrix
 from .simulator import _Kernel, _param_row, _rotations, overlap_sq, run
 
 GRADIENT_TOL = 1e-8    # stop when max |gradient| <= this (L-BFGS-B pgtol)
@@ -58,11 +61,15 @@ _EYE = np.eye(MEMORY)
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    hamiltonian: np.ndarray                 # dense real symmetric
-    deflation: tuple[tuple[np.ndarray, float], ...] = ()
+    hamiltonian: np.ndarray  # kept as the float64 array _symmetric_matrix returns
+    deflation: tuple[tuple[np.ndarray, float], ...] = ()  # (reference of length N, beta > 0)
 
     def __post_init__(self):
-        for _, beta in self.deflation:
+        object.__setattr__(self, "hamiltonian", _symmetric_matrix(self.hamiltonian))
+        dim = len(self.hamiltonian)
+        for ref, beta in self.deflation:
+            if np.shape(ref) != (dim,):
+                raise ValueError(f"deflation reference of shape {np.shape(ref)} does not match H of size {dim}")
             if beta <= 0:
                 raise ValueError(f"deflation weights must be positive, got {beta}")
 
@@ -75,19 +82,17 @@ class OptimizerConfig:
 
     max_iter: int = 2000
     restarts: int = 5
-    seed: tuple[int, ...] | int = 0
+    seed: tuple[int, ...] | int = 0  # an int is kept as (seed,)
 
     def __post_init__(self):
         if self.max_iter < 1 or self.restarts < 1:
             raise ValueError(f"max_iter and restarts must be >= 1, got {self.max_iter} and {self.restarts}")
-
-    def seed_tuple(self) -> tuple[int, ...]:
-        return (self.seed,) if isinstance(self.seed, int) else tuple(self.seed)
+        object.__setattr__(self, "seed", (self.seed,) if isinstance(self.seed, int) else tuple(self.seed))
 
     def starts(self, n_slots: int) -> np.ndarray:
         """The (restarts, n_slots) start points; restart k draws from seed (*seed, k)."""
         return np.array([
-            np.random.default_rng((*self.seed_tuple(), restart)).uniform(-INIT_SCALE, INIT_SCALE, n_slots)
+            np.random.default_rng((*self.seed, restart)).uniform(-INIT_SCALE, INIT_SCALE, n_slots)
             for restart in range(self.restarts)
         ]).reshape(self.restarts, n_slots)
 
@@ -111,6 +116,11 @@ def energy_of(state: np.ndarray, hamiltonian: np.ndarray) -> float:
     return float(np.vdot(state, hamiltonian @ state).real)
 
 
+def _check_dim(config: ObjectiveConfig, dim: int) -> None:
+    if dim != len(config.hamiltonian):
+        raise ValueError(f"a circuit of {dim} amplitudes does not match H of size {len(config.hamiltonian)}")
+
+
 def _values(states: np.ndarray, config: ObjectiveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(energies, objectives, costates) of a block of real states, one row each.
 
@@ -132,6 +142,7 @@ def _values(states: np.ndarray, config: ObjectiveConfig) -> tuple[np.ndarray, np
 
 def objective(params, circuit: Circuit, config: ObjectiveConfig) -> float:
     """<H> plus the weighted squared overlaps with the deflation references."""
+    _check_dim(config, 2 ** circuit.n_qubits)
     return float(_values(run(circuit, params)[None], config)[1][0])
 
 
@@ -147,6 +158,7 @@ def _evaluate(kernel, rows, params: np.ndarray, config: ObjectiveConfig):
 
 def gradient(params, circuit: Circuit, config: ObjectiveConfig) -> np.ndarray:
     """Adjoint gradient of the objective."""
+    _check_dim(config, 2 ** circuit.n_qubits)
     return _evaluate(_Kernel((circuit,)), (0,), _param_row(circuit, params), config)[3][0]
 
 
@@ -402,6 +414,7 @@ def minimize_rows(circuits, config: ObjectiveConfig, max_iter: int, starts) -> l
     row_of = {}  # id of each distinct circuit -> its kernel row, in first-seen order
     kernel_rows = tuple(row_of.setdefault(id(c), len(row_of)) for c in circuits)
     kernel = _Kernel(tuple({id(c): c for c in circuits}.values()))
+    _check_dim(config, kernel.dim)
     starts = np.array(starts, dtype=float)
     if starts.shape != (len(circuits), kernel.n_slots):
         raise ValueError(f"starts of shape {starts.shape} do not fit {len(circuits)} rows of {kernel.n_slots} slots")
@@ -538,16 +551,12 @@ def excited_states(ansatz, hamiltonian, v_max: int, opt: OptimizerConfig):
     """
     if v_max < 0:
         raise ValueError(f"v_max must be >= 0, got {v_max}")
-    hamiltonian = np.asarray(hamiltonian, dtype=float)
+    hamiltonian = _symmetric_matrix(hamiltonian)
     upper = gershgorin_upper(hamiltonian)
     circuit = _as_circuit(ansatz)
 
     results = []
-    deflation: list[tuple[np.ndarray, float]] = []
     for v in range(v_max + 1):
-        config = ObjectiveConfig(hamiltonian, tuple(deflation))
-        result = minimize(circuit, config, replace(opt, seed=(*opt.seed_tuple(), v)))
-        results.append(result)
-        beta = BETA_MARGIN * max(upper - result.energy, 1e-6)
-        deflation.append((result.state, beta))
+        deflation = tuple((r.state, BETA_MARGIN * max(upper - r.energy, 1e-6)) for r in results)
+        results.append(minimize(circuit, ObjectiveConfig(hamiltonian, deflation), replace(opt, seed=(*opt.seed, v))))
     return results

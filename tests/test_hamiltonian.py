@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dvrvqe import (
     truncation_error_bound,
 )
 from dvrvqe import hamiltonian
+from dvrvqe.ansatz import linear_ansatz
 from dvrvqe.constants import HARTREE_TO_INV_CM
 from dvrvqe.grids import VARIANTS, tail_sums
 from dvrvqe.hamiltonian import (
@@ -25,6 +27,9 @@ from dvrvqe.hamiltonian import (
     lowest_levels,
     retained_antidiagonals,
 )
+from dvrvqe.pauli import decompose
+from dvrvqe.search import SearchConfig, greedy_search
+from dvrvqe.vqe import ObjectiveConfig, OptimizerConfig, excited_states, gradient, minimize, objective
 
 from conftest import DIATOMIC_MASS, DIATOMIC_MORSE, MASS, MORSE, random_state
 
@@ -91,6 +96,98 @@ def test_classical_spectrum_tiny_cases():
 def test_classical_spectrum_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         classical_spectrum(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def _bad_matrices():
+    """(matrix, message) of each fault the shared Hamiltonian check rejects."""
+    good = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.5
+    nan, infs, skew = good.copy(), good.copy(), good.copy()
+    nan[1, 2] = nan[2, 1] = np.nan
+    infs[0, 1] = infs[1, 0] = np.inf
+    infs[2, 3] = infs[3, 2] = -np.inf
+    skew[0, 3] += 1e-9 * np.max(np.abs(good))
+    return {
+        "non-square": (good[:, :2], "expected a square matrix, got shape (4, 2)"),
+        "nan": (nan, "matrix must not contain infs or NaNs"),
+        "inf": (infs, "matrix must not contain infs or NaNs"),
+        "asymmetric": (skew, "matrix is not symmetric"),
+    }
+
+
+_TWO_QUBITS = linear_ansatz(2, 1)
+_SHORT_RUN = OptimizerConfig(max_iter=5, restarts=1)
+_DENSE_ENTRY_POINTS = {
+    "classical_spectrum": classical_spectrum,
+    "decompose": decompose,
+    "greedy_search": lambda m: greedy_search(m, SearchConfig(n_blocks=1)),
+    "excited_states": lambda m: excited_states(_TWO_QUBITS, m, 1, _SHORT_RUN),
+    "objective": lambda m: objective(np.zeros(_TWO_QUBITS.n_params), _TWO_QUBITS.circuit(), ObjectiveConfig(m)),
+    "gradient": lambda m: gradient(np.zeros(_TWO_QUBITS.n_params), _TWO_QUBITS.circuit(), ObjectiveConfig(m)),
+    "minimize": lambda m: minimize(_TWO_QUBITS, ObjectiveConfig(m), _SHORT_RUN),
+}
+
+
+@pytest.mark.parametrize("fault", list(_bad_matrices()))
+@pytest.mark.parametrize("entry", list(_DENSE_ENTRY_POINTS))
+def test_every_dense_entry_point_rejects_a_bad_matrix(entry, fault):
+    matrix, message = _bad_matrices()[fault]
+    with pytest.raises(ValueError) as info:
+        _DENSE_ENTRY_POINTS[entry](matrix)
+    assert str(info.value) == message
+
+
+def _dense_verdict(matrix):
+    """The message of the whole-matrix form of the check, or None."""
+    if not np.all(np.isfinite(matrix)):
+        return "matrix must not contain infs or NaNs"
+    if np.max(np.abs(matrix - matrix.T)) > 1e-12 * max(np.max(np.abs(matrix)), 1.0):
+        return "matrix is not symmetric"
+    return None
+
+
+@given(
+    size=st.integers(1, 200),
+    fault=st.sampled_from(["nan", "inf", "above", "below", "none"]),
+    where=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=129, fault="above", where=(128 / 129, 63 / 129), seed=0)
+@example(size=129, fault="nan", where=(128 / 129, 128 / 129), seed=0)
+@example(size=128, fault="above", where=(64 / 128, 63 / 128), seed=1)
+@example(size=65, fault="below", where=(0.0, 64 / 65), seed=2)
+@settings(max_examples=60, deadline=None)
+def test_panelled_check_agrees_with_the_dense_check(size, fault, where, seed):
+    """One bad entry anywhere, panel edges included, gets the verdict the
+    whole-matrix form gives; an asymmetry just below the tolerance passes."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((size, size))
+    matrix = matrix + matrix.T
+    i, j = (int(w * size) for w in where)
+    scale = max(np.max(np.abs(matrix)), 1.0)
+    if fault in ("nan", "inf"):
+        matrix[i, j] = np.nan if fault == "nan" else -np.inf
+    elif fault != "none" and i != j:
+        matrix[i, j] += (2e-12 if fault == "above" else 0.5e-12) * scale
+    expected = _dense_verdict(matrix)
+    if expected is None:
+        assert hamiltonian._symmetric_matrix(matrix) is matrix
+    else:
+        with pytest.raises(ValueError, match=expected):
+            hamiltonian._symmetric_matrix(matrix)
+
+
+def test_symmetric_matrix_check_allocates_no_dense_temporary():
+    """At 1024 points, where H takes 8 MiB, the check allocates below 2 MiB;
+    the whole-matrix form allocated two 8 MiB temporaries."""
+    grid = build_grid("finite", {"a": 2.55, "b": 4.55}, 10, DIATOMIC_MASS)
+    matrix = assemble(grid, DIATOMIC_MORSE).full
+    tracemalloc.start()
+    try:
+        hamiltonian._symmetric_matrix(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 class TestTruncate:

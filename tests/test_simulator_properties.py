@@ -228,6 +228,12 @@ def test_analysis_rows_reject_slots():
         analysis_rows(Circuit(2, (hadamard(0), ry(1, 0)), 1))
 
 
+@pytest.mark.parametrize("outcome", [-1, 4, 5])
+def test_analysis_rows_reject_outcomes_outside_the_basis(outcome):
+    with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 4\) for 2 qubits"):
+        analysis_rows(Circuit(2, (hadamard(0), cnot(0, 1))), [0, outcome])
+
+
 # cnot(0, 1) cnot(1, 0) x(2) cnot(2, 0) lowers to one permutation that is
 # not its own inverse, so a backward pass that undid it with the forward
 # permutation would give a wrong gradient.

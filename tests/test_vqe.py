@@ -125,6 +125,12 @@ class TestMinimize:
         with pytest.raises(ValueError, match="max_iter and restarts must be >= 1"):
             OptimizerConfig(**keys)
 
+    def test_int_seed_is_kept_as_a_tuple(self):
+        opt = OptimizerConfig(restarts=2, seed=7)
+        assert opt.seed == (7,) and OptimizerConfig(seed=[7, 1]).seed == (7, 1)
+        expected = [np.random.default_rng((7, k)).uniform(-vqe.INIT_SCALE, vqe.INIT_SCALE, 3) for k in range(2)]
+        assert np.array_equal(opt.starts(3), expected)
+
     def test_single_qubit_ground(self):
         result = minimize(RY1, ObjectiveConfig(Z1), OptimizerConfig(max_iter=200, restarts=3, seed=1))
         assert result.energy == pytest.approx(-1.0, abs=1e-8)
@@ -322,6 +328,38 @@ class TestLockstep:
         circuit = linear_ansatz(2, 1).circuit()
         with pytest.raises(ValueError, match="do not fit"):
             minimize_rows([circuit] * 2, ObjectiveConfig(np.eye(4)), 10, np.zeros((2, 3)))
+
+
+class TestSizes:
+    """An H or deflation reference that does not fit is rejected with both
+    sizes before anything is simulated."""
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated before the size check")
+
+        monkeypatch.setattr(vqe, "run", fail)
+        monkeypatch.setattr(simulator._Kernel, "forward", fail)
+        monkeypatch.setattr(simulator._Kernel, "backward", fail)
+
+    @pytest.mark.parametrize("entry", ["objective", "gradient", "minimize", "minimize_rows", "excited_states"])
+    def test_hamiltonian_must_fit_the_circuit(self, no_simulation, entry):
+        circuit = linear_ansatz(3, 1).circuit()
+        config, opt, params = ObjectiveConfig(np.eye(4)), OptimizerConfig(max_iter=5, restarts=2), np.zeros(6)
+        calls = {
+            "objective": lambda: objective(params, circuit, config),
+            "gradient": lambda: gradient(params, circuit, config),
+            "minimize": lambda: minimize(circuit, config, opt),
+            "minimize_rows": lambda: minimize_rows([circuit], config, 5, [params]),
+            "excited_states": lambda: excited_states(circuit, np.eye(4), 1, opt),
+        }
+        with pytest.raises(ValueError, match="a circuit of 8 amplitudes does not match H of size 4"):
+            calls[entry]()
+
+    def test_deflation_reference_must_fit(self):
+        with pytest.raises(ValueError, match=r"reference of shape \(8,\) does not match H of size 4"):
+            ObjectiveConfig(np.eye(4), ((np.ones(4) / 2, 1.0), (np.ones(8) / 8**0.5, 1.0)))
 
 
 class TestRecovery:
