@@ -10,6 +10,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -328,7 +329,9 @@ def run_config(config: RunConfig) -> Path:
     return ws.outdir / "manifest"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dvrvqe",
         description="DVR Hamiltonians, simulated VQE, and measurement plans for 1D vibrational problems.",
@@ -343,8 +346,11 @@ def main(argv=None) -> int:
         task_parser.add_argument("config")
         task_parser.add_argument("--out", default=None, help="output directory override")
         task_parser.add_argument("--seed", type=int, default=None, help="seed override")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     task_override = None if args.command == "run" else args.command
     seed_override = getattr(args, "seed", None)
     outdir_override = getattr(args, "out", None)

@@ -386,48 +386,88 @@ def parse_plan(text: str) -> MeasurementPlan:
     block 0's, a weight outcome outside [0, 2^n), an outcome repeated
     within a block and a weight that is not a finite number.
     """
-    blocks: list[tuple[list[str], dict[int, float]]] = []
+    blocks: list[list[str]] = []  # the circuit lines of each block
+    starts: list[int] = []  # the index of each block's first line in weight_lines
+    weight_lines: list[str] = []  # of all blocks, in file order
     for line in text.splitlines():
-        head = line.split()
+        head = ("w",) if line.startswith("w ") else line.split()  # weight tokens are read in bulk
         if not head:
             continue
+        if head[0] == "w" and blocks:
+            weight_lines.append(line)
+            continue
         if head[0] == "basis":
-            if head != ["basis", str(len(blocks))]:
-                raise ValueError(f"expected 'basis {len(blocks)}', got {line!r}")
-            blocks.append(([], {}))
+            if head == ["basis", str(len(blocks))]:
+                blocks.append([])
+                starts.append(len(weight_lines))
+                continue
+            error = f"expected 'basis {len(blocks)}', got {line!r}"
         elif not blocks:
-            raise ValueError(f"plan text must start with 'basis 0', got {line!r}")
-        elif head[0] == "w":
-            if len(head) != 3:
-                raise ValueError(f"bad weight line {line!r}; expected 'w <outcome> <weight>'")
-            outcome, weight = int(head[1]), float(head[2])
-            if not math.isfinite(weight):
-                raise ValueError(f"basis {len(blocks) - 1} outcome {outcome} weight {head[2]!r} is not finite")
-            if outcome in blocks[-1][1]:
-                raise ValueError(f"basis {len(blocks) - 1} repeats outcome {outcome}")
-            blocks[-1][1][outcome] = weight
-        elif blocks[-1][1]:
-            raise ValueError(f"circuit line {line!r} after the weights of basis {len(blocks) - 1}")
+            error = f"plan text must start with 'basis 0', got {line!r}"
+        elif len(weight_lines) == starts[-1]:
+            blocks[-1].append(line)
+            continue
         else:
-            blocks[-1][0].append(line)
+            error = f"circuit line {line!r} after the weights of basis {len(blocks) - 1}"
+        _read_weights(weight_lines, starts)  # a bad weight line above comes first
+        raise ValueError(error)
     if not blocks:
         raise ValueError("plan text has no basis blocks")
+    outcomes, values = _read_weights(weight_lines, starts)
 
-    circuits = [parse_circuit("\n".join(circuit_lines)) for circuit_lines, _ in blocks]
+    circuits = [parse_circuit("\n".join(circuit_lines)) for circuit_lines in blocks]
     n = circuits[0].n_qubits
-    bases = []
-    for idx, (circuit, (_, outcomes)) in enumerate(zip(circuits, blocks)):
+    ends = [*starts[1:], len(outcomes)]
+    for idx, (circuit, start, end) in enumerate(zip(circuits, starts, ends)):
         if circuit.n_qubits != n:
             raise ValueError(f"basis {idx} has {circuit.n_qubits} qubits, basis 0 has {n}")
         if circuit.n_slots:
             raise ValueError(f"basis {idx} has {circuit.n_slots} parameter slots, an analysis circuit none")
-        weights = np.zeros(2 ** n)
-        for outcome, weight in outcomes.items():
-            if not 0 <= outcome < 2 ** n:
-                raise ValueError(f"basis {idx} outcome {outcome} outside [0, {2 ** n})")
-            weights[outcome] = weight
-        bases.append(MeasBasis(circuit, weights))
-    return MeasurementPlan(n, tuple(bases))
+        block = outcomes[start:end]
+        if block and (min(block) < 0 or max(block) >= 2 ** n):
+            outcome = next(o for o in block if not 0 <= o < 2 ** n)
+            raise ValueError(f"basis {idx} outcome {outcome} outside [0, {2 ** n})")
+    weights = np.zeros((len(circuits), 2 ** n))
+    weights[np.repeat(np.arange(len(circuits)), np.subtract(ends, starts)), outcomes] = values
+    return MeasurementPlan(n, tuple(map(MeasBasis, circuits, weights)))
+
+
+def _read_weights(lines: list[str], starts: list[int]) -> tuple[list[int], list[float]]:
+    """Outcomes and weights of ``w <outcome> <weight>`` lines, in line order;
+    block b owns lines[starts[b]:starts[b + 1]]. The lines are converted in
+    bulk; if a bulk check fails they are read one at a time, so that the
+    error names the first bad line."""
+    tokens = " ".join(lines).split()
+    count = len(lines)
+    ends = [*starts[1:], count]
+    # Each of the count lines starts with a "w" token, which int and float
+    # reject. With 3 * count tokens, numbers at 1 and 2 mod 3 leave the lines
+    # only the places 0 mod 3 to start at, so each holds three tokens.
+    if len(tokens) == 3 * count:
+        try:
+            outcomes, values = list(map(int, tokens[1::3])), list(map(float, tokens[2::3]))
+        except ValueError:
+            pass
+        else:
+            distinct = all(len(set(outcomes[start:end])) == end - start for start, end in zip(starts, ends))
+            if distinct and all(map(math.isfinite, values)):
+                return outcomes, values
+    outcomes, values = [], []
+    for basis, (start, end) in enumerate(zip(starts, ends)):
+        read: dict[int, float] = {}
+        for line in lines[start:end]:
+            head = line.split()
+            if len(head) != 3:
+                raise ValueError(f"bad weight line {line!r}; expected 'w <outcome> <weight>'")
+            outcome, weight = int(head[1]), float(head[2])
+            if not math.isfinite(weight):
+                raise ValueError(f"basis {basis} outcome {outcome} weight {head[2]!r} is not finite")
+            if outcome in read:
+                raise ValueError(f"basis {basis} repeats outcome {outcome}")
+            read[outcome] = weight
+        outcomes += read
+        values += read.values()
+    return outcomes, values
 
 
 def load_plan(path) -> MeasurementPlan:

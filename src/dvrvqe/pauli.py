@@ -90,11 +90,16 @@ def decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> PauliSum:
     y_count = _y_counts(n)
     coeffs = np.where(y_count % 4 == 2, -coeffs, coeffs)
     kept = np.flatnonzero((y_count % 2 == 0) & (np.abs(coeffs) > tol))
-    terms = {
-        "".join(_LETTERS[(i >> (2 * (n - 1 - q))) & 3] for q in range(n)): float(coeffs[i])
-        for i in kept.tolist()
-    }
-    return PauliSum(n, terms)
+    return PauliSum(n, dict(zip(_words(kept, n), coeffs[kept].tolist())))
+
+
+def _words(indices: np.ndarray, n: int) -> list[str]:
+    """The words of flat word-array indices, built one qubit column at a time
+    as ASCII rows that each end in a newline, then decoded and split at once."""
+    rows = np.full((len(indices), n + 1), ord("\n"), dtype=np.uint8)
+    for q in range(n):
+        rows[:, q] = _LETTER_CODES[(indices >> (2 * (n - 1 - q))) & 3]
+    return str(rows.data, "ascii").split("\n")[:-1]
 
 
 def reconstruct(psum: PauliSum) -> np.ndarray:

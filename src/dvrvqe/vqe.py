@@ -36,6 +36,7 @@ here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,12 +83,16 @@ class OptimizerConfig:
 
     max_iter: int = 2000
     restarts: int = 5
-    seed: tuple[int, ...] | int = 0  # an int is kept as (seed,)
+    seed: tuple[int, ...] | int = 0  # an integer, numpy's included, is kept as (seed,)
 
     def __post_init__(self):
         if self.max_iter < 1 or self.restarts < 1:
             raise ValueError(f"max_iter and restarts must be >= 1, got {self.max_iter} and {self.restarts}")
-        object.__setattr__(self, "seed", (self.seed,) if isinstance(self.seed, int) else tuple(self.seed))
+        try:
+            seed = (operator.index(self.seed),)
+        except TypeError:
+            seed = tuple(self.seed)
+        object.__setattr__(self, "seed", seed)
 
     def starts(self, n_slots: int) -> np.ndarray:
         """The (restarts, n_slots) start points; restart k draws from seed (*seed, k)."""

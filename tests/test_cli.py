@@ -176,6 +176,30 @@ class TestConfigParsing:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        """main builds its parser once; an override of one call does not
+        reach the next, and a bad argument still exits 2."""
+        configs = []
+        run_config = cli.run_config
+        monkeypatch.setattr(cli, "run_config", lambda config: configs.append(config) or run_config(config))
+        path = write_config(tmp_path, HARMONIC_CONFIG.format(outdir=tmp_path / "out"))
+        assert main(["decompose", str(path), "--out", str(tmp_path / "moved"), "--seed", "4"]) == 0
+        assert main(["run", str(path)]) == 0
+        assert main(["diag", str(path)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diag", str(path), "--seed", "four"])
+        assert exit_info.value.code == 2
+        assert "argument --seed: invalid int value: 'four'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == f"dvrvqe {dvrvqe.__version__}\n"
+        assert [(c.task, c.seed, c.outdir) for c in configs] == [
+            ("decompose", 4, tmp_path / "moved"), ("diag", 3, tmp_path / "out"), ("diag", 3, tmp_path / "out"),
+        ]
+        assert (tmp_path / "moved" / "pauli.txt").exists() and (tmp_path / "out" / "spectrum.csv").exists()
+        assert cli._parser() is cli._parser()
+
     def test_numeric_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         def fail(h, count):
             raise np.linalg.LinAlgError("LOBPCG did not converge")

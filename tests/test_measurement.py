@@ -604,8 +604,11 @@ class TestPlanText:
         ("basis 0\nqubits 1 slots 1\nry 0 0\nw 0 1.0\n", "parameter slots"),
         ("basis 0\nqubits 1 slots 0\nw 0 1.0\nh 0\n", "after the weights"),
         ("basis 0\nqubits 1 slots 0\nw 0\n", "bad weight line"),
+        ("basis 0\nqubits 1 slots 0\nw 1 2.0\nw 0\nbasis 2\nqubits 1 slots 0\n", "bad weight line 'w 0'"),
+        ("basis 0\nqubits 1 slots 0\nw 0 1.0\nw 1 nan\nw 0 inf\n", "basis 0 outcome 1 weight 'nan' is not finite"),
     ], ids=["empty", "blank", "negative-outcome", "outcome-too-large", "qubit-mismatch",
-            "repeated-outcome", "index-out-of-sequence", "slots", "gate-after-weights", "short-weight"])
+            "repeated-outcome", "index-out-of-sequence", "slots", "gate-after-weights", "short-weight",
+            "weight-line-before-later-header", "first-bad-weight-line"])
     def test_parse_rejects_bad_input(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_plan(text)

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvrvqe import assemble, build_grid, pauli
+from dvrvqe.constants import AMU_TO_ELECTRON_MASS
 from dvrvqe.pauli import (
+    DEFAULT_TOL,
     PauliSum,
     decompose,
     format_pauli,
@@ -11,6 +14,7 @@ from dvrvqe.pauli import (
     reconstruct,
     term_count,
 )
+from dvrvqe.potentials import MorsePotential
 from dvrvqe.vqe import energy_of
 
 from conftest import random_state
@@ -40,6 +44,28 @@ def dense_decompose(matrix):
         if abs(coeff) > 1e-12:
             coeffs[word] = coeff
     return coeffs
+
+
+def decompose_by_words(matrix, tol=DEFAULT_TOL):
+    """Terms of decompose's transform, named one word at a time by a
+    ``"".join`` per kept index, the naming ``decompose`` does in bulk."""
+    n = len(matrix).bit_length() - 1
+    coeffs = matrix.reshape((2,) * (2 * n)).transpose(pauli._interleaved_axes(n)).reshape(-1)
+    coeffs = pauli._per_qubit(pauli._TRACE_MAP, coeffs, n)
+    y_count = pauli._y_counts(n)
+    coeffs = np.where(y_count % 4 == 2, -coeffs, coeffs)
+    kept = np.flatnonzero((y_count % 2 == 0) & (np.abs(coeffs) > tol))
+    return {
+        "".join("IXYZ"[(i >> (2 * (n - 1 - q))) & 3] for q in range(n)): float(coeffs[i])
+        for i in kept.tolist()
+    }
+
+
+def assert_same_terms(terms, oracle):
+    """The same words with the same float bits, in the same insertion order."""
+    assert [(word, np.float64(c).tobytes()) for word, c in terms.items()] == [
+        (word, np.float64(c).tobytes()) for word, c in oracle.items()
+    ]
 
 
 def word_action(word):
@@ -130,6 +156,35 @@ def test_matches_dense_oracle_property(n, seed, scale):
         coeff = oracle.get(word, 0.0)
         assert abs(coeff.imag) <= 1e-12 * scale
         assert abs(ours.get(word, 0.0) - coeff.real) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-12, 0.5]))
+def test_words_match_word_by_word_naming(n, seed, tol):
+    matrix = random_symmetric(np.random.default_rng(seed), n)
+    assert_same_terms(decompose(matrix, tol=tol).terms, decompose_by_words(matrix, tol))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, "largest", "above"])
+def test_words_match_word_by_word_naming_at_tol(n, tol):
+    matrix = random_symmetric(np.random.default_rng(20 + n), n) if n else np.array([[2.5]])
+    empty = tol in ("largest", "above")
+    if empty:  # every |A_w| is at most tol
+        largest = max(abs(c) for c in decompose_by_words(matrix, 0.0).values())
+        tol = largest if tol == "largest" else 2.0 * largest
+    psum = decompose(matrix, tol=tol)
+    assert_same_terms(psum.terms, decompose_by_words(matrix, tol))
+    assert (len(psum) == 0) == empty
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+def test_words_match_word_by_word_naming_readme_morse_n8(tol):
+    grid = build_grid("finite", {"a": 2.55, "b": 4.55}, 8, 26.0 * AMU_TO_ELECTRON_MASS)
+    matrix = assemble(grid, MorsePotential(0.07, 1.35, 3.2)).full
+    psum = decompose(matrix, tol=tol)
+    assert_same_terms(psum.terms, decompose_by_words(matrix, tol))
+    assert len(psum) == (6434 if tol else 24053)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -131,6 +131,13 @@ class TestMinimize:
         expected = [np.random.default_rng((7, k)).uniform(-vqe.INIT_SCALE, vqe.INIT_SCALE, 3) for k in range(2)]
         assert np.array_equal(opt.starts(3), expected)
 
+    def test_numpy_integer_seed_is_an_int_seed(self):
+        opt = OptimizerConfig(restarts=3, seed=np.int64(3))
+        assert opt.seed == (3,) and type(opt.seed[0]) is int
+        assert np.array_equal(opt.starts(4), OptimizerConfig(restarts=3, seed=3).starts(4))
+        with pytest.raises(TypeError):
+            OptimizerConfig(seed=3.0)
+
     def test_single_qubit_ground(self):
         result = minimize(RY1, ObjectiveConfig(Z1), OptimizerConfig(max_iter=200, restarts=3, seed=1))
         assert result.energy == pytest.approx(-1.0, abs=1e-8)
