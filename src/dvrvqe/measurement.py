@@ -16,9 +16,13 @@ weighted outcomes: each is one row e_o^T V^dag of its basis's analysis
 circuit, pushed backward through the gates (simulator.analysis_rows),
 and the rows stack into one sparse operator with one weight each.
 evaluate_exact and plan_to_matrix read that operator; zero-weight
-outcomes add nothing to either. evaluate_sampled draws each basis's
-shots over its weighted outcomes plus one lumped remainder, the
-probability of all its other outcomes.
+outcomes add nothing to either. The estimator sum_o w(o) n(o) / shots of
+a basis reads its shot counts n(o) only through their sums over the
+outcomes of each distinct weight, and those sums are multinomial over the
+summed probabilities. So evaluate_sampled draws each basis's shots over
+its distinct nonzero weights plus one lumped remainder, the probability
+of all its other outcomes: the "+" outcomes of a band's mask all weigh
+2 f(k), so a band basis draws a few counts where it has many outcomes.
 
 ``scipy.sparse`` is imported at first use, by the compile and by
 plan_to_matrix: the ``plan`` task and ``full_plan`` need numpy alone, and
@@ -48,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -55,6 +60,12 @@ from .circuits import Circuit, cnot, format_circuit, hadamard, parse_circuit
 from .grids import retained_antidiagonals
 from .hamiltonian import DvrHamiltonian
 from .simulator import analysis_rows
+
+# Bases of at most this many draw slots share one table. A multinomial call
+# costs about 7 us, as much as about 1,200 zero-probability padding slots at
+# about 6 ns each (numpy 2.4, 2-core x86_64), and most bases of a band plan
+# need fewer than 16 slots.
+TABLE_WIDTH_FLOOR = 16
 
 
 def band_width_l(k: int) -> int:
@@ -123,22 +134,22 @@ class MeasurementPlan:
         return len(self.bases)
 
     @cached_property
-    def compiled(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """(A, w, filled), built on first use and kept, with R the number of
+    def compiled(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray, DrawLayout]:
+        """(A, w, layout), built on first use and kept, with R the number of
         outcomes that carry a nonzero weight. A is the float64 CSR operator
         of shape (R, 2^n) whose rows are those outcomes' rows e_o^T V_b^dag,
         basis by basis in plan order and by outcome within a basis, and w
-        their R weights. filled is the boolean (B, K + 1) mask, B = num_bases
-        and K the largest weighted-outcome count of any basis, whose row b
-        marks one slot per row of A of basis b, in order, from the left;
-        column K, the slot of the basis's lumped remainder, stays False.
+        their R weights. layout, a DrawLayout, maps each row to the draw
+        slot of its weight among its basis's categories.
         """
         import scipy.sparse
 
         n_pts = 2 ** self.n_qubits
         outcomes = [np.flatnonzero(basis.weights) for basis in self.bases]
-        rows = [analysis_rows(basis.circuit, o) for basis, o in zip(self.bases, outcomes)]
         counts = np.array([o.size for o in outcomes])
+        weights = np.concatenate([basis.weights[o] for basis, o in zip(self.bases, outcomes)]).astype(float)
+        layout = DrawLayout.build(counts, weights)  # its temporaries go before the rows are made
+        rows = [analysis_rows(basis.circuit, o) for basis, o in zip(self.bases, outcomes)]
         n_rows = int(counts.sum())
         widths = np.repeat([cols.shape[1] for cols, _ in rows], counts)
         operator = scipy.sparse.csr_matrix(
@@ -150,9 +161,71 @@ class MeasurementPlan:
             shape=(n_rows, n_pts),
         )
         operator.sort_indices()
-        weights = np.concatenate([basis.weights[o] for basis, o in zip(self.bases, outcomes)]).astype(float)
-        filled = np.arange(counts.max(initial=0) + 1) < counts[:, None]
-        return operator, weights, filled
+        return operator, weights, layout
+
+
+@dataclass(frozen=True)
+class DrawLayout:
+    """Where evaluate_sampled draws each basis: the flat slots of a few
+    rectangular tables, one table row per basis.
+
+    A basis's categories are its distinct nonzero weights, in ascending
+    order, and fill its row from the left; the row's last slot is its
+    lumped remainder, and the slots between are padding that is never
+    drawn. A basis with c categories gets a row of max(TABLE_WIDTH_FLOOR,
+    2^ceil(log2(c + 1))) slots, and the bases of one row width form one
+    table, in plan order; tables go by ascending width.
+
+    slots holds the flat slot of each compiled row of A, tables the flat
+    (start, stop, width) of each table, row_starts and remainders the
+    first and the last flat slot of each row, in flat order (the rows tile
+    the flat slots), and category_slots, category_bases and
+    category_weights the flat slot, basis and weight of each category,
+    basis by basis in plan order.
+    """
+
+    size: int
+    slots: np.ndarray
+    tables: tuple[tuple[int, int, int], ...]
+    row_starts: np.ndarray
+    remainders: np.ndarray
+    category_slots: np.ndarray
+    category_bases: np.ndarray
+    category_weights: np.ndarray
+
+    @classmethod
+    def build(cls, counts: np.ndarray, weights: np.ndarray) -> DrawLayout:
+        """The layout of bases with counts[b] consecutive weighted rows each,
+        in plan order, whose weights are ``weights``."""
+        n_bases = counts.size
+        row_bases = np.repeat(np.arange(n_bases), counts)
+        order = np.lexsort((weights, row_bases))
+        bases, values = row_bases[order], weights[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (bases[1:] != bases[:-1]) | (values[1:] != values[:-1])
+        row_categories = np.empty(order.size, dtype=np.intp)
+        row_categories[order] = np.cumsum(first) - 1
+        category_bases, category_weights = bases[first], values[first]
+
+        n_categories = np.bincount(category_bases, minlength=n_bases)
+        # 2^ceil(log2(c + 1)) = 2^bit_length(c), and frexp's exponent of c is its bit length.
+        width = np.maximum(TABLE_WIDTH_FLOOR, np.left_shift(1, np.frexp(n_categories)[1].astype(np.intp)))
+        table_order = np.argsort(width, kind="stable")
+        row_width = width[table_order]
+        row_stops = np.cumsum(row_width)
+        origins = np.empty(n_bases, dtype=np.intp)
+        origins[table_order] = row_stops - row_width
+        table_widths, table_bases = np.unique(row_width, return_counts=True)
+        stops = np.cumsum(table_widths * table_bases)
+        tables = tuple(zip((stops - table_widths * table_bases).tolist(), stops.tolist(), table_widths.tolist()))
+
+        first_category = np.cumsum(n_categories) - n_categories
+        rank = np.arange(category_bases.size) - first_category[category_bases]
+        category_slots = origins[category_bases] + rank
+        return cls(
+            int(row_stops[-1]), category_slots[row_categories], tables, row_stops - row_width, row_stops - 1,
+            category_slots, category_bases, category_weights,
+        )
 
 
 def _mask_qubits(mask: int, n: int) -> list[int]:
@@ -301,24 +374,33 @@ def antidiag_operator(k: int, n: int) -> np.ndarray:
     return ((idx[:, None] + idx[None, :]) == k).astype(float)
 
 
-def _probabilities(plan: MeasurementPlan, state) -> np.ndarray:
-    """|A psi|^2: the probability of every weighted outcome, shape (R,)."""
+def _probabilities(plan: MeasurementPlan, state) -> tuple[np.ndarray, float]:
+    """|A psi|^2, the probability of every weighted outcome (shape (R,)),
+    and ||psi||^2. A state that is not finite, or whose ||psi||^2 is not,
+    is rejected before any arithmetic on its entries."""
     state = np.asarray(state)
     if state.shape != (2 ** plan.n_qubits,):
         raise ValueError(f"state dimension {state.shape} does not match {plan.n_qubits} qubits")
-    return np.abs(plan.compiled[0] @ state) ** 2
+    norm = float(np.vdot(state, state).real)  # NaN or inf for a state that is not finite
+    if not math.isfinite(norm):
+        if not np.isfinite(state).all():
+            raise ValueError("state has an amplitude that is not finite")
+        raise ValueError("state's squared norm overflows float64")
+    return np.abs(plan.compiled[0] @ state) ** 2, norm
 
 
 def evaluate_exact(plan: MeasurementPlan, state: np.ndarray) -> float:
     """tau = sum_b w_b . |V_b^dag psi|^2 from exact outcome probabilities,
     one sparse matvec with the compiled weighted rows."""
-    return float(np.dot(plan.compiled[1], _probabilities(plan, state)))
+    return float(np.dot(plan.compiled[1], _probabilities(plan, state)[0]))
 
 
 @dataclass(frozen=True)
 class SampledTau:
     """The summed estimate and its standard error, with every basis's mean
-    and standard error as arrays in plan order."""
+    and standard error as arrays in plan order. Each basis's mean is
+    sum_o w_o n_o / shots over its drawn counts n_o, and its standard error
+    the Bessel-corrected spread of the weights of its shots over sqrt(shots)."""
 
     estimate: float
     std_error: float
@@ -329,37 +411,45 @@ class SampledTau:
 def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -> SampledTau:
     """Unbiased sampled estimate of evaluate_exact with its standard error.
 
-    Every basis gets ``shots_per_basis`` shots over its weighted outcomes
-    and one lumped remainder, which stands for all its other outcomes and
-    has weight 0. V_b is orthogonal, so the remainder's probability is
-    ||psi||^2 less the weighted ones, clamped at 0; each row is divided by
-    ||psi||^2. All bases are drawn in one multinomial call from one PCG64
-    stream seeded with ``seed``, so the result is reproducible for a given
-    seed. The per-basis arrays keep the plan's basis order.
+    Every basis gets ``shots_per_basis`` shots, an integer (numpy's
+    included, bool not), over its categories, the distinct nonzero weights
+    of the compiled layout, and one lumped remainder that stands for all
+    its other outcomes and weighs 0. A category's probability is the sum
+    of its outcomes'. V_b is orthogonal, so the remainder's probability is
+    ||psi||^2 less the categories', clamped at 0; each row is divided by
+    ||psi||^2. Each table of the layout is one multinomial call, in table
+    order, from one PCG64 stream seeded with ``seed``, so the result is
+    reproducible for a given seed. The per-basis arrays keep the plan's
+    basis order.
     """
-    if shots_per_basis < 1:
-        raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
-    _, weights, filled = plan.compiled
-    probs = np.zeros(filled.shape)
-    probs[filled] = _probabilities(plan, state)
-    norm = float(np.vdot(state, state).real)
+    try:
+        if isinstance(shots_per_basis, bool):
+            raise TypeError
+        shots = index(shots_per_basis)
+    except TypeError:
+        raise TypeError(f"shots_per_basis must be an integer, got {shots_per_basis!r}") from None
+    if shots < 1:
+        raise ValueError(f"shots_per_basis must be >= 1, got {shots}")
+    probs, norm = _probabilities(plan, state)
     if not norm > 0:
         raise ValueError("cannot sample a zero-norm state")
-    probs[:, -1] = np.maximum(norm - probs.sum(axis=1), 0.0)
-    probs /= norm
-    counts = np.random.default_rng(seed).multinomial(shots_per_basis, probs)[filled]
+    layout = plan.compiled[2]
+    # bincount of no rows gives int64 zeros; the tables are written in place.
+    table = np.bincount(layout.slots, probs, layout.size).astype(float, copy=False)
+    table[layout.remainders] = np.maximum(norm - np.add.reduceat(table, layout.row_starts), 0.0)
+    table /= norm
+    counts = np.empty(layout.size, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for start, stop, width in layout.tables:
+        counts[start:stop] = rng.multinomial(shots, table[start:stop].reshape(-1, width)).ravel()
 
-    # The drawn probabilities are spent; with the weight-0 remainder column
-    # zeroed, their table holds each product in turn in its filled slots.
-    probs[:, -1] = 0.0
-    probs[filled] = counts * weights
-    mean = np.sum(probs, axis=1) / shots_per_basis
-    probs[filled] = counts * weights**2
-    second = np.sum(probs, axis=1) / shots_per_basis
+    weighed = counts[layout.category_slots] * layout.category_weights
+    mean = np.bincount(layout.category_bases, weighed, plan.num_bases) / shots
+    second = np.bincount(layout.category_bases, weighed * layout.category_weights, plan.num_bases) / shots
     var = np.maximum(second - mean * mean, 0.0)
-    if shots_per_basis > 1:
-        var *= shots_per_basis / (shots_per_basis - 1)
-    std_errors = np.sqrt(var / shots_per_basis)
+    if shots > 1:
+        var *= shots / (shots - 1)
+    std_errors = np.sqrt(var / shots)
     return SampledTau(float(np.sum(mean)), float(math.sqrt(np.sum(std_errors**2))), mean, std_errors)
 
 

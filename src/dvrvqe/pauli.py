@@ -25,7 +25,8 @@ from .hamiltonian import _symmetric_matrix
 DEFAULT_TOL = 1e-12
 
 _LETTERS = "IXYZ"
-_LETTER_CODES = np.frombuffer(_LETTERS.encode("ascii"), dtype=np.uint8)  # sorted
+_LETTER_BYTES = _LETTERS.encode("ascii")
+_LETTER_CODES = np.frombuffer(_LETTER_BYTES, dtype=np.uint8)  # sorted
 _DROP_LETTERS = str.maketrans("", "", _LETTERS)
 
 # Row P, column 2r + c: the factor P[c, r] of Tr[P H] = sum_{r,c} P[c, r] H[r, c],
@@ -50,10 +51,20 @@ class PauliSum:
     terms: dict[str, float]
 
     def __post_init__(self):
-        for word in self.terms:
-            if len(word) != self.n_qubits:
-                raise ValueError(f"word {word!r} has wrong length for n={self.n_qubits}")
-        if "".join(self.terms).translate(_DROP_LETTERS):
+        # The words are checked in bulk, joined at newlines. With the letters
+        # of _LETTERS dropped, only the count - 1 newlines are left exactly
+        # when every letter is one of them; the words then each have n letters
+        # exactly when the text has their length and those newlines sit
+        # n letters apart. Each error names the first bad word.
+        count, n = len(self.terms), self.n_qubits
+        joined = "\n".join(self.terms)
+        separators = "\n" * (count - 1)
+        letters_ok = joined.isascii() and joined.encode("ascii").translate(None, _LETTER_BYTES) == separators.encode()
+        if count and not (letters_ok and len(joined) == count * (n + 1) - 1 and joined[n :: n + 1] == separators):
+            word = next((word for word in self.terms if len(word) != n), None)
+            if word is not None:
+                raise ValueError(f"word {word!r} has wrong length for n={n}")
+        if not letters_ok:
             word = next(word for word in self.terms if word.translate(_DROP_LETTERS))
             raise ValueError(f"word {word!r} has letters outside {_LETTERS}")
 

@@ -452,32 +452,63 @@ class TestEvaluateSampled:
 
     @pytest.mark.parametrize("shots", [1, 7, 1000])
     def test_matches_per_basis_statistics(self, morse16_radial, shots):
-        """One multinomial draw whose row b holds basis b's weighted outcome
-        probabilities, zeros up to the widest basis and the lumped remainder,
-        all over ||psi||^2; then the mean and Bessel-corrected standard error
-        of each basis, the remainder weighing 0."""
+        """Basis by basis: the distinct nonzero weights in ascending order, each
+        with the summed probability of its outcomes, from the left of a row of
+        max(16, 2^ceil(log2(c + 1))) slots for c weights, the lumped remainder
+        last, all over ||psi||^2. The rows of one width make one multinomial
+        draw, in plan order, the widths in ascending order; then the mean and
+        Bessel-corrected standard error of each basis, the remainder weighing 0."""
         plan = full_plan(morse16_radial, TruncationSpec(4, 2))
         psi = 1.7 * random_state(np.random.default_rng(47), 16)
         norm = np.vdot(psi, psi).real
-        outcomes = [np.flatnonzero(b.weights) for b in plan.bases]
-        width = max(o.size for o in outcomes) + 1
-        probs, weights = np.zeros((plan.num_bases, width)), np.zeros((plan.num_bases, width))
-        for b, (basis, o) in enumerate(zip(plan.bases, outcomes)):
-            probs[b, :o.size] = np.abs(apply_circuit(basis.circuit, psi)[o]) ** 2
-            probs[b, -1] = max(norm - probs[b].sum(), 0.0)
-            weights[b, :o.size] = basis.weights[o]
-        counts = np.random.default_rng(11).multinomial(shots, probs / norm)
+        tables = {}
+        for b, basis in enumerate(plan.bases):
+            probs = np.abs(apply_circuit(basis.circuit, psi)) ** 2
+            values = np.unique(basis.weights[basis.weights != 0.0])
+            width = max(16, 2 ** math.ceil(math.log2(values.size + 1)))
+            p_row, w_row = np.zeros(width), np.zeros(width)
+            p_row[:values.size] = [probs[basis.weights == value].sum() for value in values]
+            p_row[-1] = max(norm - p_row.sum(), 0.0)
+            w_row[:values.size] = values
+            tables.setdefault(width, []).append((b, p_row, w_row))
+        assert sorted(tables) == [16, 32]  # the diagonal's 16 distinct weights need 17 slots
+        rng = np.random.default_rng(11)
         result = evaluate_sampled(plan, psi, shots, seed=11)
         assert result.basis_estimates.shape == result.basis_std_errors.shape == (plan.num_bases,)
-        for estimate, std_error, w, c in zip(result.basis_estimates, result.basis_std_errors, weights, counts):
-            mean = np.dot(c, w) / shots
-            var = max(np.dot(c, w**2) / shots - mean**2, 0.0)
-            if shots > 1:
-                var *= shots / (shots - 1)
-            assert estimate == pytest.approx(mean, rel=1e-12, abs=1e-15)
-            assert std_error == pytest.approx(np.sqrt(var / shots), rel=1e-12, abs=1e-15)
+        for width in sorted(tables):
+            rows = tables[width]
+            counts = rng.multinomial(shots, np.array([p_row for _, p_row, _ in rows]) / norm)
+            for (b, _, w), c in zip(rows, counts):
+                mean = np.dot(c, w) / shots
+                var = max(np.dot(c, w**2) / shots - mean**2, 0.0)
+                if shots > 1:
+                    var *= shots / (shots - 1)
+                assert result.basis_estimates[b] == pytest.approx(mean, rel=1e-12, abs=1e-15)
+                assert result.basis_std_errors[b] == pytest.approx(np.sqrt(var / shots), rel=1e-12, abs=1e-15)
         assert result.estimate == pytest.approx(np.sum(result.basis_estimates), rel=1e-12)
         assert result.std_error == pytest.approx(np.sqrt(np.sum(result.basis_std_errors**2)), rel=1e-12)
+
+    def test_moments_match_per_outcome_estimator(self):
+        """Drawing one count per distinct weight leaves the distribution of the
+        estimate that of sum_b sum_o w_o n_o / shots with a count per outcome:
+        over 2,000 seeds, the mean and variance of the estimate lie within 5
+        standard errors of that estimator's exact tau and variance
+        sum_b (sum_o p_o w_o^2 - (sum_o p_o w_o)^2) / shots."""
+        h = assemble(build_grid("finite", {"a": 2.55, "b": 4.55}, 4, DIATOMIC_MASS), DIATOMIC_MORSE)
+        plan = full_plan(h, TruncationSpec(16, 8))
+        psi = random_state(np.random.default_rng(67), 16)
+        shots, draws = 20, 2000
+        variance = 0.0
+        for basis in plan.bases:
+            probs = np.abs(apply_circuit(basis.circuit, psi)) ** 2
+            variance += (np.dot(probs, basis.weights**2) - np.dot(probs, basis.weights) ** 2) / shots
+        estimates = np.array([evaluate_sampled(plan, psi, shots, seed=seed).estimate for seed in range(draws)])
+        deviations = estimates - estimates.mean()
+        sample_variance = np.mean(deviations**2) * draws / (draws - 1)
+        # The standard error of the sample variance, from the sample's fourth moment.
+        variance_error = np.sqrt((np.mean(deviations**4) - np.mean(deviations**2) ** 2) / draws)
+        assert abs(estimates.mean() - evaluate_exact(plan, psi)) <= 5 * np.sqrt(variance / draws)
+        assert abs(sample_variance - variance) <= 5 * variance_error
 
     def test_plan_keeps_only_compiled_and_left_intact(self, morse16_radial):
         """evaluate_sampled keeps nothing on the plan but ``compiled``, leaves
@@ -497,6 +528,32 @@ class TestEvaluateSampled:
         plan = full_plan(morse16_radial, TruncationSpec(4, 2))
         with pytest.raises(ValueError, match="cannot sample a zero-norm state"):
             evaluate_sampled(plan, np.zeros(16), 100, seed=1)
+
+    @pytest.mark.parametrize("state, message", [
+        (np.full(8, np.nan), "state has an amplitude that is not finite"),
+        (np.array([1.0, 0, 0, np.inf, 0, 0, 0, 0], dtype=complex), "state has an amplitude that is not finite"),
+        (np.full(8, 1e200), "state's squared norm overflows float64"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_non_finite_state_rejected(self, state, message):
+        """Both evaluations reject the state before any arithmetic warns (a
+        RuntimeWarning is an error in this suite)."""
+        plan = parse_plan("basis 0\nqubits 3 slots 0\nw 0 1.0\nbasis 1\nqubits 3 slots 0\nh 0\nw 1 3.0\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_exact(plan, state)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_sampled(plan, state, 100, seed=1)
+
+    @pytest.mark.parametrize("shots", [2.5, True, "5"])
+    def test_shots_that_are_not_integers_rejected(self, morse16_radial, shots):
+        plan = full_plan(morse16_radial, TruncationSpec(4, 2))
+        with pytest.raises(TypeError, match="shots_per_basis must be an integer"):
+            evaluate_sampled(plan, random_state(np.random.default_rng(71), 16), shots, seed=1)
+
+    def test_numpy_integer_shots(self, morse16_radial):
+        plan = full_plan(morse16_radial, TruncationSpec(4, 2))
+        psi = random_state(np.random.default_rng(71), 16)
+        numpy_shots, python_shots = evaluate_sampled(plan, psi, np.int64(5), 3), evaluate_sampled(plan, psi, 5, 3)
+        assert (numpy_shots.estimate, numpy_shots.std_error) == (python_shots.estimate, python_shots.std_error)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_scaled_state_samples_its_direction(self, morse16_radial, scale):
@@ -666,27 +723,64 @@ class TestPlanProperties:
     def test_compiled_operator_matches_circuits(self, system, seed):
         """A row is stored exactly for each outcome with a nonzero weight, in
         basis and outcome order, and equals that row of the analysis circuit
-        bit for bit; the filled mask marks each basis's first slots, one per row."""
+        bit for bit. The draw layout gives each basis its distinct nonzero
+        weights as categories, from the left of one row of a table, and puts
+        each row in its weight's category; tables tile the flat slots by
+        ascending power-of-two width."""
         h, spec = system
         plan = full_plan(h, spec)
-        operator, weights, filled = plan.compiled
+        operator, weights, layout = plan.compiled
         n_pts = h.n_points
         outcomes = [np.flatnonzero(basis.weights) for basis in plan.bases]
         n_rows = sum(o.size for o in outcomes)
         assert operator.shape == (n_rows, n_pts) and weights.shape == (n_rows,)
-        assert filled.dtype == bool and filled.shape == (plan.num_bases, max(o.size for o in outcomes) + 1)
+        assert layout.slots.shape == (n_rows,)
+
+        starts, stops, widths = np.array(layout.tables).T
+        assert len(layout.tables) <= h.n_qubits + 2
+        assert starts[0] == 0 and np.array_equal(starts[1:], stops[:-1]) and stops[-1] == layout.size
+        assert np.all(widths >= 16) and np.all(np.diff(widths) > 0) and np.all(widths & (widths - 1) == 0)
+        assert np.all((stops - starts) % widths == 0) and np.sum((stops - starts) // widths) == plan.num_bases
+        category_at = np.full(layout.size, -1)
+        category_at[layout.category_slots] = np.arange(layout.category_slots.size)
+
         identity = np.eye(n_pts)
+        psi = random_state(np.random.default_rng(seed), n_pts)
+        norm = np.vdot(psi, psi).real
+        category_probs = np.bincount(layout.slots, np.abs(operator @ psi) ** 2, layout.size)
+        origins = {}
         start = 0
-        for basis, o, slots in zip(plan.bases, outcomes, filled):
+        for b, (basis, o) in enumerate(zip(plan.bases, outcomes)):
             stored = np.arange(start, start + o.size)
-            assert np.array_equal(slots, np.arange(filled.shape[1]) < o.size)
             assert np.array_equal(operator[stored].toarray(), apply_circuit(basis.circuit, identity)[o])
             assert np.array_equal(weights[stored], basis.weights[o])
             start += o.size
+
+            mine = layout.category_bases == b
+            values = layout.category_weights[mine]
+            assert np.array_equal(values, np.unique(basis.weights[o]))
+            slots = layout.category_slots[mine]
+            if slots.size:
+                table = np.searchsorted(stops, slots[0], side="right")
+                assert np.array_equal(slots, slots[0] + np.arange(slots.size))
+                assert (slots[0] - starts[table]) % widths[table] == 0
+                assert widths[table] <= max(16, 2 * (slots.size + 1))
+                origins[b] = slots[0]
+            categories = category_at[layout.slots[stored]]
+            assert np.all(categories >= 0) and np.all(layout.category_bases[categories] == b)
+            assert np.array_equal(layout.category_weights[categories], basis.weights[o])
+            probs = np.abs(apply_circuit(basis.circuit, psi)) ** 2
+            for value, slot in zip(values, slots):
+                assert abs(category_probs[slot] - probs[basis.weights == value].sum()) <= 1e-15 * norm
+        # Within a table, bases keep plan order.
+        tables_of = {b: np.searchsorted(stops, origin, side="right") for b, origin in origins.items()}
+        for a, b in zip(sorted(origins), sorted(origins)[1:]):
+            if tables_of[a] == tables_of[b]:
+                assert origins[a] < origins[b]
+
         scale = np.max(np.abs(h.full))
-        rng = np.random.default_rng(seed)
         for complex_valued in (False, True):
-            psi = random_state(rng, n_pts, complex_valued=complex_valued)
+            psi = random_state(np.random.default_rng(seed), n_pts, complex_valued=complex_valued)
             assert abs(evaluate_exact(plan, psi) - tau_by_bases(plan, psi)) <= 1e-12 * scale
         assert np.max(np.abs(plan_to_matrix(plan) - truncate(h, spec.s, spec.r, spec.streamlined))) <= 1e-12 * scale
 

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrvqe import assemble, build_grid, pauli
@@ -303,6 +305,37 @@ def test_export_roundtrip(tmp_path, morse16_radial):
 def test_rejects_letters_outside_ixyz(word):
     with pytest.raises(ValueError, match="letters outside IXYZ"):
         PauliSum(len(word), {word: 2.0})
+
+
+def per_word_error(n, words):
+    """Reference for PauliSum's word checks: the first word of the wrong
+    length, else the first word with a letter outside IXYZ, else None."""
+    for word in words:
+        if len(word) != n:
+            return f"word {word!r} has wrong length for n={n}"
+    for word in words:
+        if any(letter not in "IXYZ" for letter in word):
+            return f"word {word!r} has letters outside IXYZ"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.lists(st.text(alphabet="IXYZ\nQ\u00c5", max_size=5), unique=True, max_size=6))
+@example(2, ["XZ", "IIII", "Q"])
+@example(2, ["II", "IIII"])  # the joined text is as long as two 2-letter words'
+@example(2, ["I", "\nXY"])  # joined as "I\n" and "XY" are
+@example(2, ["I\n", "XY"])
+@example(0, ["", "Z"])
+@example(3, ["".join(letters) for letters in itertools.product("IXYZ", repeat=3)])
+def test_word_checks_match_per_word_loop(n, words):
+    """The bulk checks raise the per-word loop's first error, or none."""
+    expected = per_word_error(n, words)
+    if expected is None:
+        assert len(PauliSum(n, dict.fromkeys(words, 1.0))) == len(words)
+    else:
+        with pytest.raises(ValueError) as info:
+            PauliSum(n, dict.fromkeys(words, 1.0))
+        assert str(info.value) == expected
 
 
 def test_load_rejects_repeated_word(tmp_path):
