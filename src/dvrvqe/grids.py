@@ -25,11 +25,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 VARIANTS = ("infinite", "half-infinite", "finite")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int through operator.index, so numpy integers pass;
+    anything else, bool and float included, is a TypeError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -81,8 +90,9 @@ class BandProfile:
     def truncated(self, s: int, r: int, streamlined: bool = False) -> BandProfile:
         """The profile of T^(s,r): f(k) kept for k < s, g(k) on the
         anti-diagonals ``retained_antidiagonals`` keeps, and 0 elsewhere;
-        d and kinetic_scale are unchanged. Needs s >= 0 and 0 <= r <= 2^n."""
+        d and kinetic_scale are unchanged. Needs integers s >= 0 and 0 <= r <= 2^n."""
         n_pts = 2 ** self.n_qubits
+        s, r = _integer(s, "s"), _integer(r, "r")
         if s < 0 or not 0 <= r <= n_pts:
             raise ValueError(f"need s >= 0 and r in [0, {n_pts}], got s={s}, r={r}")
         return dataclasses.replace(

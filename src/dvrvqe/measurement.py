@@ -52,12 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 
 import numpy as np
 
 from .circuits import Circuit, cnot, format_circuit, hadamard, parse_circuit
-from .grids import retained_antidiagonals
+from .grids import _integer, retained_antidiagonals
 from .hamiltonian import DvrHamiltonian
 from .simulator import analysis_rows
 
@@ -75,7 +74,8 @@ def band_width_l(k: int) -> int:
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Truncation levels (s, r) and the accuracy they were derived from."""
+    """Truncation levels (s, r), integers (numpy's included, bool not), and
+    the accuracy they were derived from."""
 
     s: int
     r: int
@@ -83,8 +83,11 @@ class TruncationSpec:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.s < 1 or self.r < 1:
-            raise ValueError(f"s and r must be >= 1, got s={self.s}, r={self.r}")
+        s, r = _integer(self.s, "s"), _integer(self.r, "r")
+        if s < 1 or r < 1:
+            raise ValueError(f"s and r must be >= 1, got s={s}, r={r}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
 
     @classmethod
     def from_epsilon(cls, epsilon, n_qubits, streamlined=False):
@@ -422,12 +425,7 @@ def evaluate_sampled(plan: MeasurementPlan, state, shots_per_basis: int, seed) -
     reproducible for a given seed. The per-basis arrays keep the plan's
     basis order.
     """
-    try:
-        if isinstance(shots_per_basis, bool):
-            raise TypeError
-        shots = index(shots_per_basis)
-    except TypeError:
-        raise TypeError(f"shots_per_basis must be an integer, got {shots_per_basis!r}") from None
+    shots = _integer(shots_per_basis, "shots_per_basis")
     if shots < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {shots}")
     probs, norm = _probabilities(plan, state)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, empty_ansatz
 from .constants import HARTREE_TO_INV_CM
+from .grids import _integer
 from .hamiltonian import _symmetric_matrix, classical_spectrum
 from .vqe import ObjectiveConfig, OptimizerConfig, VqeResult, _best, minimize, minimize_rows
 
@@ -29,7 +30,7 @@ JITTER_SCALE = 0.01  # standard deviation of a candidate's warm-start jitter
 @dataclass(frozen=True)
 class SearchConfig:
     n_blocks: int
-    thresholds: tuple[float, ...] = (1.0, 0.01)   # cm^-1, strictly decreasing
+    thresholds: tuple[float, ...] = (1.0, 0.01)   # cm^-1, finite and strictly decreasing
     max_entanglers: int = 20
     candidate_budget: int = 200
     full_budget: int = 2000
@@ -47,9 +48,15 @@ class SearchConfig:
         thresholds = tuple(float(t) for t in self.thresholds)
         if not thresholds or any(t <= 0 for t in thresholds):
             raise ValueError("thresholds must be positive")
+        if not np.isfinite(thresholds).all():
+            raise ValueError(f"thresholds must be finite, got {thresholds}")
         if list(thresholds) != sorted(thresholds, reverse=True) or len(set(thresholds)) != len(thresholds):
             raise ValueError("thresholds must be strictly decreasing")
+        seed = _integer(self.seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)

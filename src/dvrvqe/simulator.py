@@ -13,11 +13,16 @@ as float64 row lists, each pushed backward through the gates.
 
 A circuit object keeps only its own lowered steps, written once and then
 only read, so threads may share it. ``run`` and ``apply_circuit`` are one
-step loop (_apply). A kernel (_Kernel) runs a block of rows, one per
-circuit of circuits that differ only in their CNOT/X runs, each row with
-the bits it gets alone; it writes every gate in place into float64
-buffers of its own and belongs to the one call that builds it:
-``adjoint_gradient`` and each vqe.gradient or vqe.minimize_rows call.
+allocating step loop (_apply). A kernel (_Kernel) runs a block of rows,
+one per circuit of circuits that differ only in their CNOT/X runs, each
+row with the bits it gets alone. It writes every gate in place into the
+float64 buffers of one plan per set of rows, sized for exactly those rows
+and built with every step's views when the rows change, and belongs to
+the one call that builds it: ``adjoint_gradient`` and each vqe.gradient
+or vqe.minimize_rows call. Each loop is the faster one for its calls
+(linear ansatz k=3, 2-core x86_64, one BLAS thread): a fresh one-row
+kernel per ``run`` takes 132-159 against 32-35 us at n=4, and a batched
+forward that allocates per gate 76 against 52-55 us for 12 rows at n=4.
 """
 
 from __future__ import annotations
@@ -107,65 +112,84 @@ class _Kernel:
     permutation per row, H the (a+b)·√½, (a−b)·√½ arithmetic of
     apply_circuit. Every row gets the arithmetic it gets alone, so a batch
     changes no bit of any row, and a one-row ``forward`` equals run and
-    apply_circuit on |0...0> bit for bit. A one-row batch drops the batch
-    axis from its views, which saves numpy a broadcast loop per gate.
+    apply_circuit on |0...0> bit for bit.
 
-    The buffers are made on the first ``forward`` and ``backward``, sized
-    for that batch and grown for a larger one. The views of the last batch
-    (its ``rows``) are kept. Forward steps ping-pong between two row
-    blocks: step k reads block k % 2 and writes block (k + 1) % 2. The
-    backward buffer holds (psi, lambda) per row after step first + d in its
-    depth d, with ``first`` the first RY step, so nothing before that step
-    is un-applied.
+    ``forward`` and ``backward`` share one plan (_plan) with buffers sized
+    for exactly its rows, built on the first call with a set of rows and
+    replaced when the rows change, which in a lockstep minimize happens
+    only when a row stops; one-shot calls use _apply instead. Forward steps
+    ping-pong between two row blocks: step k reads block k % 2 and writes
+    block (k + 1) % 2. The backward pairs hold (psi, lambda) per row after
+    step first + d in depth d, with ``first`` the first RY step, so nothing
+    before that step is un-applied.
     """
 
     def __init__(self, circuits):
         self.steps = _steps(circuits[0]) if len(circuits) == 1 else _lower(circuits)
         self.n_slots = circuits[0].n_slots
         self.dim = 2 ** circuits[0].n_qubits
-        self._rows = self._pairs = None
-        self._forward = self._backward = (None, None)
+        # (step, index bit, slot) of each RY gate, last first: the order in
+        # which their terms are added to the slots
+        ry = [(k, arg[2], slot) for k, (kind, arg, slot) in enumerate(self.steps) if kind == "ry"]
+        self._ry = np.array(ry[::-1], dtype=np.intp).reshape(-1, 3)
+        self._depth = len(self.steps) - ry[0][0] if ry else 0
+        self._last = (None, None)  # (rows, plan)
 
     def row_bytes(self) -> int:
         """Bytes one batch row takes in a forward and a backward pass: its
         two forward rows, its (psi, lambda) pair after every step from the
         first RY gate on, and the gather index, J psi and lambda of every RY
         term."""
-        ry_ops = [k for k, (kind, _, _) in enumerate(self.steps) if kind == "ry"]
-        depth = len(self.steps) - ry_ops[0] if ry_ops else 0
-        return 8 * self.dim * (2 + 2 * depth + 3 * len(ry_ops))
+        return 8 * self.dim * (2 + 2 * self._depth + 3 * len(self._ry))
 
-    def _forward_plan(self, rows):
-        if self._forward[0] == rows:
-            return self._forward[1]
-        count = len(rows)
-        if self._rows is None or self._rows.shape[1] < count:
-            self._rows = np.empty((2, count, self.dim))
-        blocks = self._rows[:, :count]
-        offsets = self.dim * np.arange(count)[:, None]
+    def _plan(self, rows):
+        """(blocks, pairs, forward steps, backward steps, J-psi gather, signs,
+        depths, slot bins) of a batch that runs kernel rows ``rows``: forward
+        rows (2, count, 2^n) and backward pairs (depth, count, 2, 2^n) for
+        exactly count rows, and one pass over the steps that lowers each onto
+        views of both. A backward view takes a row's psi and lambda as one
+        state of twice the leading size, so both passes index rotations alike."""
+        if self._last[0] == rows:
+            return self._last[1]
+        self._last = (None, None)  # the old buffers go before the new ones are made
+        count, dim, depth = len(rows), self.dim, self._depth
+        first = len(self.steps) - depth
+        blocks, pairs = np.empty((2, count, dim)), np.empty((depth, count, 2, dim))
+        # One row drops the batch axis, which saves numpy a broadcast loop per gate.
         batch = () if count == 1 else (count,)
         matrix = (0,) if count == 1 else (slice(None), None)
-        steps = []
+        forward, backward = [], []
         for k, (kind, arg, slot) in enumerate(self.steps):
-            src, dst = blocks[k % 2], blocks[1 - k % 2]
-            if kind == "perm":
-                index = (np.array([arg[0][c] for c in rows]) + offsets).ravel()
-                steps.append((kind, index, src.reshape(-1), dst.reshape(-1)))
-                continue
-            src, dst = src.reshape(*batch, *arg), dst.reshape(*batch, *arg)
-            if kind == "ry":
+            passes = [(forward, blocks[k % 2], blocks[1 - k % 2], 1)]
+            if k > first:
+                passes.append((backward, pairs[k - first], pairs[k - first - 1], 2))
+            for steps, src, dst, states in passes:  # ``states`` per row: psi, or psi and lambda
+                if kind == "perm":  # the forward permutations, or the inverses that undo them
+                    gather = np.array([arg[states - 1][c] for c in rows]).repeat(states, axis=0)
+                    gather = (gather + dim * np.arange(states * count)[:, None]).ravel()
+                    steps.append((kind, gather, src.reshape(-1), dst.reshape(-1)))
+                    continue
+                shape = (*batch, states * arg[0], *arg[1:])
+                src, dst = src.reshape(shape), dst.reshape(shape)
+                if kind == "h" and states == 1:
+                    src, dst = (src[..., 0, :], src[..., 1, :]), (dst[..., 0, :], dst[..., 1, :])
                 steps.append((kind, (slot, *matrix), src, dst))
-            else:
-                steps.append((kind, None, (src[..., 0, :], src[..., 1, :]), (dst[..., 0, :], dst[..., 1, :])))
-        plan = steps, blocks[0], blocks[len(self.steps) % 2]
-        self._forward = (rows, plan)
+        # J psi for the RY gate on index bit b, with dRY/dtheta = RY J / 2 and
+        # J = [[0, -1], [1, 0]]: (J psi)[i] = sign[i] psi[i ^ b], sign[i] = -1
+        # where i lacks b.
+        index, depths, bits = np.arange(dim), self._ry[:, 0] - first, self._ry[:, 1, None]
+        flips = 2 * dim * (count * depths[:, None, None] + np.arange(count)[:, None]) + (index ^ bits)[:, None]
+        sign = np.where(index & bits, 1.0, -1.0)[:, None]
+        bins = (self._ry[:, 2, None] + self.n_slots * np.arange(count)).ravel()
+        plan = blocks, pairs, forward, backward[::-1], flips, sign, depths, bins
+        self._last = (rows, plan)
         return plan
 
     def forward(self, rows: tuple[int, ...], rotations: np.ndarray) -> np.ndarray:
         """Final states, one row per batch row, as a new (len(rows), 2^n) array."""
-        steps, start, result = self._forward_plan(rows)
-        start[:] = 0.0
-        start[:, 0] = 1.0
+        blocks, _, steps = self._plan(rows)[:3]
+        blocks[0] = 0.0
+        blocks[0, :, 0] = 1.0
         for kind, arg, src, dst in steps:
             if kind == "ry":
                 np.matmul(rotations[arg], src, out=dst)
@@ -175,70 +199,26 @@ class _Kernel:
                 (a, b), (plus, minus) = src, dst
                 np.multiply(np.add(a, b, out=plus), _SQRT_HALF, out=plus)
                 np.multiply(np.subtract(a, b, out=minus), _SQRT_HALF, out=minus)
-        return result.copy()
-
-    def _backward_plan(self, rows):
-        if self._backward[0] == rows:
-            return self._backward[1]
-        ry_ops = [k for k, (kind, _, _) in enumerate(self.steps) if kind == "ry"]
-        if not ry_ops:
-            self._backward = (rows, None)
-            return None
-        first, count, dim = ry_ops[0], len(rows), self.dim
-        if self._pairs is None or self._pairs.shape[1] < count:
-            self._pairs = np.empty((len(self.steps) - first, count, 2, dim))
-        pairs = self._pairs[:, :count]
-        offsets = 2 * dim * np.arange(count)[:, None, None] + dim * np.arange(2)[:, None]
-        batch = () if count == 1 else (count,)
-        matrix = (0,) if count == 1 else (slice(None), None, None)
-        back = []
-        for k in range(len(self.steps) - 1, first, -1):
-            kind, arg, slot = self.steps[k]
-            after, before = pairs[k - first], pairs[k - first - 1]
-            if kind == "perm":
-                index = (np.array([arg[1][c] for c in rows])[:, None] + offsets).ravel()
-                back.append((kind, index, after.reshape(-1), before.reshape(-1)))
-            else:
-                shape = (*batch, 2, *arg)
-                back.append((kind, (slot, *matrix), after.reshape(shape), before.reshape(shape)))
-        # J psi for the RY gate on index bit b, with dRY/dtheta = RY J / 2 and
-        # J = [[0, -1], [1, 0]]: (J psi)[i] = sign[i] psi[i ^ b], sign[i] = -1
-        # where i lacks b. Gates are listed last first, the order their terms
-        # are added to the slots.
-        gates = ry_ops[::-1]
-        index = np.arange(dim)
-        depths = np.array([k - first for k in gates], dtype=np.intp)
-        bits = np.array([self.steps[k][1][2] for k in gates], dtype=np.intp)[:, None]
-        psi_flip = (
-            self._pairs[0].size * depths[:, None, None] + 2 * dim * np.arange(count)[:, None] + (index ^ bits)[:, None]
-        )
-        sign = np.where(index & bits, 1.0, -1.0)[:, None]
-        slots = np.array([self.steps[k][2] for k in gates], dtype=np.intp)
-        bins = (slots[:, None] + self.n_slots * np.arange(count)).ravel()
-        plan = back, pairs[-1], psi_flip, sign, depths, bins
-        self._backward = (rows, plan)
-        return plan
+        return blocks[len(self.steps) % 2].copy()
 
     def backward(self, rows: tuple[int, ...], rotations: np.ndarray, states: np.ndarray,
                  costates: np.ndarray) -> np.ndarray:
         """Slot gradients of <psi|M|psi>, one row per batch row, from the
         final states and costates lambda = M psi of those rows."""
-        plan = self._backward_plan(rows)
         count = len(rows)
-        if plan is None:
+        if not self._depth:
             return np.zeros((count, self.n_slots))
-        back, top, psi_flip, sign, depths, bins = plan
-        top[:, 0] = states
-        top[:, 1] = costates
+        _, pairs, _, steps, flips, sign, depths, bins = self._plan(rows)
+        pairs[-1, :, 0] = states
+        pairs[-1, :, 1] = costates
         transposed = rotations.swapaxes(-1, -2)
-        for kind, arg, after, before in back:
+        for kind, arg, after, before in steps:
             if kind == "perm":
                 np.take(after, arg, out=before, mode="clip")
             else:
                 np.matmul(transposed[arg] if kind == "ry" else _H_MATRIX.T, after, out=before)
-        j_psi = sign * np.take(self._pairs, psi_flip)
-        lambdas = self._pairs[depths, :count, 1]
-        terms = np.einsum("ij,ij->i", lambdas.reshape(-1, self.dim), j_psi.reshape(-1, self.dim))
+        j_psi = sign * np.take(pairs, flips)
+        terms = np.einsum("ij,ij->i", pairs[depths, :, 1].reshape(-1, self.dim), j_psi.reshape(-1, self.dim))
         return np.bincount(bins, weights=terms, minlength=count * self.n_slots).reshape(count, self.n_slots)
 
 

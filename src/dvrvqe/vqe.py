@@ -36,13 +36,13 @@ here.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ansatz import AnsatzSpec
 from .circuits import Circuit
+from .grids import _integer
 from .hamiltonian import _symmetric_matrix
 from .simulator import _Kernel, _param_row, _rotations, overlap_sq, run
 
@@ -83,16 +83,17 @@ class OptimizerConfig:
 
     max_iter: int = 2000
     restarts: int = 5
-    seed: tuple[int, ...] | int = 0  # an integer, numpy's included, is kept as (seed,)
+    seed: tuple[int, ...] | int = 0  # integers >= 0, numpy's included; one integer is kept as (seed,)
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.restarts < 1:
-            raise ValueError(f"max_iter and restarts must be >= 1, got {self.max_iter} and {self.restarts}")
-        try:
-            seed = (operator.index(self.seed),)
-        except TypeError:
-            seed = tuple(self.seed)
-        object.__setattr__(self, "seed", seed)
+        max_iter, restarts = _integer(self.max_iter, "max_iter"), _integer(self.restarts, "restarts")
+        if max_iter < 1 or restarts < 1:
+            raise ValueError(f"max_iter and restarts must be >= 1, got {max_iter} and {restarts}")
+        seed = tuple(_integer(s, "seed") for s in (self.seed if np.iterable(self.seed) else (self.seed,)))
+        if min(seed, default=0) < 0:
+            raise ValueError(f"seed entries must be >= 0, got {seed}")
+        for name, value in (("max_iter", max_iter), ("restarts", restarts), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     def starts(self, n_slots: int) -> np.ndarray:
         """The (restarts, n_slots) start points; restart k draws from seed (*seed, k)."""

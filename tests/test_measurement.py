@@ -345,6 +345,18 @@ class TestTruncationSpecType:
         with pytest.raises(ValueError):
             TruncationSpec.from_epsilon(-0.5, 4)
 
+    def test_s_and_r_are_integers(self, morse16_radial):
+        """s and r pass operator.index: numpy integers are kept as ints, and a
+        float, NaN or bool is refused by TruncationSpec and by truncate."""
+        spec = TruncationSpec(np.int64(16), np.int32(8))
+        assert spec == TruncationSpec(16, 8) and type(spec.s) is int and type(spec.r) is int
+        assert np.array_equal(truncate(morse16_radial, np.int64(3), np.uint8(2)), truncate(morse16_radial, 3, 2))
+        for s, r in ((float("nan"), 8), (16, 8.0), (True, 8), (16, False)):
+            with pytest.raises(TypeError, match="must be an integer"):
+                TruncationSpec(s, r)
+            with pytest.raises(TypeError, match="must be an integer"):
+                truncate(morse16_radial, s, r)
+
 
 class TestEvaluateExact:
     def test_basis_state_reads_diagonal(self, morse16_radial):

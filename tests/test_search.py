@@ -181,6 +181,17 @@ def test_thresholds_validation():
         SearchConfig(n_blocks=1, candidate_budget=0)
 
 
+def test_search_config_rejects_non_finite_thresholds_and_bad_seeds():
+    for thresholds in ((float("nan"),), (float("inf"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            SearchConfig(n_blocks=1, thresholds=thresholds)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SearchConfig(n_blocks=1, seed=-1)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        SearchConfig(n_blocks=1, seed=1.5)
+    assert SearchConfig(n_blocks=1, seed=np.int64(2)) == SearchConfig(n_blocks=1, seed=2)
+
+
 def test_non_power_of_two_rejected():
     with pytest.raises(ValueError):
         greedy_search(np.eye(6), SearchConfig(n_blocks=1))

@@ -5,6 +5,7 @@ where no dense matrix is built). The ``shared`` strategy lets several RY
 gates use one slot; the unshared one gives every RY gate its own slot.
 """
 
+import weakref
 from dataclasses import fields
 from functools import reduce
 
@@ -412,12 +413,35 @@ def test_apply_circuit_makes_no_state_buffers():
 
 
 def test_row_bytes_cover_the_buffers_of_a_batch():
-    """The forward rows, the backward pairs and the three per-term gathers
-    of an R-row pass take at most R * row_bytes()."""
+    """The plan's forward rows and backward pairs and the three per-term
+    gathers of an R-row pass take exactly R * row_bytes()."""
     circuit = Circuit(3, (ry(0, 0), cnot(0, 1), ry(1, 1), hadamard(2), ry(2, 0), pauli_x(1)), 2)
     kernel, count = _Kernel((circuit,)), 3
     rotations = _rotations(np.random.default_rng(25).uniform(-1, 1, (count, circuit.n_slots)))
     states = kernel.forward((0,) * count, rotations)
     kernel.backward((0,) * count, rotations, states, states)
     terms = 3 * count * 8 * 2 ** 3 * sum(kind == "ry" for kind, _, _ in kernel.steps)
-    assert kernel._rows.nbytes + kernel._pairs.nbytes + terms == count * kernel.row_bytes()
+    blocks, pairs = kernel._plan((0,) * count)[:2]
+    assert blocks.nbytes + pairs.nbytes + terms == count * kernel.row_bytes()
+
+
+def test_a_kernel_keeps_one_plan_sized_for_its_rows():
+    """Forward and backward calls on the same rows reuse one plan; new rows,
+    fewer or more, get a plan whose buffers fit exactly that many rows, and
+    the buffers of the old plan are freed."""
+    circuits = (
+        Circuit(3, (hadamard(2), ry(0, 0), cnot(0, 1), ry(1, 1)), 2),
+        Circuit(3, (hadamard(2), ry(0, 0), pauli_x(2), ry(1, 1)), 2),
+    )
+    kernel, rng, freed = _Kernel(circuits), np.random.default_rng(26), []
+    for rows in ((0, 1, 1, 0), (1, 0), (0,), (1, 1, 0)):
+        rotations = _rotations(rng.uniform(-1, 1, (len(rows), 2)))
+        states = kernel.forward(rows, rotations)
+        plan = kernel._last[1]
+        kernel.backward(rows, rotations, states, states)
+        kernel.forward(rows, rotations)
+        assert kernel._last[0] == rows and kernel._last[1] is plan
+        assert plan[0].shape == (2, len(rows), 8) and plan[1].shape == (3, len(rows), 2, 8)
+        assert all(buffer() is None for buffer in freed)
+        freed = [weakref.ref(buffer) for buffer in plan[:2]]
+        del plan

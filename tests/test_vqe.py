@@ -125,6 +125,18 @@ class TestMinimize:
         with pytest.raises(ValueError, match="max_iter and restarts must be >= 1"):
             OptimizerConfig(**keys)
 
+    def test_optimizer_config_takes_integers(self):
+        """max_iter, restarts and the seed entries pass operator.index, bool
+        not, and a negative seed entry is refused by name."""
+        opt = OptimizerConfig(max_iter=np.int64(7), restarts=np.int32(2), seed=[np.uint8(1), 2])
+        assert (opt.max_iter, opt.restarts, opt.seed) == (7, 2, (1, 2)) and type(opt.max_iter) is int
+        for keys in ({"max_iter": float("nan")}, {"max_iter": 10.0}, {"restarts": True}, {"seed": (1, 2.5)}):
+            with pytest.raises(TypeError, match="must be an integer"):
+                OptimizerConfig(**keys)
+        for seed in (-1, (3, -1)):
+            with pytest.raises(ValueError, match="seed entries must be >= 0"):
+                OptimizerConfig(seed=seed)
+
     def test_int_seed_is_kept_as_a_tuple(self):
         opt = OptimizerConfig(restarts=2, seed=7)
         assert opt.seed == (7,) and OptimizerConfig(seed=[7, 1]).seed == (7, 1)
